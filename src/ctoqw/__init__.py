@@ -3,8 +3,11 @@
 A walk is specified by a coin (C, A)_H: left/right jump operators and an
 on-site Hamiltonian acting on a finite internal space. The package computes
 stationary internal states and the net velocity, classifies coins as
-recurrent / transient / partially recurrent, evolves truncated-lattice
-distributions, and samples quantum-jump trajectories.
+recurrent / transient / partially recurrent, evolves lattice distributions,
+and samples quantum-jump trajectories.
+Lattice evolution is exact in momentum space (one d^2 x d^2 Fourier symbol
+L_k per momentum, on a ring window of sites), with a certified Chernoff bound
+``leak_bound`` on the mass the infinite-line walk carries outside the window.
 """
 
 from .classify import ClassificationResult, Verdict, classify, classify_diagonal
@@ -17,6 +20,7 @@ from .lattice import (
     conditioned_state,
     evolve,
     initial_block_state,
+    leak_bound,
     probability_series,
     return_integral,
     skeleton_partials,
@@ -26,7 +30,7 @@ from .lattice import (
     write_profile_csv,
     write_series_csv,
 )
-from .linalg import hermitian_eig, mat_exp, null_space, superop_matrix, unvec, vec
+from .linalg import mat_exp, null_space, superop_matrix, unvec, vec
 from .model import (
     Coin,
     check_density,
@@ -76,6 +80,7 @@ __all__ = [
     "conditioned_state",
     "evolve",
     "initial_block_state",
+    "leak_bound",
     "probability_series",
     "return_integral",
     "skeleton_partials",
@@ -84,7 +89,6 @@ __all__ = [
     "transition_probability",
     "write_profile_csv",
     "write_series_csv",
-    "hermitian_eig",
     "mat_exp",
     "null_space",
     "superop_matrix",

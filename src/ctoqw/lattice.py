@@ -1,19 +1,25 @@
-"""Truncated-lattice evolution of block-diagonal walk states.
+"""Exact evolution of block-diagonal walk states on a ring window.
 
-A walk state that starts as rho0 at one site stays block diagonal,
-rho_t = sum_i rho_t(i) (x) |i><i|, and the blocks obey the closed linear
-system
+A walk state that starts as rho0 at site i0 stays block diagonal, and the
+blocks obey d rho(i)/dt = G0 rho(i) + rho(i) G0* + A rho(i-1) A* + C rho(i+1) C*,
+with G0 the between-jump generator of the coin. Translation invariance makes
+hat(k) = sum_i e^{ik(i - i0)} rho(i) evolve separately for every momentum k
+under the d^2 x d^2 Fourier symbol (Carbone & Pautrat, J. Stat. Phys. 160, 2015)
 
-    d rho_t(i) / dt = G0 rho_t(i) + rho_t(i) G0* + A rho_t(i-1) A* + C rho_t(i+1) C*
+    L_k(X) = G0 X + X G0* + e^{ik} A X A* + e^{-ik} C X C*.
 
-with G0 the between-jump generator of the coin. The lattice is truncated to
-sites -radius..radius with absorbing boundaries: neighbor terms falling off
-the edge are dropped, so probability that reaches the boundary leaks out and
-is tracked explicitly in ``leaked_mass`` rather than hidden by reflection.
+The window -radius..radius is closed into a ring of N = 2 radius + 1 sites,
+where the momenta k = 2 pi q / N are exact: the blocks at time t are the
+inverse DFT of e^{t L_k} vec(rho0). Time grids use powers of e^{dt L_k} and
+the return integral a Van Loan exponential; nothing is integrated numerically.
 
-Evolution integrates this ODE with a high-order adaptive Runge-Kutta method;
-uniform-step maps (the delta-skeleton) reuse one dense matrix exponential of
-the block generator whenever the truncated state fits a modest size cap.
+The ring differs from the infinite line only by mass that wraps around it.
+Since Tr(e^{t L(theta)} rho0) = sum_i e^{theta (i - i0)} p_i(t) for the
+symbol L(theta) at k = -i theta, ``leak_bound`` takes the Chernoff bound
+min_theta e^{-theta D} Tr(e^{t L(theta)} rho0) at each window edge. It bounds
+the mass outside the window at time t, hence the wrap-around error of every
+window value then; ``BlockState.leaked_mass`` reports it, and the
+long-horizon routines raise when it reaches LEAK_TOL.
 """
 
 from __future__ import annotations
@@ -21,25 +27,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+import scipy.optimize
 
-from .linalg import mat_exp
+from .linalg import mat_exp, superop_matrix, vec
 from .model import Coin, check_density, no_jump_generator
 
-# Truncation leakage accepted by quadrature/identity routines.
+# Leak bound accepted by choose_radius and the long-horizon routines.
 LEAK_TOL = 1e-8
-# Largest vectorized state for which dense propagators are precomputed.
+# Largest vectorized ring state for which dense_matrix builds the full generator.
 DENSE_STATE_CAP = 4096
-# Sites carrying less mass than this are ignored when conditioning.
-SITE_PROB_FLOOR = 1e-12
-
-_ODE_RTOL = 1e-10
-_ODE_ATOL = 1e-13
+# Sites carrying less mass than this are ignored when conditioning. Ring
+# blocks carry absolute round-off up to about 1e-17 from the Fourier sums;
+# on a lighter site that round-off approaches the 1e-8 eigenvalue check of
+# the conditioned state.
+SITE_PROB_FLOOR = 1e-8
 
 
 @dataclass
 class BlockState:
-    """Blocks rho(i) for i in -radius..radius plus the absorbed mass."""
+    """Blocks rho(i) for i in -radius..radius plus a bound on the mass outside."""
 
     radius: int
     blocks: np.ndarray
@@ -67,8 +73,22 @@ class BlockState:
         )
 
 
+def _symbol_parts(coin: Coin):
+    """(S, R, L) with L_k = S + e^{ik} R + e^{-ik} L on column-stacked vec(X)."""
+    g0 = no_jump_generator(coin)
+    eye = np.eye(coin.dim)
+    a, c = coin.right, coin.left
+    return (superop_matrix([(g0, eye), (eye, g0.conj().T)]),
+            superop_matrix([(a, a.conj().T)]),
+            superop_matrix([(c, c.conj().T)]))
+
+
 class BlockGenerator:
-    """Immutable action of the walk generator on truncated block arrays."""
+    """The walk generator on the ring of sites -radius..radius and its symbols.
+
+    ``symbols[q]`` is L_k at k = 2 pi q / n_sites, the generator restricted
+    to momentum k.
+    """
 
     def __init__(self, coin: Coin, radius: int):
         if radius < 1:
@@ -77,129 +97,143 @@ class BlockGenerator:
         self.radius = int(radius)
         self.n_sites = 2 * self.radius + 1
         self._g0 = no_jump_generator(coin)
-        self._g0h = self._g0.conj().T
-        self._a = coin.right
-        self._ah = coin.right.conj().T
-        self._c = coin.left
-        self._ch = coin.left.conj().T
+        self._stay, self._right, self._left = _symbol_parts(coin)
+        phase = np.exp(2j * np.pi * np.arange(self.n_sites) / self.n_sites)[:, None, None]
+        self.symbols = self._stay + phase * self._right + phase.conj() * self._left
 
     @property
     def vec_dim(self) -> int:
-        """Dimension of the vectorized truncated state."""
+        """Dimension of the vectorized ring state."""
         return self.n_sites * self.coin.dim ** 2
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
-        """Time derivative of a (2*radius+1, d, d) block array."""
-        out = self._g0 @ blocks + blocks @ self._g0h
-        out[1:] += self._a @ blocks[:-1] @ self._ah
-        out[:-1] += self._c @ blocks[1:] @ self._ch
+        """Time derivative of a (2*radius+1, d, d) block array on the ring."""
+        a, c = self.coin.right, self.coin.left
+        out = self._g0 @ blocks + blocks @ self._g0.conj().T
+        out += a @ np.roll(blocks, 1, axis=0) @ a.conj().T
+        out += c @ np.roll(blocks, -1, axis=0) @ c.conj().T
         return out
 
     def dense_matrix(self) -> np.ndarray:
-        """Full matrix on the site-ordered, column-stacked block vector."""
-        d = self.coin.dim
-        eye = np.eye(d)
-        diag = np.kron(eye, self._g0) + np.kron(self._g0.conj(), eye)
-        from_left = np.kron(self._a.conj(), self._a)
-        from_right = np.kron(self._c.conj(), self._c)
+        """Full ring generator on the site-ordered, column-stacked block vector.
+
+        A reference for checking the momentum-space propagator; refused when
+        the vectorized state exceeds DENSE_STATE_CAP.
+        """
+        if self.vec_dim > DENSE_STATE_CAP:
+            raise ValueError(
+                f"dense generator of dimension {self.vec_dim} exceeds {DENSE_STATE_CAP}"
+            )
         n = self.n_sites
-        k = np.zeros((n * d * d, n * d * d), dtype=complex)
-        for b in range(n):
-            s = slice(b * d * d, (b + 1) * d * d)
-            k[s, s] = diag
-            if b > 0:
-                k[s, slice((b - 1) * d * d, b * d * d)] = from_left
-            if b < n - 1:
-                k[s, slice((b + 1) * d * d, (b + 2) * d * d)] = from_right
-        return k
+        shift = np.roll(np.eye(n), 1, axis=0)  # site i-1 feeds site i, wrapping
+        return (np.kron(np.eye(n), self._stay) + np.kron(shift, self._right)
+                + np.kron(shift.T, self._left))
 
 
 def build_block_generator(coin: Coin, radius: int) -> BlockGenerator:
     return BlockGenerator(coin, radius)
 
 
+def _density_for(coin: Coin, rho0) -> np.ndarray:
+    rho = check_density(rho0)
+    if rho.shape[0] != coin.dim:
+        raise ValueError("initial state dimension does not match the coin")
+    return rho
+
+
 def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
     if abs(i0) > gen.radius:
         raise ValueError(f"start site {i0} outside truncation radius {gen.radius}")
-    rho = check_density(rho0)
-    if rho.shape[0] != gen.coin.dim:
-        raise ValueError("initial state dimension does not match the coin")
+    rho = _density_for(gen.coin, rho0)
     blocks = np.zeros((gen.n_sites, gen.coin.dim, gen.coin.dim), dtype=complex)
     blocks[i0 + gen.radius] = rho
     return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=0.0)
 
 
-def _rhs(gen: BlockGenerator):
-    n, d = gen.n_sites, gen.coin.dim
-
-    def rhs(_t, y):
-        b = y.view(complex).reshape(n, d, d)
-        return gen.apply(b).reshape(-1).view(float)
-
-    return rhs
+def _to_sites(gen: BlockGenerator, hat: np.ndarray, i0: int) -> np.ndarray:
+    """Inverse DFT of per-momentum values (axis 0), ordered from site -radius."""
+    return np.roll(np.fft.fft(hat, axis=0), gen.radius + i0, axis=0) / gen.n_sites
 
 
-def _integrate(gen, y0, t0, t1, t_eval, rtol, atol):
-    sol = scipy.integrate.solve_ivp(
-        _rhs(gen), (t0, t1), y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol
-    )
-    if not sol.success:
-        raise RuntimeError(f"block ODE integration failed: {sol.message}")
-    return sol
-
-
-def _blocks_of(gen, y):
-    return np.ascontiguousarray(y).view(complex).reshape(gen.n_sites, gen.coin.dim, gen.coin.dim)
-
-
-def evolve(gen: BlockGenerator, rho0, i0: int, t: float, *,
-           rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> BlockState:
-    """State at time t >= 0 from rho0 concentrated at site i0."""
+def _blocks(gen: BlockGenerator, rho0, i0: int, t: float) -> np.ndarray:
+    """Ring blocks at time t >= 0 from rho0 at site i0."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     state = initial_block_state(gen, rho0, i0)
     if t == 0:
-        return state
-    y0 = state.blocks.reshape(-1).view(float).copy()
-    sol = _integrate(gen, y0, 0.0, t, None, rtol, atol)
-    blocks = _blocks_of(gen, sol.y[:, -1]).copy()
-    blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
-    total = float(np.einsum("ijj->", blocks).real)
-    return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=1.0 - total)
+        return state.blocks
+    d = gen.coin.dim
+    hat = mat_exp(gen.symbols, t) @ vec(state.block(i0))
+    blocks = _to_sites(gen, hat, i0).reshape(-1, d, d).transpose(0, 2, 1)
+    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _march(gen, state0: BlockState, times, rtol, atol, chunk=512):
-    """Yield (index, blocks) at each requested time, marching chunk by chunk.
+def _trace_rows(gen: BlockGenerator, rho0, i0: int, steps):
+    """Yield the site-occupation profile after each of consecutive time steps.
 
-    Keeps memory bounded for long dense grids: only one chunk of solver
-    output is alive at a time, and the state is carried forward between
-    chunks.
+    The momentum-space state advances by e^{dt L_k}, with one batched
+    exponential per distinct step length. A leading step of 0 yields the
+    initial profile exactly.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing and nonnegative")
-    start = 0
-    if times[0] == 0.0:
-        yield 0, state0.blocks
-        start = 1
-    y = state0.blocks.reshape(-1).view(float).copy()
-    t_prev = 0.0
-    pos = start
-    while pos < times.size:
-        hi = min(pos + chunk, times.size)
-        seg = times[pos:hi]
-        sol = _integrate(gen, y, t_prev, seg[-1], seg, rtol, atol)
-        for col in range(seg.size):
-            yield pos + col, _blocks_of(gen, sol.y[:, col])
-        y = np.ascontiguousarray(sol.y[:, -1])
-        t_prev = seg[-1]
-        pos = hi
+    state = initial_block_state(gen, rho0, i0)
+    d = gen.coin.dim
+    hat = np.broadcast_to(vec(state.block(i0)), (gen.n_sites, d * d))
+    powers = {}
+    for dt in steps:
+        if dt == 0:
+            yield state.trace_profile()
+            continue
+        if dt not in powers:
+            powers[dt] = mat_exp(gen.symbols, dt)
+        hat = np.einsum("kab,kb->ka", powers[dt], hat)
+        yield _to_sites(gen, hat[:, :: d + 1].sum(axis=1), i0).real
 
 
-def probability_series(gen: BlockGenerator, rho0, i0: int, sites, times, *,
-                       rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> np.ndarray:
+def _chernoff_tail(stay, ahead, behind, v, dist: int) -> float:
+    """min_theta e^{-theta dist} Tr(e^{stay + e^theta ahead + e^-theta behind} rho).
+
+    Shifting the exponent by its spectral abscissa keeps the moment finite.
+    """
+    trace = np.eye(int(round(np.sqrt(v.size)))).reshape(-1)
+
+    def log_bound(theta):
+        m = stay + np.exp(theta) * ahead + np.exp(-theta) * behind
+        mu = float(np.linalg.eigvals(m).real.max())
+        moment = float((trace @ mat_exp(m - mu * np.eye(len(m))) @ v).real)
+        return mu + np.log(moment) - theta * dist
+
+    best = scipy.optimize.minimize_scalar(
+        log_bound, bounds=(0.0, 2.0 * np.log(2.0 + dist)), method="bounded")
+    return float(np.exp(min(best.fun, 0.0)))
+
+
+def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
+    """Certified bound on the mass beyond sites -radius..radius at time t.
+
+    The sum over both edges of the Chernoff bound (module docstring), with D
+    the distance from i0 to the edge plus one, capped at 1.
+    """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if abs(i0) > radius:
+        raise ValueError(f"start site {i0} outside truncation radius {radius}")
+    v = vec(_density_for(coin, rho0))
+    if t == 0:
+        return 0.0
+    stay, right, left = (t * m for m in _symbol_parts(coin))
+    total = (_chernoff_tail(stay, right, left, v, radius + 1 - i0)
+             + _chernoff_tail(stay, left, right, v, radius + 1 + i0))
+    return min(1.0, total)
+
+
+def evolve(gen: BlockGenerator, rho0, i0: int, t: float) -> BlockState:
+    """State at time t >= 0 from rho0 concentrated at site i0."""
+    blocks = _blocks(gen, rho0, i0, t)
+    leak = leak_bound(gen.coin, rho0, i0, gen.radius, t)
+    return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=leak)
+
+
+def probability_series(gen: BlockGenerator, rho0, i0: int, sites, times) -> np.ndarray:
     """p_{j i0; rho}(t) for each requested site j over a time grid.
 
     Returns an array of shape (len(times), len(sites)).
@@ -208,38 +242,30 @@ def probability_series(gen: BlockGenerator, rho0, i0: int, sites, times, *,
     for s in sites:
         if abs(s) > gen.radius:
             raise ValueError(f"site {s} outside truncation radius {gen.radius}")
-    idx = [s + gen.radius for s in sites]
-    state0 = initial_block_state(gen, rho0, i0)
-    times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, len(sites)))
-    for row, blocks in _march(gen, state0, times, rtol, atol):
-        out[row] = np.einsum("ijj->i", blocks[idx]).real
-    return out
+    return trace_profile_series(gen, rho0, i0, times)[:, [s + gen.radius for s in sites]]
 
 
-def trace_profile_series(gen: BlockGenerator, rho0, i0: int, times, *,
-                         rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> np.ndarray:
+def trace_profile_series(gen: BlockGenerator, rho0, i0: int, times) -> np.ndarray:
     """Site-occupation profiles Tr(rho_t(i)) over a time grid."""
-    state0 = initial_block_state(gen, rho0, i0)
     times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, gen.n_sites))
-    for row, blocks in _march(gen, state0, times, rtol, atol):
-        out[row] = np.einsum("ijj->i", blocks).real
-    return out
+    if times.size and (times[0] < 0 or np.any(np.diff(times) <= 0)):
+        raise ValueError("times must be strictly increasing and nonnegative")
+    rows = list(_trace_rows(gen, rho0, i0, np.diff(times, prepend=0.0)))
+    return np.array(rows).reshape(len(rows), gen.n_sites)
 
 
-def transition_probability(gen: BlockGenerator, rho0, i0: int, j: int, t: float, *,
-                           rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> float:
+def transition_probability(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> float:
     """p_{j i0; rho}(t) = Tr(rho_t(j))."""
-    state = evolve(gen, rho0, i0, t, rtol=rtol, atol=atol)
-    return float(np.trace(state.block(j)).real)
+    if abs(j) > gen.radius:
+        raise IndexError(f"site {j} outside truncation radius {gen.radius}")
+    return float(np.trace(_blocks(gen, rho0, i0, t)[j + gen.radius]).real)
 
 
-def conditioned_state(gen: BlockGenerator, rho0, i0: int, k: int, beta: float, *,
-                      rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> np.ndarray:
+def conditioned_state(gen: BlockGenerator, rho0, i0: int, k: int, beta: float) -> np.ndarray:
     """Internal state at site k given the walker is observed there at time beta."""
-    state = evolve(gen, rho0, i0, beta, rtol=rtol, atol=atol)
-    return _condition_block(state.block(k), k)
+    if abs(k) > gen.radius:
+        raise IndexError(f"site {k} outside truncation radius {gen.radius}")
+    return _condition_block(_blocks(gen, rho0, i0, beta)[k + gen.radius], k)
 
 
 def _condition_block(block: np.ndarray, site: int) -> np.ndarray:
@@ -261,133 +287,102 @@ def _condition_block(block: np.ndarray, site: int) -> np.ndarray:
 
 
 def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
-                                alpha: float, beta: float, *,
-                                rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> float:
+                                alpha: float, beta: float) -> float:
     """|p(alpha+beta) - sum_k p(alpha | from k) p(beta, k)| at site j.
 
-    The left side is one straight integration to alpha+beta. The right side
-    re-launches the walk from every site k that carries mass at time beta,
-    started in the conditioned internal state there. The two routes are
-    integrated independently; their agreement is the identity under test.
+    The left side is one propagation to alpha+beta. The right side re-launches
+    the walk from every site k that carries mass at time beta, started in the
+    conditioned internal state there. Each launch is propagated separately;
+    their agreement is the identity under test. Raises if the leak bound at
+    alpha+beta reaches LEAK_TOL.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
-    direct = evolve(gen, rho0, i0, alpha + beta, rtol=rtol, atol=atol)
+    direct = evolve(gen, rho0, i0, alpha + beta)
     if direct.leaked_mass >= LEAK_TOL:
         raise RuntimeError(
-            f"truncation leaked {direct.leaked_mass:.3e} by time alpha+beta; "
+            f"truncation leak bound {direct.leaked_mass:.3e} at time alpha+beta; "
             f"enlarge the radius"
         )
     lhs = float(np.trace(direct.block(j)).real)
 
-    at_beta = evolve(gen, rho0, i0, beta, rtol=rtol, atol=atol)
+    at_beta = evolve(gen, rho0, i0, beta)
     probs = at_beta.trace_profile()
     rhs = 0.0
     for k in at_beta.sites[probs > SITE_PROB_FLOOR]:
         p_k = probs[k + gen.radius]
         sigma = _condition_block(at_beta.block(k), k)
-        p_jk = transition_probability(gen, sigma, int(k), j, alpha, rtol=rtol, atol=atol)
-        rhs += p_jk * p_k
+        rhs += transition_probability(gen, sigma, int(k), j, alpha) * p_k
     return abs(lhs - rhs)
 
 
-def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float,
-                    quad_step: float = 0.05, *,
-                    rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> float:
-    """Composite-Simpson approximation of int_0^T p_{i0 i0; rho}(t) dt.
+def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float) -> float:
+    """int_0^T p_{i0 i0; rho}(t) dt in closed form.
 
-    The return probability is evaluated on a uniform grid from one cached
-    integration pass, then integrated; the grid step is trimmed so the panel
-    count is even. Raises if truncation leakage crosses LEAK_TOL before T.
+    For each momentum, exp([[T L_k, T vec(rho0)], [0, 0]]) (Van Loan) carries
+    int_0^T e^{t L_k} vec(rho0) dt in its last column; the return integral is
+    the mean of their traces over k. Raises if the leak bound at the horizon
+    reaches LEAK_TOL.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if quad_step <= 0:
-        raise ValueError("quad_step must be positive")
-    half_panels = max(1, int(np.ceil(horizon / (2.0 * quad_step))))
-    times = np.linspace(0.0, horizon, 2 * half_panels + 1)
-    state0 = initial_block_state(gen, rho0, i0)
-    p = np.empty(times.size)
-    bi = i0 + gen.radius
-    final = None
-    for row, blocks in _march(gen, state0, times, rtol, atol):
-        p[row] = float(np.trace(blocks[bi]).real)
-        if row == times.size - 1:
-            final = 1.0 - float(np.einsum("ijj->", blocks).real)
-    if final is not None and final >= LEAK_TOL:
+    rho = initial_block_state(gen, rho0, i0).block(i0)
+    leak = leak_bound(gen.coin, rho, i0, gen.radius, horizon)
+    if leak >= LEAK_TOL:
         raise RuntimeError(
-            f"truncation leaked {final:.3e} by the horizon; enlarge the radius"
+            f"truncation leak bound {leak:.3e} at the horizon; enlarge the radius"
         )
-    return float(scipy.integrate.simpson(p, x=times))
+    d2 = gen.coin.dim ** 2
+    aug = np.zeros((gen.n_sites, d2 + 1, d2 + 1), dtype=complex)
+    aug[:, :d2, :d2] = gen.symbols
+    aug[:, :d2, d2] = vec(rho)
+    integrals = mat_exp(aug, horizon)[:, :d2, d2]
+    return float(integrals[:, :: gen.coin.dim + 1].sum(axis=1).mean().real)
 
 
 def skeleton_partials(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
-                      n_steps: int, *,
-                      rtol: float = _ODE_RTOL, atol: float = _ODE_ATOL) -> np.ndarray:
+                      n_steps: int) -> np.ndarray:
     """Partial sums sum_{n=0}^{k} p_{j i0; rho}(n delta) for k = 0..n_steps.
 
-    The one-step map e^{delta K} is precomputed densely when the vectorized
-    state is small enough; otherwise each step re-integrates the ODE from the
-    carried state.
+    Term n applies the n-th power of e^{delta L_k}; term 0 is the initial
+    occupation of site j.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    state0 = initial_block_state(gen, rho0, i0)
-    d = gen.coin.dim
-    lo = (j + gen.radius) * d * d
-    diag_idx = lo + np.arange(d) * (d + 1)
-
-    terms = np.empty(n_steps + 1)
-    y = state0.blocks.reshape(-1).copy()
-    terms[0] = y[diag_idx].real.sum()
-    if gen.vec_dim <= DENSE_STATE_CAP:
-        step = mat_exp(gen.dense_matrix(), delta)
-        for n in range(1, n_steps + 1):
-            y = step @ y
-            terms[n] = y[diag_idx].real.sum()
-    else:
-        yf = y.view(float).copy()
-        rhs = _rhs(gen)
-        for n in range(1, n_steps + 1):
-            sol = scipy.integrate.solve_ivp(
-                rhs, (0.0, delta), yf, method="DOP853", rtol=rtol, atol=atol
-            )
-            if not sol.success:
-                raise RuntimeError(f"block ODE integration failed: {sol.message}")
-            yf = np.ascontiguousarray(sol.y[:, -1])
-            terms[n] = yf.view(complex)[diag_idx].real.sum()
+    if abs(j) > gen.radius:
+        raise ValueError(f"site {j} outside truncation radius {gen.radius}")
+    steps = np.full(n_steps + 1, float(delta))
+    steps[0] = 0.0
+    terms = [profile[j + gen.radius] for profile in _trace_rows(gen, rho0, i0, steps)]
     return np.cumsum(terms)
 
 
 def skeleton_sum(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
-                 n_steps: int, **kw) -> float:
+                 n_steps: int) -> float:
     """sum_{n=0}^{n_steps} p_{j i0; rho}(n delta)."""
-    return float(skeleton_partials(gen, rho0, i0, j, delta, n_steps, **kw)[-1])
+    return float(skeleton_partials(gen, rho0, i0, j, delta, n_steps)[-1])
 
 
 def choose_radius(coin: Coin, i0: int, t: float, rho0=None, *,
                   leak_tol: float = LEAK_TOL, start: int = 16,
                   max_radius: int = 1 << 15) -> int:
-    """Smallest doubling radius keeping leakage below leak_tol at time t.
+    """Smallest doubling radius whose leak bound at time t is below leak_tol.
 
-    Runs cheap coarse-tolerance pilot integrations, doubling the radius until
-    the projected leakage clears the target with margin. Makes truncation
-    error observable instead of silently absorbed. The pilot starts from
-    rho0, or from the maximally mixed state when rho0 is omitted.
+    Doubles from max(start, 2|i0|) and evaluates ``leak_bound`` for each
+    candidate; nothing is evolved. The bound is taken for rho0, or for the
+    maximally mixed state when rho0 is omitted.
     """
     if rho0 is None:
         rho0 = np.eye(coin.dim) / coin.dim
     radius = max(start, 2 * abs(i0), 1)
     while radius <= max_radius:
-        gen = BlockGenerator(coin, radius)
-        state = evolve(gen, rho0, i0, t, rtol=1e-6, atol=1e-10)
-        if state.leaked_mass < 0.3 * leak_tol:
+        if leak_bound(coin, rho0, i0, radius, t) < leak_tol:
             return radius
         radius *= 2
     raise RuntimeError(
-        f"no radius up to {max_radius} keeps leakage below {leak_tol:.1e} at t={t}"
+        f"no radius up to {max_radius} keeps the leak bound below {leak_tol:.1e} at t={t}"
     )
 
 

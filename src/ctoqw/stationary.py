@@ -33,6 +33,9 @@ TRACE_FLOOR = 1e-10
 # Relative Frobenius tolerances for the shared-eigenbasis test.
 NORMALITY_RTOL = 1e-10
 COMMUTE_RTOL = 1e-10
+# drift() bounds on |L(rho)| and on |Im m|, relative to the coin's rate scale.
+STATIONARY_RTOL = 1e-8
+DRIFT_IMAG_RTOL = 1e-12
 
 # tau values with irrational pairwise ratios; two suffice in exact arithmetic.
 _TAUS = (0.6180339887498949, 0.41421356237309515, 1.7320508075688772, 0.3183098861837907)
@@ -159,15 +162,22 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
 
 
 def drift(coin: Coin, rho_inv) -> float:
-    """Net velocity m = Tr(A rho A*) - Tr(C rho C*) at a stationary state."""
+    """Net velocity m = Tr(A rho A*) - Tr(C rho C*) at a stationary state.
+
+    The checks are relative to the rate scale |C*C + A*A| + |H|, which
+    (C, A, H) -> (sC, sA, s^2 H) multiplies by s^2, like L(rho) and m.
+    """
     rho = np.asarray(rho_inv, dtype=complex)
+    scale = float(np.linalg.norm(coin.rate_operator()) + np.linalg.norm(coin.ham))
     resid = float(np.linalg.norm(internal_lindblad(coin, rho)))
-    if resid > 1e-8:
-        raise ValueError(f"state is not stationary: |L(rho)| = {resid:.3e}")
+    if resid > STATIONARY_RTOL * scale:
+        raise ValueError(f"state is not stationary: |L(rho)| = {resid:.3e} "
+                         f"at rate scale {scale:.3e}")
     a, c = coin.right, coin.left
     m = np.trace(a @ rho @ a.conj().T) - np.trace(c @ rho @ c.conj().T)
-    if abs(m.imag) > 1e-12:
-        raise ArithmeticError(f"drift has imaginary part {m.imag:.3e}")
+    if abs(m.imag) > DRIFT_IMAG_RTOL * scale:
+        raise ArithmeticError(f"drift has imaginary part {m.imag:.3e} "
+                              f"at rate scale {scale:.3e}")
     return float(m.real)
 
 

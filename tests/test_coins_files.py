@@ -1,4 +1,5 @@
-"""The shipped coin JSON files parse back to their gallery constructors."""
+"""The shipped coin JSON files and the README's schema example parse back to
+the coins they describe."""
 
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctoqw import load_coin
+from ctoqw import coin_from_dict, load_coin
 from ctoqw.classify import classify
 from ctoqw.coins import (
     SQRT2,
@@ -59,3 +60,14 @@ def test_file_has_note(filename):
 def test_no_orphan_files():
     found = {p.name for p in COINS.glob("*.json")}
     assert found == set(CASES)
+
+
+def test_readme_schema_example_loads():
+    readme = (COINS.parent / "README.md").read_text()
+    section = readme.split("### Coin JSON schema", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    coin = coin_from_dict(json.loads(block))
+    assert coin.dim == 2
+    assert np.array_equal(coin.left, np.diag([0.5, 1.0]))
+    assert np.array_equal(coin.right, np.diag([1.0, 2.0]))
+    assert np.array_equal(coin.ham, np.zeros((2, 2)))

@@ -1,6 +1,7 @@
-"""Truncated-lattice engine tests: block generator structure, evolution against
-the classical Bessel oracle, conditioning, the composition identity, return
-integrals, skeleton sums, and radius selection."""
+"""Ring-lattice engine tests: block generator structure, the momentum-space
+propagator against the dense ring generator and the classical Bessel oracle,
+conditioning, the composition identity, return integrals, skeleton sums, scale
+covariance, the leak bound and radius selection."""
 
 import io
 
@@ -13,6 +14,7 @@ from ctoqw import (
     build_block_generator,
     initial_block_state,
     evolve,
+    leak_bound,
     probability_series,
     transition_probability,
     conditioned_state,
@@ -45,9 +47,22 @@ def bessel_p00(t):
 
 class TestBlockGenerator:
     def test_scalar_dense_matrix_is_birth_death(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 1)
-        q = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]])
-        assert np.allclose(gen.dense_matrix().real, q, atol=1e-14)
+        # the window closes into a ring: the corner entries are the wrap terms
+        gen = build_block_generator(scalar_coin(1.0, 1.0), 2)
+        q = np.array([
+            [-2.0, 1.0, 0.0, 0.0, 1.0],
+            [1.0, -2.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, -2.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, -2.0, 1.0],
+            [1.0, 0.0, 0.0, 1.0, -2.0],
+        ])
+        assert np.allclose(gen.dense_matrix(), q, atol=1e-14)
+
+    def test_dense_matrix_refused_past_cap(self):
+        gen = build_block_generator(scalar_coin(1.0, 1.0), 2048)
+        assert gen.vec_dim > lattice_mod.DENSE_STATE_CAP
+        with pytest.raises(ValueError):
+            gen.dense_matrix()
 
     def test_first_derivative_of_neighbor_trace(self):
         rng = np.random.default_rng(50)
@@ -86,6 +101,19 @@ class TestBlockGenerator:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_dense_ring_exponential(self, d):
+        rng = np.random.default_rng(60 + d)
+        coin = random_coin(rng, d)
+        gen = build_block_generator(coin, 4)
+        rho = random_density(rng, d)
+        for i0, t in ((0, 0.7), (-3, 1.9)):
+            st = evolve(gen, rho, i0, t)
+            start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+            expect = mat_exp(gen.dense_matrix(), t) @ start
+            got = np.concatenate([vec(b) for b in st.blocks])
+            assert np.abs(got - expect).max() <= 1e-12
+
     def test_time_zero_is_initial_state(self):
         coin = diagonal_jumps_coin()
         gen = build_block_generator(coin, 4)
@@ -260,15 +288,17 @@ class TestReturnIntegral:
     def test_short_horizon_slope(self):
         gen = build_block_generator(scalar_coin(1.0, 1.0), 8)
         eps = 0.01
-        val = return_integral(gen, np.eye(1), 0, eps, quad_step=eps / 10.0)
+        val = return_integral(gen, np.eye(1), 0, eps)
         assert abs(val / eps - 1.0) < 2.5 * eps
 
     def test_quadrature_consistency(self):
-        # halving the step moves the value by far less than the stated budget
+        # the closed form agrees with adaptive quadrature of e^{-2t} I0(2t)
         gen = build_block_generator(scalar_coin(1.0, 1.0), 64)
-        a = return_integral(gen, np.eye(1), 0, 10.0, quad_step=0.05)
-        b = return_integral(gen, np.eye(1), 0, 10.0, quad_step=0.025)
-        assert abs(a - b) <= 1e-6 * 10.0
+        for horizon in (0.5, 10.0):
+            val = return_integral(gen, np.eye(1), 0, horizon)
+            ref, _ = scipy.integrate.quad(bessel_p00, 0.0, horizon, limit=200,
+                                          epsabs=1e-14, epsrel=1e-13)
+            assert abs(val - ref) <= 1e-10 * ref
 
     def test_leak_breach_raises(self):
         gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
@@ -288,18 +318,19 @@ class TestSkeleton:
         ref = np.cumsum([bessel_p00(float(n)) for n in range(51)])
         assert np.max(np.abs(partials - ref)) < 1e-6
 
-    def test_dense_and_ode_paths_agree(self):
+    def test_matches_dense_ring_powers(self):
         coin = shared_eigenbasis_coin(1.5, 1.0)
         gen = build_block_generator(coin, 20)
         rho = np.diag([0.5, 0.5])
-        dense = skeleton_partials(gen, rho, 0, 0, 0.5, 8)
-        cap = lattice_mod.DENSE_STATE_CAP
-        lattice_mod.DENSE_STATE_CAP = 1
-        try:
-            ode = skeleton_partials(gen, rho, 0, 0, 0.5, 8)
-        finally:
-            lattice_mod.DENSE_STATE_CAP = cap
-        assert np.max(np.abs(dense - ode)) < 1e-8
+        partials = skeleton_partials(gen, rho, 0, 1, 0.5, 8)
+        step = mat_exp(gen.dense_matrix(), 0.5)
+        y = np.concatenate([vec(b) for b in initial_block_state(gen, rho, 0).blocks])
+        lo = (1 + gen.radius) * 4
+        terms = []
+        for _ in range(9):
+            terms.append(y[lo] + y[lo + 3])
+            y = step @ y
+        assert np.max(np.abs(partials - np.cumsum(np.real(terms)))) < 1e-12
 
     def test_recurrent_growth_character(self):
         gen = build_block_generator(scalar_coin(1.0, 1.0), 256)
@@ -311,6 +342,44 @@ class TestSkeleton:
         gen = build_block_generator(scalar_coin(1.0, 1.0), 8)
         with pytest.raises(ValueError):
             skeleton_sum(gen, np.eye(1), 0, 0, -1.0, 5)
+
+
+class TestScaleCovariance:
+    # (C, A, H) -> (sC, sA, s^2 H) runs the same walk s^2 times faster
+    @pytest.mark.parametrize("s", [2.0, 0.1])
+    def test_return_integral_and_skeleton(self, s):
+        coin = three_level_coin(0.0)
+        fast = validate_coin(s * coin.left, s * coin.right, s * s * coin.ham)
+        rho = np.eye(3) / 3.0
+        gen, gen_fast = build_block_generator(coin, 32), build_block_generator(fast, 32)
+        s2 = s * s
+        plain = return_integral(gen, rho, 0, 5.0)
+        scaled = s2 * return_integral(gen_fast, rho, 0, 5.0 / s2)
+        assert abs(scaled - plain) <= 1e-12 * plain
+        a = skeleton_partials(gen, rho, 0, 1, 0.5, 10)
+        b = skeleton_partials(gen_fast, rho, 0, 1, 0.5 / s2, 10)
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+class TestLeakBound:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bounds_outside_mass_on_larger_ring(self, d):
+        rng = np.random.default_rng(70 + d)
+        coin = random_coin(rng, d)
+        rho = random_density(rng, d)
+        for radius, i0, t in ((6, 0, 1.0), (8, 3, 2.0), (12, -2, 4.0), (16, 1, 1.0)):
+            big = evolve(build_block_generator(coin, 4 * radius), rho, i0, t)
+            outside = big.trace_profile()[np.abs(big.sites) > radius].sum()
+            bound = leak_bound(coin, rho, i0, radius, t)
+            assert evolve(build_block_generator(coin, radius), rho, i0, t).leaked_mass == bound
+            assert outside <= bound
+            assert bound < 1.0 or outside > 1e-3
+
+    def test_zero_time_and_range(self):
+        coin = scalar_coin(1.0, 1.0)
+        assert leak_bound(coin, np.eye(1), 0, 3, 0.0) == 0.0
+        with pytest.raises(ValueError):
+            leak_bound(coin, np.eye(1), 5, 3, 1.0)
 
 
 class TestChooseRadius:

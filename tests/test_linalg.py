@@ -1,13 +1,13 @@
-"""Numerical kernel tests: matrix exponential, Hermitian eigensolver, null spaces,
+"""Numerical kernel tests: matrix exponential (single and stacked), null spaces,
 superoperator assembly, and the column-stacking vec convention."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ctoqw import mat_exp, hermitian_eig, null_space, superop_matrix, vec, unvec
-from ctoqw import internal_lindblad_matrix, stationary_states
-from ctoqw.coins import scalar_coin, three_level_coin
+from ctoqw import mat_exp, null_space, superop_matrix, vec, unvec
+from ctoqw import internal_lindblad_matrix
+from ctoqw.coins import scalar_coin
 
 from helpers import random_matrix, random_hermitian
 
@@ -69,36 +69,20 @@ class TestMatExp:
         m = random_matrix(rng, 3)
         assert np.allclose(mat_exp(m.conj().T, 1.0), mat_exp(m.conj().T.copy(), 1.0))
 
+    def test_stack_matches_scipy_per_matrix(self):
+        # one scaling power serves the whole stack, even with mixed norms
+        rng = np.random.default_rng(7)
+        stack = np.array([random_matrix(rng, 4, scale) for scale in (1e-3, 0.5, 3.0, 20.0)])
+        stack = stack.reshape(2, 2, 4, 4)
+        out = mat_exp(stack, 0.7)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 2):
+            ref = scipy.linalg.expm(0.7 * stack[idx])
+            assert np.linalg.norm(out[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
 
-class TestHermitianEig:
-    def test_diagonal_case(self):
-        w, v = hermitian_eig(np.diag([1.0, 0.0]))
-        assert np.allclose(w, [0.0, 1.0])
-        assert abs(v[1, 0]) == pytest.approx(1.0) and abs(v[0, 1]) == pytest.approx(1.0)
-
-    def test_pauli_x(self):
-        w, _ = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(6)
-        m = random_hermitian(rng, 5)
-        w, v = hermitian_eig(m)
-        scale = np.linalg.norm(m)
-        assert np.linalg.norm((v * w) @ v.conj().T - m) < 1e-10 * scale
-        assert np.linalg.norm(v.conj().T @ v - np.eye(5)) < 1e-10
-        assert np.all(np.diff(w) >= 0)
-
-    def test_stationary_density_spectrum(self):
-        # unique stationary state of the three-level fixture is PSD with unit trace
-        sa = stationary_states(three_level_coin(0.0))
-        w, _ = hermitian_eig(sa.rho_inv)
-        assert w.min() >= -1e-12
-        assert abs(w.sum() - 1.0) < 1e-12
-
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_zero_stack_is_identity_stack(self):
+        out = mat_exp(np.zeros((3, 2, 2)))
+        assert np.array_equal(out, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
 
 class TestNullSpace:

@@ -138,6 +138,13 @@ class TestStationaryStates:
                 assert np.linalg.norm(internal_lindblad(coin, sa.rho_inv)) <= 1e-9
                 assert abs(np.trace(sa.rho_inv) - 1.0) < 1e-12
 
+    def test_three_level_density_spectrum(self):
+        # unique stationary state of the three-level fixture is PSD with unit trace
+        sa = stationary_states(three_level_coin(0.0))
+        w = np.linalg.eigvalsh(sa.rho_inv)
+        assert w.min() >= -1e-12
+        assert abs(w.sum() - 1.0) < 1e-12
+
     def test_basis_is_hermitian(self):
         coin = shared_eigenbasis_coin(1.5, 1.0)
         sa = stationary_states(coin)
@@ -161,6 +168,15 @@ class TestDrift:
         coin = scalar_coin(2.0, 1.0)
         sa = stationary_states(coin)
         assert drift(coin, sa.rho_inv) == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [1e4, 1e-3])
+    def test_rescaled_coin_scales_drift(self, s):
+        # (sC, sA, s^2 H) is the same walk run s^2 times faster
+        coin = three_level_coin(0.0)
+        fast = validate_coin(s * coin.left, s * coin.right, s * s * coin.ham)
+        sa = stationary_states(fast)
+        m = drift(fast, sa.rho_inv)
+        assert abs(m - s * s * (-6.0 / 53.0)) <= 1e-9 * s * s * (6.0 / 53.0)
 
     def test_rejects_non_stationary_state(self):
         coin = three_level_coin(0.0)

@@ -10,7 +10,7 @@ L_k per momentum, on a ring window of sites), with a certified Chernoff bound
 ``leak_bound`` on the mass the infinite-line walk carries outside the window.
 """
 
-from .classify import ClassificationResult, Verdict, classify, classify_diagonal
+from .classify import ClassificationResult, Verdict, classify
 from .lattice import (
     BlockGenerator,
     BlockState,
@@ -71,7 +71,6 @@ __all__ = [
     "ClassificationResult",
     "Verdict",
     "classify",
-    "classify_diagonal",
     "BlockGenerator",
     "BlockState",
     "build_block_generator",

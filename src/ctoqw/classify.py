@@ -174,49 +174,3 @@ def classify(coin: Coin) -> ClassificationResult:
         unique_stationary=False,
         diagnostics=diagnostics,
     )
-
-
-def classify_diagonal(coin: Coin) -> ClassificationResult:
-    """Verdict for a d=2 coin whose jump operators are already diagonal.
-
-    With diagonal C and A the maximally mixed state I/2 is always stationary;
-    when it is the only stationary state the verdict reduces to comparing the
-    summed squared rates. Otherwise the shared-basis case analysis applies
-    with the identity as basis. Agrees with :func:`classify` wherever both
-    are applicable.
-    """
-    if coin.dim != 2:
-        raise ValueError("diagonal classification is defined for dimension 2 only")
-    scale = max(
-        float(np.abs(coin.left).max()), float(np.abs(coin.right).max()), 1e-300
-    )
-    off = max(
-        abs(coin.left[0, 1]), abs(coin.left[1, 0]),
-        abs(coin.right[0, 1]), abs(coin.right[1, 0]),
-    )
-    if off > 1e-10 * scale:
-        raise ValueError("jump operators are not diagonal; rotate the coin first")
-
-    cn, s2 = _normalized(coin)
-    sa = stationary_states(cn)
-    c_diag, a_diag = np.diag(cn.left), np.diag(cn.right)
-
-    if sa.unique_stationary:
-        if np.abs(sa.rho_inv - np.eye(2) / 2).max() > 1e-8:
-            raise ArithmeticError(
-                "diagonal jump operators must have I/2 stationary; numerical failure"
-            )
-        mn = 0.5 * float(
-            np.sum(np.abs(a_diag) ** 2) - np.sum(np.abs(c_diag) ** 2)
-        )
-        verdict = Verdict.RECURRENT if abs(mn) <= BOUNDARY_TOL else Verdict.TRANSIENT
-        return ClassificationResult(
-            verdict=verdict,
-            rule="diagonal-unique-stationary",
-            unique_stationary=True,
-            m=mn * s2,
-            diagnostics={"kernel_dim": 1},
-        )
-
-    diagnostics = {"kernel_dim": sa.kernel_dim}
-    return _shared_basis_verdict(np.eye(2), c_diag, a_diag, cn.ham, diagnostics)

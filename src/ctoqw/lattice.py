@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .linalg import mat_exp, superop_matrix, vec
-from .model import Coin, check_density, no_jump_generator
+from .linalg import mat_exp, vec
+from .model import Coin, check_density, no_jump_generator, symbol_parts
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
 LEAK_TOL = 1e-8
@@ -73,16 +73,6 @@ class BlockState:
         )
 
 
-def _symbol_parts(coin: Coin):
-    """(S, R, L) with L_k = S + e^{ik} R + e^{-ik} L on column-stacked vec(X)."""
-    g0 = no_jump_generator(coin)
-    eye = np.eye(coin.dim)
-    a, c = coin.right, coin.left
-    return (superop_matrix([(g0, eye), (eye, g0.conj().T)]),
-            superop_matrix([(a, a.conj().T)]),
-            superop_matrix([(c, c.conj().T)]))
-
-
 class BlockGenerator:
     """The walk generator on the ring of sites -radius..radius and its symbols.
 
@@ -97,7 +87,7 @@ class BlockGenerator:
         self.radius = int(radius)
         self.n_sites = 2 * self.radius + 1
         self._g0 = no_jump_generator(coin)
-        self._stay, self._right, self._left = _symbol_parts(coin)
+        self._stay, self._right, self._left = symbol_parts(coin)
         phase = np.exp(2j * np.pi * np.arange(self.n_sites) / self.n_sites)[:, None, None]
         self.symbols = self._stay + phase * self._right + phase.conj() * self._left
 
@@ -220,7 +210,7 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     v = vec(_density_for(coin, rho0))
     if t == 0:
         return 0.0
-    stay, right, left = (t * m for m in _symbol_parts(coin))
+    stay, right, left = (t * m for m in symbol_parts(coin))
     total = (_chernoff_tail(stay, right, left, v, radius + 1 - i0)
              + _chernoff_tail(stay, left, right, v, radius + 1 + i0))
     return min(1.0, total)

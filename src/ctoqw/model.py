@@ -8,7 +8,10 @@ state evolves by the contraction semigroup generated by
 
     G0 = -i ham - (left* left + right* right) / 2,
 
-which satisfies G0 + G0* = -(left* left + right* right).
+which satisfies G0 + G0* = -(left* left + right* right). On vectorized
+states the walk's generator has the Fourier symbol
+L_k = S + e^{ik} R + e^{-ik} L (``symbol_parts``): S is the no-jump flow
+X -> G0 X + X G0*, R and L the right and left jumps X -> A X A*, C X C*.
 """
 from __future__ import annotations
 
@@ -18,10 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import superop_matrix
+
 __all__ = [
     "Coin",
     "validate_coin",
     "no_jump_generator",
+    "symbol_parts",
     "density_from_pure",
     "check_density",
     "coin_from_dict",
@@ -102,6 +108,20 @@ def validate_coin(left, right, ham, d: int | None = None) -> Coin:
 def no_jump_generator(coin: Coin) -> np.ndarray:
     """G0 = -i ham - (left*left + right*right)/2, the between-jump generator."""
     return -1j * coin.ham - 0.5 * coin.rate_operator()
+
+
+def symbol_parts(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, R, L) with L_k = S + e^{ik} R + e^{-ik} L on column-stacked vec(X).
+
+    S vec(X) = vec(G0 X + X G0*), R vec(X) = vec(A X A*) and
+    L vec(X) = vec(C X C*); S + R + L is the internal Lindblad generator.
+    """
+    g0 = no_jump_generator(coin)
+    eye = np.eye(coin.dim)
+    a, c = coin.right, coin.left
+    return (superop_matrix([(g0, eye), (eye, g0.conj().T)]),
+            superop_matrix([(a, a.conj().T)]),
+            superop_matrix([(c, c.conj().T)]))
 
 
 def density_from_pure(v) -> np.ndarray:

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import null_space, superop_matrix, unvec, vec
-from .model import Coin, no_jump_generator
+# superop_matrix is unused here but stays bound: bench/tracer.py wraps it.
+from .linalg import null_space, superop_matrix, unvec, vec  # noqa: F401
+from .model import Coin, symbol_parts
 
 # Singular values below KERNEL_RTOL * sigma_max count as kernel directions.
 KERNEL_RTOL = 1e-10
@@ -68,17 +69,11 @@ def internal_lindblad(coin: Coin, rho) -> np.ndarray:
 
 
 def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
-    """d^2 x d^2 matrix S with S @ vec(rho) = vec(L(rho))."""
-    g0 = no_jump_generator(coin)
-    eye = np.eye(coin.dim)
-    return superop_matrix(
-        [
-            (g0, eye),
-            (eye, g0.conj().T),
-            (coin.left, coin.left.conj().T),
-            (coin.right, coin.right.conj().T),
-        ]
-    )
+    """d^2 x d^2 matrix with M @ vec(rho) = vec(L(rho)): the symbol at k = 0."""
+    stay, right, left = symbol_parts(coin)
+    # In this order a d = 1 coin's generator cancels to exactly 0, which
+    # null_space needs: its kernel test is relative to the largest singular value.
+    return stay + left + right
 
 
 def _hermitian_kernel_basis(kernel_vecs: list, d: int) -> list:

@@ -1,8 +1,8 @@
 """Monte Carlo unraveling of the walk: jump sampling and drift estimation.
 
 Between jumps the (unnormalized) internal state follows the linear flow
-sigma_t = e^{G0 t} rho e^{G0* t}, whose trace S(t) is exactly the
-no-jump-yet probability. A jump time is drawn by solving S(t) = u for
+sigma_t = e^{G0 t} rho e^{G0* t}, whose trace P(t) is exactly the
+no-jump-yet probability. A jump time is drawn by solving P(t) = u for
 uniform u; the jump goes right with probability proportional to
 Tr(A sigma A*) and left with Tr(C sigma C*), and the state restarts from the
 normalized post-jump density. Averaging X_T / T over many independent paths
@@ -10,10 +10,16 @@ estimates the net velocity m.
 
 Sampling uses the linear unnormalized evolution rather than the nonlinear
 normalized ODE; the two are equivalent (the normalization cancels in every
-sampled probability) and the linear form needs only d x d exponentials. When
-G0 is safely diagonalizable the survival function and its derivative are
-evaluated from cached spectral data, otherwise each evaluation falls back to
-a fresh matrix exponential.
+sampled probability). On v = vec(sigma) the flow is e^{tS} with S the
+k-independent part of the walk's Fourier symbol L_k = S + e^{ik} R +
+e^{-ik} L, P(t) = vec(I)^T e^{tS} v, and the jump weights are the traces of
+R v and L v. With the step h = 1/|S|_2, the powers e^{2^j h S} (one
+exponential, then repeated squaring, cached per coin) bracket the jump time
+within one step: double until P drops to u, then halve. Inside that step
+e^{x h S} is its Taylor sum up to (hS)^18 / 18!, with remainder at most
+e/19! < 3e-17 in operator norm for 0 <= x <= 1, so P is a polynomial in x
+that Newton steps with bisection invert; the state at the jump comes from
+the same Taylor terms. Nothing here needs G0 to be diagonalizable.
 
 Reproducibility: every path k of a run with seed s draws from its own
 counter-based stream keyed by (s, k), so results do not depend on scheduling
@@ -27,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import mat_exp
-from .model import Coin, check_density, no_jump_generator
+from .linalg import mat_exp, unvec, vec
+from .model import Coin, check_density, no_jump_generator, symbol_parts
 
 REL_TIME_TOL = 1e-10
 MAX_JUMPS = 10 ** 6
-# Condition-number ceiling for trusting the eigendecomposition of G0.
-_EIG_COND_CAP = 1e8
+# Taylor terms of e^{x h S} within one step; |hS|_2 = 1 bounds the rest by e/19!.
+_TAYLOR_TERMS = 19
 # Bracket-doubling guard, in units of the fastest jump timescale.
 _GUARD_FACTOR = 1e9
 
@@ -63,53 +69,42 @@ class DriftEstimate:
 
 
 class JumpSampler:
-    """Per-coin cached machinery for drawing jumps from any current state."""
+    """Per-coin cached machinery for drawing jumps from any current state.
+
+    States are handled as v = vec(sigma); S, R, L are the coin's
+    superoperators from :func:`symbol_parts`, and survival from v after time
+    t is vec(I)^T e^{tS} v. The step is h = 1/|S|_2 (module docstring).
+    """
 
     def __init__(self, coin: Coin):
         self.coin = coin
-        self._g0 = no_jump_generator(coin)
         rate = coin.rate_operator()
         lam = float(np.linalg.eigvalsh(rate).max())
         if lam <= 0.0:
             raise ValueError("total jump rate vanishes; the coin never jumps")
         self.rate_scale = lam
 
-        w, v = np.linalg.eig(self._g0)
-        cond = float(np.linalg.cond(v))
-        self._spectral = bool(np.isfinite(cond) and cond < _EIG_COND_CAP)
-        if self._spectral:
-            self._w = w
-            self._v = v
-            self._vi = np.linalg.inv(v)
-            self._q_t = (v.conj().T @ v).T
-            self._z = w[:, None] + w.conj()[None, :]
+        stay, self._right, self._left = symbol_parts(coin)
+        self._h = 1.0 / float(np.linalg.norm(stay, 2))
+        # Trace of an unvectorized state: the entries of vec(X) at stride d + 1.
+        self._diag = slice(None, None, coin.dim + 1)
+        # _powers[j] = e^{2^j h S}, extended on demand by squaring.
+        self._powers = [mat_exp(stay, self._h)]
+        # (hS)^j / j! for j < _TAYLOR_TERMS, and their traces as row vectors.
+        hs = self._h * stay
+        self._taylor = np.empty((_TAYLOR_TERMS,) + hs.shape, dtype=complex)
+        self._taylor[0] = np.eye(len(hs))
+        for j in range(1, _TAYLOR_TERMS):
+            np.matmul(hs, self._taylor[j - 1] / j, out=self._taylor[j])
+        self._taylor_trace = self._taylor[:, self._diag, :].sum(axis=1)
 
-    def _state_cache(self, rho: np.ndarray):
-        if self._spectral:
-            p = self._vi @ rho @ self._vi.conj().T
-            return p * self._q_t, p
-        return None
+    def _power(self, j: int) -> np.ndarray:
+        while len(self._powers) <= j:
+            self._powers.append(self._powers[-1] @ self._powers[-1])
+        return self._powers[j]
 
-    def _survival_slope(self, cache, rho, t: float):
-        """S(t) = Tr e^{G0 t} rho e^{G0* t} and dS/dt."""
-        if self._spectral:
-            weights, _ = cache
-            e = np.exp(self._z * t)
-            s = float(np.sum(weights * e).real)
-            ds = float(np.sum(weights * self._z * e).real)
-            return s, ds
-        et = mat_exp(self._g0, t)
-        sigma = et @ rho @ et.conj().T
-        s = float(np.trace(sigma).real)
-        ds = 2.0 * float(np.trace(self._g0 @ sigma).real)
-        return s, ds
-
-    def _sigma(self, cache, rho, t: float) -> np.ndarray:
-        if self._spectral:
-            _, p = cache
-            return self._v @ (p * np.exp(self._z * t)) @ self._v.conj().T
-        et = mat_exp(self._g0, t)
-        return et @ rho @ et.conj().T
+    def _trace(self, v: np.ndarray) -> float:
+        return float(v[self._diag].sum().real)
 
     def next_jump(self, rho: np.ndarray, rng, t_cap: float | None = None):
         """Draw (dt, direction, rho_after), or None if no jump before t_cap.
@@ -117,31 +112,52 @@ class JumpSampler:
         Uniform variates are consumed in a fixed order: first the jump time,
         then (when a jump happens) the direction.
         """
-        cache = self._state_cache(rho)
+        v = vec(rho)
         u = rng.random()
+        if t_cap is not None and t_cap <= 0.0:
+            return None
+        h = self._h
 
-        def surv(t):
-            return self._survival_slope(cache, rho, t)
-
-        if t_cap is not None:
-            if t_cap <= 0.0 or surv(t_cap)[0] > u:
+        # Double until survival at 2^j h drops to u, then halve: the jump lies
+        # in (start, start + h] with survival `base` at start above u.
+        j, start, base = 0, 0.0, v
+        while True:
+            span = h * 2 ** j
+            ahead = self._power(j) @ v
+            if self._trace(ahead) <= u:
+                break
+            if t_cap is not None and span >= t_cap:
                 return None
-
-        # Bracket [lo, hi] with S(lo) > u >= S(hi).
-        lo, hi = 0.0, 1.0 / self.rate_scale
-        if t_cap is not None:
-            hi = min(hi, t_cap)
-        guard = _GUARD_FACTOR / self.rate_scale
-        while surv(hi)[0] > u:
-            lo = hi
-            hi *= 2.0
-            if t_cap is not None:
-                hi = min(hi, t_cap)
-            if hi > guard:
+            if span > _GUARD_FACTOR / self.rate_scale:
                 raise RuntimeError(
                     "survival never crossed the target within the guard "
                     "horizon; the jump rate may vanish on a trapped subspace"
                 )
+            start, base = span, ahead
+            j += 1
+        for i in range(j - 2, -1, -1):
+            ahead = self._power(i) @ base
+            if self._trace(ahead) > u:
+                start, base = start + h * 2 ** i, ahead
+
+        # Within the step, survival is the polynomial in x = (t - start) / h
+        # with coefficients vec(I)^T (hS)^k base / k!, exact up to e/19!;
+        # coef lists them highest degree first for Horner's rule.
+        coef = (self._taylor_trace @ base).real.tolist()[::-1]
+
+        def surv(t):
+            x = (t - start) / h
+            s = ds = 0.0
+            for c in coef:
+                ds = ds * x + s
+                s = s * x + c
+            return s, ds / h
+
+        lo, hi = start, start + h
+        if t_cap is not None and hi > t_cap:
+            if t_cap <= start or surv(t_cap)[0] > u:
+                return None
+            hi = t_cap
 
         x = 0.5 * (lo + hi)
         for _ in range(200):
@@ -156,16 +172,14 @@ class JumpSampler:
             x = step if lo < step < hi else 0.5 * (lo + hi)
         dt = 0.5 * (lo + hi)
 
-        sigma = self._sigma(cache, rho, dt)
-        a, c = self.coin.right, self.coin.left
-        w_right = float(np.trace(a @ sigma @ a.conj().T).real)
-        w_left = float(np.trace(c @ sigma @ c.conj().T).real)
+        sigma = ((dt - start) / h) ** np.arange(_TAYLOR_TERMS) @ (self._taylor @ base)
+        right, left = self._right @ sigma, self._left @ sigma
+        w_right, w_left = self._trace(right), self._trace(left)
         total = w_right + w_left
         if not (total > 0.0):
             raise ArithmeticError("zero total jump weight at the sampled time")
         direction = 1 if rng.random() < w_right / total else -1
-        k = a if direction == 1 else c
-        post = k @ sigma @ k.conj().T
+        post = unvec(right if direction == 1 else left, self.coin.dim)
         post = (post + post.conj().T) / 2.0
         tr = float(np.trace(post).real)
         if tr <= 0.0:
@@ -251,10 +265,8 @@ def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
 
 def survival_probability(coin: Coin, rho, t: float) -> float:
     """No-jump probability Tr(e^{G0 t} rho e^{G0* t}) from a given state."""
-    sampler = JumpSampler(coin)
-    r = check_density(rho)
-    s, _ = sampler._survival_slope(sampler._state_cache(r), r, float(t))
-    return s
+    e = mat_exp(no_jump_generator(coin), float(t))
+    return float(np.trace(e @ check_density(rho) @ e.conj().T).real)
 
 
 def write_path_csv(f, path: TrajectoryPath) -> None:

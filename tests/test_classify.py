@@ -1,5 +1,5 @@
 """Recurrence classifier tests: fixture verdicts, rule provenance, boundary
-location, the diagonal shortcut, and invariance properties."""
+location, closed forms on diagonal coins, and invariance properties."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from ctoqw import (
     Verdict,
     classify,
-    classify_diagonal,
     stationary_states,
     validate_coin,
 )
@@ -172,40 +171,37 @@ class TestUndetermined:
 
 
 class TestClassifyDiagonal:
+    """classify on coins whose jump operators are diagonal."""
+
     def test_balanced_fixture_recurrent(self):
         coin = validate_coin(
             np.diag([SQRT2, np.sqrt(11.0)]),
             np.diag([np.sqrt(5.0), 2.0 * SQRT2]),
             np.array([[1.0, 1.0 - 2.0j], [1.0 + 2.0j, 1.0]]),
         )
-        res = classify_diagonal(coin)
+        res = classify(coin)
         assert res.verdict == Verdict.RECURRENT
-        assert res.rule == "diagonal-unique-stationary"
+        assert res.rule == "unique-stationary-zero-drift"
 
     def test_scalar_like_transient(self):
         coin = validate_coin(np.eye(2), 2.0 * np.eye(2), np.zeros((2, 2)))
-        res = classify_diagonal(coin)
+        res = classify(coin)
         assert res.verdict == Verdict.TRANSIENT
         assert not res.unique_stationary
 
     def test_equal_pair_recurrent(self):
         d = np.diag([1.0, 2.0])
         coin = validate_coin(d, d, np.diag([0.4, -0.2]))
-        res = classify_diagonal(coin)
+        res = classify(coin)
         assert res.verdict == Verdict.RECURRENT
 
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            classify_diagonal(scalar_coin(1.0, 1.0))
-
-    def test_rejects_nondiagonal_jumps(self):
-        coin = shared_eigenbasis_coin(1.0, 2.0)
-        with pytest.raises(ValueError):
-            classify_diagonal(coin)
-
-    def test_agrees_with_general_classifier(self):
+    def test_closed_forms_on_random_coins(self):
+        # A mixing Hamiltonian leaves I/2 the unique stationary state, so
+        # m = (sum |a_i|^2 - sum |c_i|^2) / 2. A diagonal one keeps every
+        # basis projector stationary; the identity is then the shared basis
+        # and the verdict follows from which rate pairs |a_i| = |c_i| match.
         rng = np.random.default_rng(40)
-        checked = 0
+        seen = set()
         for k in range(200):
             if k % 4 == 0:
                 coin = random_diagonal_coin(rng, diagonal_ham=True)
@@ -223,15 +219,27 @@ class TestClassifyDiagonal:
                 c = np.diag([r1, r2])
                 a = np.diag([r1, r2]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
                 coin = validate_coin(c, a, np.diag(rng.uniform(-1, 1, size=2)).astype(complex))
-            general = classify(coin)
-            shortcut = classify_diagonal(coin)
-            assert general.verdict == shortcut.verdict, (k, general, shortcut)
-            if general.m is not None and shortcut.m is not None:
-                assert abs(general.m - shortcut.m) < 1e-8
-            if general.verdict == Verdict.PARTIALLY_RECURRENT:
-                assert same_projector(general.transient_state, shortcut.transient_state)
-            checked += 1
-        assert checked == 200
+            res = classify(coin)
+            c, a = np.abs(np.diag(coin.left)), np.abs(np.diag(coin.right))
+            s2 = float(np.sum(c ** 2 + a ** 2))
+            assert res.unique_stationary == (k % 4 == 1), (k, res)
+            if res.unique_stationary:
+                m = 0.5 * float(np.sum(a ** 2 - c ** 2))
+                assert abs(res.m - m) < 1e-8
+                expected = Verdict.RECURRENT if abs(m) <= 1e-9 * s2 else Verdict.TRANSIENT
+                assert res.verdict == expected, (k, res)
+            else:
+                unequal = np.abs(a - c) > 1e-9 * np.sqrt(s2)
+                if unequal.all():
+                    assert res.verdict == Verdict.TRANSIENT, (k, res)
+                elif not unequal.any():
+                    assert res.verdict == Verdict.RECURRENT, (k, res)
+                else:
+                    assert res.verdict == Verdict.PARTIALLY_RECURRENT, (k, res)
+                    basis_state = np.diag(unequal.astype(complex))
+                    assert same_projector(res.transient_state, basis_state)
+            seen.add(res.verdict)
+        assert seen == {Verdict.RECURRENT, Verdict.TRANSIENT, Verdict.PARTIALLY_RECURRENT}
 
 
 class TestInvariances:

@@ -1,12 +1,14 @@
 """Trajectory sampling: jump-time laws, path invariants, drift estimates."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from ctoqw import (
+    JumpSampler,
     check_density,
     drift_to_dict,
     estimate_drift,
@@ -128,6 +130,75 @@ class TestSurvivalProbability:
         rho = np.eye(3, dtype=complex) / 3
         vals = [survival_probability(coin, rho, t) for t in np.linspace(0, 3, 13)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# Two coins whose G0 = -I + N has N^2 = 0 up to round-off, so that
+# e^{G0 t} = e^{-t} (I + t N) while G0 is not diagonalizable. Near-EP: the
+# round-off split of the double eigenvalue leaves an eigenvector condition
+# number of 6.7e7. Jordan: G0 = [[-1, 1], [0, -1]], so e^{G0 t} =
+# e^{-t} [[1, t], [0, 1]].
+NEAR_EP = validate_coin(np.diag([1.0, 0.0]), np.diag([0.0, math.sqrt(3.0)]),
+                        np.array([[0.0, 0.5], [0.5, 0.0]]))
+_U = np.array([[math.sqrt(2.0), -1.0 / math.sqrt(2.0)], [0.0, math.sqrt(1.5)]])
+JORDAN = validate_coin(_U / math.sqrt(3.0), _U * math.sqrt(2.0 / 3.0),
+                       np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
+EDGE_COINS = [("near-ep", NEAR_EP), ("jordan", JORDAN)]
+
+
+def nilpotent_flow(coin, t):
+    """e^{G0 t} = e^{-t} (I + t (G0 + I)) for the edge coins (no expm: scipy's
+    is off by 1e-2 on the Jordan coin's G0 near t = 3.3)."""
+    n = no_jump_generator(coin) + np.eye(2)
+    assert np.abs(n @ n).max() < 1e-15
+    return math.exp(-t) * (np.eye(2) + t * n)
+
+
+class RecordingRng:
+    """A generator that remembers every uniform it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self):
+        self.draws.append(self._rng.random())
+        return self.draws[-1]
+
+
+class TestEdgeCoins:
+    @pytest.mark.parametrize("label,coin", EDGE_COINS, ids=[c[0] for c in EDGE_COINS])
+    def test_jump_inverts_survival_and_sandwiches_state(self, label, coin):
+        # every sampled dt solves Tr(e^{G0 dt} rho e^{G0* dt}) = u for the
+        # drawn u, and the post-jump state is K sigma K* / Tr with K = A or C
+        sampler = JumpSampler(coin)
+        rng = RecordingRng(61)
+        rho = random_density(np.random.default_rng(62), 2)
+        for _ in range(300):
+            rng.draws.clear()
+            dt, direction, rho_after = sampler.next_jump(rho, rng)
+            e = nilpotent_flow(coin, dt)
+            sigma = e @ rho @ e.conj().T
+            assert abs(np.trace(sigma).real - rng.draws[0]) < 1e-10
+            k = coin.right if direction == 1 else coin.left
+            post = k @ sigma @ k.conj().T
+            assert np.abs(rho_after - post / np.trace(post).real).max() < 1e-10
+            rho = rho_after
+
+    @pytest.mark.parametrize("label,coin", EDGE_COINS, ids=[c[0] for c in EDGE_COINS])
+    def test_survival_matches_closed_form(self, label, coin):
+        rho = random_density(np.random.default_rng(63), 2)
+        for t in np.linspace(0.0, 20.0, 81):
+            e = nilpotent_flow(coin, t)
+            expected = np.trace(e @ rho @ e.conj().T).real
+            assert survival_probability(coin, rho, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_near_ep_paths_complete(self):
+        rho0 = np.eye(2, dtype=complex) / 2
+        for k in range(30):
+            path = simulate_path(NEAR_EP, 0, rho0, 50.0, path_rng(64, k))
+            assert path.jump_times.size > 0
+            for state in path.states:
+                check_density(state)
 
 
 class TestSimulatePath:

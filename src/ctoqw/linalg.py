@@ -83,11 +83,12 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     return r
 
 
-def null_space(m, rel_tol: float = 1e-10) -> list[np.ndarray]:
+def null_space(m, rel_tol: float = 1e-10, scale: float | None = None) -> list[np.ndarray]:
     """Orthonormal basis of the right kernel of ``m``.
 
     Kernel directions are the right-singular vectors whose singular value is
-    below ``rel_tol * sigma_max``. A zero matrix yields the full space.
+    below ``rel_tol * scale``, the scale defaulting to sigma_max. A zero
+    matrix yields the full space.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -98,11 +99,12 @@ def null_space(m, rel_tol: float = 1e-10) -> list[np.ndarray]:
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return [vh[i].conj() for i in range(a.shape[1])]
+    tol = rel_tol * (smax if scale is None else scale)
     cols = a.shape[1]
     out = []
     for i in range(cols):
         sigma = s[i] if i < s.size else 0.0
-        if sigma < rel_tol * smax:
+        if sigma < tol:
             out.append(vh[i].conj())
     return out
 

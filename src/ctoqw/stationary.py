@@ -25,7 +25,8 @@ import scipy.linalg
 from .linalg import null_space, superop_matrix, unvec, vec  # noqa: F401
 from .model import Coin, symbol_parts
 
-# Singular values below KERNEL_RTOL * sigma_max count as kernel directions.
+# Singular values below KERNEL_RTOL times the rate scale (see rate_scale)
+# count as kernel directions.
 KERNEL_RTOL = 1e-10
 # A candidate stationary state may not dip below this eigenvalue.
 PSD_FLOOR = -1e-10
@@ -71,9 +72,13 @@ def internal_lindblad(coin: Coin, rho) -> np.ndarray:
 def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
     """d^2 x d^2 matrix with M @ vec(rho) = vec(L(rho)): the symbol at k = 0."""
     stay, right, left = symbol_parts(coin)
-    # In this order a d = 1 coin's generator cancels to exactly 0, which
-    # null_space needs: its kernel test is relative to the largest singular value.
     return stay + left + right
+
+
+def rate_scale(coin: Coin) -> float:
+    """|C*C + A*A| + |H|: (C, A, H) -> (sC, sA, s^2 H) multiplies it by s^2,
+    like L and m, so tolerances relative to it are scale-covariant."""
+    return float(np.linalg.norm(coin.rate_operator()) + np.linalg.norm(coin.ham))
 
 
 def _hermitian_kernel_basis(kernel_vecs: list, d: int) -> list:
@@ -113,7 +118,7 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
     flagged as numerical degeneracy instead of dividing.
     """
     s = internal_lindblad_matrix(coin)
-    kernel = null_space(s, rel_tol=KERNEL_RTOL)
+    kernel = null_space(s, rel_tol=KERNEL_RTOL, scale=rate_scale(coin))
     if not kernel:
         raise ArithmeticError(
             "empty stationary kernel: a finite-dimensional Lindblad semigroup "
@@ -159,11 +164,10 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
 def drift(coin: Coin, rho_inv) -> float:
     """Net velocity m = Tr(A rho A*) - Tr(C rho C*) at a stationary state.
 
-    The checks are relative to the rate scale |C*C + A*A| + |H|, which
-    (C, A, H) -> (sC, sA, s^2 H) multiplies by s^2, like L(rho) and m.
+    The checks are relative to :func:`rate_scale`.
     """
     rho = np.asarray(rho_inv, dtype=complex)
-    scale = float(np.linalg.norm(coin.rate_operator()) + np.linalg.norm(coin.ham))
+    scale = rate_scale(coin)
     resid = float(np.linalg.norm(internal_lindblad(coin, rho)))
     if resid > STATIONARY_RTOL * scale:
         raise ValueError(f"state is not stationary: |L(rho)| = {resid:.3e} "

@@ -24,6 +24,19 @@ the same Taylor terms. Nothing here needs G0 to be diagonalizable.
 Reproducibility: every path k of a run with seed s draws from its own
 counter-based stream keyed by (s, k), so results do not depend on scheduling
 and any path can be regenerated in isolation.
+
+Two drivers share one sampler. simulate_path draws one jump at a time
+(JumpSampler.next_jump). estimate_drift runs all its paths in lockstep: the
+live states form one (P, d^2) array, each bracket level is one product with
+a cached power, the in-step polynomials come from one (P, 19) coefficient
+product, Newton runs vectorised over the rows not yet converged with the
+serial stopping rule per row, and the direction and post-jump state are
+row-wise on R v and L v. Each path reads its own stream in the serial order
+(jump time, then direction). Batched products sum in another order, so jump
+times agree with simulate_path on path_rng(s, k) to the Newton tolerance,
+and the end site agrees unless a uniform falls within about 1e-10 of a
+decision boundary. A batch of one costs several times a serial jump, so
+single paths stay serial.
 """
 
 from __future__ import annotations
@@ -40,8 +53,16 @@ REL_TIME_TOL = 1e-10
 MAX_JUMPS = 10 ** 6
 # Taylor terms of e^{x h S} within one step; |hS|_2 = 1 bounds the rest by e/19!.
 _TAYLOR_TERMS = 19
+# Exponents of the in-step polynomials, lowest first.
+_DEGREES = np.arange(_TAYLOR_TERMS)
 # Bracket-doubling guard, in units of the fastest jump timescale.
 _GUARD_FACTOR = 1e9
+_GUARD_ERROR = ("survival never crossed the target within the guard horizon; "
+                "the jump rate may vanish on a trapped subspace")
+_MAX_JUMPS_ERROR = (f"exceeded {MAX_JUMPS} jumps before the horizon; the walk should "
+                    f"not explode, so this indicates a bug or a pathological coin")
+# Rounds of (jump time, direction) uniforms drawn per stream at once in lockstep.
+_PREFETCH_ROUNDS = 32
 
 
 @dataclass
@@ -66,6 +87,8 @@ class DriftEstimate:
     n_paths: int
     horizon: float
     seed: int
+    # Jumps over all paths.
+    jumps: int
 
 
 class JumpSampler:
@@ -106,6 +129,72 @@ class JumpSampler:
     def _trace(self, v: np.ndarray) -> float:
         return float(v[self._diag].sum().real)
 
+    def _traces(self, rows: np.ndarray) -> np.ndarray:
+        return rows[:, self._diag].sum(axis=1).real
+
+    def _bracket(self, v: np.ndarray, u: np.ndarray, cap: np.ndarray):
+        """Row-wise doubling then halving of :meth:`next_jump`.
+
+        Returns (live, start, base): live marks the rows whose jump falls
+        before their cap, and for those survival crosses u[k] within
+        (start[k], start[k] + h] with base[k] the state at start[k].
+        """
+        h = self._h
+        start = np.zeros(len(v))
+        base = v.copy()
+        level = np.zeros(len(v), dtype=int)
+        live = np.ones(len(v), dtype=bool)
+        todo = np.arange(len(v))
+        j = 0
+        while todo.size:
+            span = h * 2 ** j
+            ahead = v[todo] @ self._power(j).T
+            above = self._traces(ahead) > u[todo]
+            level[todo] = j
+            live[todo[above & (span >= cap[todo])]] = False
+            go = above & (span < cap[todo])
+            todo, ahead = todo[go], ahead[go]
+            if todo.size and span > _GUARD_FACTOR / self.rate_scale:
+                raise RuntimeError(_GUARD_ERROR)
+            start[todo], base[todo] = span, ahead
+            j += 1
+        for i in range(j - 3, -1, -1):
+            rows = np.flatnonzero(live & (level >= i + 2))
+            ahead = base[rows] @ self._power(i).T
+            above = self._traces(ahead) > u[rows]
+            rows = rows[above]
+            start[rows] += h * 2 ** i
+            base[rows] = ahead[above]
+        return live, start, base
+
+    def _next_jumps(self, v: np.ndarray, u: np.ndarray, cap: np.ndarray):
+        """Batched :meth:`next_jump` up to the jump, on rows v = vec(sigma).
+
+        u[k] is row k's jump-time uniform and cap[k] its time cap. Returns
+        (rows, dt, sigma) for the rows that jump before their cap: the jump
+        times and the unnormalized states just before the jump.
+        """
+        h = self._h
+        live, start, base = self._bracket(v, u, cap)
+        coef = (base @ self._taylor_trace.T).real
+        hi = start + h
+        capped = np.flatnonzero(live & (hi > cap))
+        if capped.size:
+            end, begin = cap[capped], start[capped]
+            s = (coef[capped] * np.power.outer((end - begin) / h, _DEGREES)).sum(axis=1)
+            stop = (end <= begin) | (s > u[capped])
+            live[capped[stop]] = False
+            hi[capped[~stop]] = end[~stop]
+        rows = np.flatnonzero(live)
+        start, base, coef = start[rows], base[rows], coef[rows]
+        dt = _invert_survival(coef, start, hi[rows], u[rows], h)
+
+        # sigma = (sum_k x^k (hS)^k / k!) base, the Taylor sum of next_jump.
+        n = v.shape[1]
+        flow = np.power.outer((dt - start) / h, _DEGREES) @ self._taylor.reshape(_TAYLOR_TERMS, -1)
+        sigma = (flow.reshape(-1, n, n) @ base[:, :, None])[:, :, 0]
+        return rows, dt, sigma
+
     def next_jump(self, rho: np.ndarray, rng, t_cap: float | None = None):
         """Draw (dt, direction, rho_after), or None if no jump before t_cap.
 
@@ -129,10 +218,7 @@ class JumpSampler:
             if t_cap is not None and span >= t_cap:
                 return None
             if span > _GUARD_FACTOR / self.rate_scale:
-                raise RuntimeError(
-                    "survival never crossed the target within the guard "
-                    "horizon; the jump rate may vanish on a trapped subspace"
-                )
+                raise RuntimeError(_GUARD_ERROR)
             start, base = span, ahead
             j += 1
         for i in range(j - 2, -1, -1):
@@ -172,7 +258,7 @@ class JumpSampler:
             x = step if lo < step < hi else 0.5 * (lo + hi)
         dt = 0.5 * (lo + hi)
 
-        sigma = ((dt - start) / h) ** np.arange(_TAYLOR_TERMS) @ (self._taylor @ base)
+        sigma = ((dt - start) / h) ** _DEGREES @ (self._taylor @ base)
         right, left = self._right @ sigma, self._left @ sigma
         w_right, w_left = self._trace(right), self._trace(left)
         total = w_right + w_left
@@ -185,6 +271,42 @@ class JumpSampler:
         if tr <= 0.0:
             raise ArithmeticError("post-jump state has nonpositive trace")
         return dt, direction, post / tr
+
+
+def _invert_survival(coef, start, hi, u, h):
+    """Row-wise Newton with bisection of :meth:`JumpSampler.next_jump`.
+
+    Row k solves survival = u[k] for t in (start[k], hi[k]], survival being
+    the polynomial coef[k] in x = (t - start[k]) / h; each row stops by the
+    serial rule (bracket within REL_TIME_TOL, or 200 iterations).
+    """
+    dt = np.empty(len(u))
+    todo = np.arange(len(u))
+    # poly[k] = (survival, d survival / dt) coefficients, lowest degree first.
+    poly = np.zeros((len(u), 2, _TAYLOR_TERMS))
+    poly[:, 0] = coef
+    poly[:, 1, :-1] = coef[:, 1:] * _DEGREES[1:] / h
+    lo = start
+    x = 0.5 * (lo + hi)
+    # Rows with ds >= 0 take the midpoint, so their Newton step may divide by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            s, ds = np.einsum("kij,kj->ik", poly, np.power.outer((x - start) / h, _DEGREES))
+            above = s > u
+            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+            mid = 0.5 * (lo + hi)
+            done = hi - lo <= REL_TIME_TOL * np.maximum(hi, 1e-300)
+            step = x - (s - u) / ds
+            x = np.where((ds < 0) & (lo < step) & (step < hi), step, mid)
+            if done.any():
+                dt[todo[done]] = mid[done]
+                keep = ~done
+                todo, x, lo, hi, u, start, poly = (
+                    a[keep] for a in (todo, x, lo, hi, u, start, poly))
+                if not todo.size:
+                    return dt
+    dt[todo] = 0.5 * (lo + hi)
+    return dt
 
 
 def sample_next_jump(coin: Coin, rho, rng):
@@ -210,11 +332,7 @@ def _simulate(sampler: JumpSampler, i0: int, rho0, horizon: float, rng) -> Traje
         sites.append(site)
         states.append(rho)
         if len(jump_times) >= MAX_JUMPS:
-            raise RuntimeError(
-                f"exceeded {MAX_JUMPS} jumps before the horizon; the walk "
-                f"should not explode, so this indicates a bug or a "
-                f"pathological coin"
-            )
+            raise RuntimeError(_MAX_JUMPS_ERROR)
     return TrajectoryPath(
         jump_times=np.array(jump_times),
         sites=np.array(sites, dtype=int),
@@ -235,23 +353,75 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, path_index]))
 
 
+def _lockstep(sampler: JumpSampler, rho, horizon: float, rngs) -> tuple[np.ndarray, int]:
+    """Net displacement at the horizon of one path per stream, and the jump total.
+
+    Every path evolves as :func:`_simulate` would evolve it with its stream:
+    round r draws the (r+1)-th jump of every path still short of the
+    horizon, as one batched :meth:`JumpSampler._next_jumps` over the live
+    rows v = vec(sigma). Each stream is read in blocks (``random(n)`` yields
+    the same numbers as n single draws), in the serial order: jump time,
+    then direction.
+    """
+    d = sampler.coin.dim
+    block = 2 * _PREFETCH_ROUNDS
+    uniforms = np.empty((len(rngs), block))
+    paths = np.arange(len(rngs))
+    moved = np.zeros(len(rngs), dtype=int)
+    v = np.tile(vec(rho), (len(rngs), 1))
+    t = np.zeros(len(rngs))
+    jumps = 0
+    r = 0
+    while paths.size:
+        col = 2 * (r % _PREFETCH_ROUNDS)
+        if col == 0:
+            for k in paths:
+                uniforms[k] = rngs[k].random(block)
+        rows, dt, sigma = sampler._next_jumps(v, uniforms[paths, col], horizon - t)
+        paths = paths[rows]
+        if not paths.size:
+            break
+        right, left = sigma @ sampler._right.T, sigma @ sampler._left.T
+        w_right = sampler._traces(right)
+        total = w_right + sampler._traces(left)
+        if not np.all(total > 0.0):
+            raise ArithmeticError("zero total jump weight at the sampled time")
+        step = np.where(uniforms[paths, col + 1] < w_right / total, 1, -1)
+        # Rows reshaped C-order are the transposed states; hermitising and
+        # the trace do not care.
+        post = np.where((step == 1)[:, None], right, left).reshape(-1, d, d)
+        post = (post + post.conj().swapaxes(1, 2)) / 2.0
+        tr = np.trace(post, axis1=1, axis2=2).real
+        if np.any(tr <= 0.0):
+            raise ArithmeticError("post-jump state has nonpositive trace")
+        v = (post / tr[:, None, None]).reshape(len(paths), -1)
+        t = t[rows] + dt
+        moved[paths] += step
+        jumps += paths.size
+        r += 1
+        if r >= MAX_JUMPS:
+            raise RuntimeError(_MAX_JUMPS_ERROR)
+    return moved, jumps
+
+
 def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
                    i0: int = 0) -> DriftEstimate:
     """Mean of X_T / T over independent paths, with its standard error.
 
-    Path k draws from the stream keyed by (seed, k); the estimate is
-    reproducible for a fixed seed and unchanged by evaluation order.
+    Path k draws from the stream keyed by (seed, k), in the order
+    ``simulate_path(coin, i0, rho0, horizon, path_rng(seed, k))`` draws, so
+    the estimate is reproducible for a fixed seed and agrees with the same
+    reduction over those paths (module docstring); all paths are sampled
+    together in lockstep. The walk is translation invariant, so i0 does not
+    change the estimate.
     """
     if horizon < 100:
         raise ValueError("drift estimation needs horizon >= 100 (drift regime)")
     if n_paths < 100:
         raise ValueError("drift estimation needs at least 100 paths")
-    sampler = JumpSampler(coin)
-    rho = check_density(rho0)
-    vals = []
-    for k in range(n_paths):
-        path = _simulate(sampler, i0, rho, horizon, path_rng(seed, k))
-        vals.append((path.sites[-1] - i0) / horizon)
+    rngs = [path_rng(seed, k) for k in range(n_paths)]
+    moved, jumps = _lockstep(JumpSampler(coin), check_density(rho0), horizon, rngs)
+    vals = moved / horizon
     mean = math.fsum(vals) / n_paths
     var = math.fsum((v - mean) ** 2 for v in vals) / (n_paths - 1)
     return DriftEstimate(
@@ -260,6 +430,7 @@ def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
         n_paths=n_paths,
         horizon=float(horizon),
         seed=int(seed),
+        jumps=jumps,
     )
 
 

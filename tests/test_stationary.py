@@ -25,6 +25,8 @@ from ctoqw.coins import (
     three_level_stationary,
 )
 
+from ctoqw import stationary
+
 from helpers import random_coin, random_hermitian, random_unitary
 
 
@@ -144,6 +146,25 @@ class TestStationaryStates:
         w = np.linalg.eigvalsh(sa.rho_inv)
         assert w.min() >= -1e-12
         assert abs(w.sum() - 1.0) < 1e-12
+
+    def test_scalar_coins_unique_despite_round_off(self, monkeypatch):
+        # the kernel test is relative to the rate scale |C*C + A*A| + |H|, so
+        # a 1x1 generator that is round-off rather than exactly 0 still has
+        # the one stationary state [[1]]
+        rng = np.random.default_rng(38)
+        coins = []
+        for _ in range(20):
+            c, a = rng.normal(size=2) + 1j * rng.normal(size=2)
+            coins.append(validate_coin([[c]], [[a]], [[rng.normal()]]))
+        for coin in coins:
+            assert np.array_equal(stationary_states(coin).rho_inv, [[1.0]])
+        exact = stationary.internal_lindblad_matrix
+        monkeypatch.setattr(stationary, "internal_lindblad_matrix",
+                            lambda coin: exact(coin) + 1e-16)
+        for coin in coins[:5] + [scalar_coin(2.0, 1.0)]:
+            sa = stationary_states(coin)
+            assert sa.unique_stationary
+            assert np.array_equal(sa.rho_inv, [[1.0]])
 
     def test_basis_is_hermitian(self):
         coin = shared_eigenbasis_coin(1.5, 1.0)

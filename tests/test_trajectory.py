@@ -21,7 +21,12 @@ from ctoqw import (
     validate_coin,
     write_path_csv,
 )
-from ctoqw.coins import scalar_coin, shared_eigenbasis_coin, three_level_coin
+from ctoqw.coins import (
+    scalar_coin,
+    shared_eigenbasis_coin,
+    three_level_coin,
+    three_level_stationary,
+)
 from ctoqw.lattice import BlockGenerator, choose_radius, probability_series
 
 from helpers import random_coin, random_density
@@ -33,6 +38,14 @@ def site_at(path, t):
     return int(path.sites[k])
 
 
+def draw_jumps(coin, rho, rng, n):
+    """n jumps from the same state and one sampler; the first goes through
+    the one-shot sample_next_jump, which builds its own sampler."""
+    sampler = JumpSampler(coin)
+    first = sample_next_jump(coin, rho, rng)
+    return [first] + [sampler.next_jump(rho, rng) for _ in range(n - 1)]
+
+
 class TestSampleNextJump:
     def test_scalar_exponential_law(self):
         # rate |a|^2 + |c|^2 = 2, so dt ~ Exp(2) and directions are fair
@@ -42,8 +55,7 @@ class TestSampleNextJump:
         n = 4000
         dts = np.empty(n)
         dirs = np.empty(n)
-        for k in range(n):
-            dt, direction, rho_after = sample_next_jump(coin, rho, rng)
+        for k, (dt, direction, rho_after) in enumerate(draw_jumps(coin, rho, rng, n)):
             assert dt > 0
             assert direction in (-1, 1)
             assert np.allclose(rho_after, rho, atol=1e-12)
@@ -59,10 +71,11 @@ class TestSampleNextJump:
         rho = np.array([[1.0 + 0j]])
         rng = np.random.default_rng(11)
         n = 4000
-        dirs = [sample_next_jump(coin, rho, rng)[1] for _ in range(n)]
+        jumps = draw_jumps(coin, rho, rng, 2 * n)
+        dirs = [jump[1] for jump in jumps[:n]]
         p_right = np.mean(np.asarray(dirs) == 1)
         assert abs(p_right - 0.8) < 4 * np.sqrt(0.8 * 0.2 / n)
-        dts = [sample_next_jump(coin, rho, rng)[0] for _ in range(n)]
+        dts = [jump[0] for jump in jumps[n:]]
         assert abs(np.mean(dts) - 0.2) < 4 * 0.2 / np.sqrt(n)
 
     def test_identity_jumps_preserve_state(self):
@@ -87,8 +100,7 @@ class TestSampleNextJump:
         n = 4000
         dts = np.empty(n)
         dirs = np.empty(n)
-        for k in range(n):
-            dt, direction, rho_after = sample_next_jump(coin, rho, rng)
+        for k, (dt, direction, rho_after) in enumerate(draw_jumps(coin, rho, rng, n)):
             assert np.allclose(rho_after, rho, atol=1e-10)
             dts[k] = dt
             dirs[k] = direction
@@ -291,6 +303,50 @@ class TestEstimateDrift:
         d = drift_to_dict(est)
         assert set(d) == {"mean", "stderr", "n_paths", "horizon", "seed"}
         assert d["mean"] == est.mean and d["seed"] == 2
+
+
+# C = diag(1, 0), A = 0, H = 0: level 1 never jumps, and a jump from level 0
+# lands back on level 0, so from I/2 half the paths end at the horizon cap
+# without a jump.
+TRAP = validate_coin(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2)))
+LOCKSTEP_CASES = [
+    ("three-level", three_level_coin(0.0), three_level_stationary(0.0), 0, 12345),
+    ("jordan", JORDAN, np.eye(2) / 2, 3, 7),
+    ("near-ep", NEAR_EP, np.eye(2) / 2, 0, 101),
+    ("scalar", scalar_coin(1.0, 0.5), [[1.0]], -2, 5),
+    ("trapped", TRAP, np.diag([0.0, 1.0]), 0, 3),
+    ("trap-mixed", TRAP, np.eye(2) / 2, 0, 3),
+]
+
+
+class TestLockstepMatchesSerial:
+    @pytest.mark.parametrize("label,coin,rho0,i0,seed", LOCKSTEP_CASES,
+                             ids=[c[0] for c in LOCKSTEP_CASES])
+    def test_same_estimate_as_simulate_path(self, label, coin, rho0, i0, seed):
+        # estimate_drift samples every path at once; path k must still be
+        # simulate_path on the stream (seed, k), so the reduction over the
+        # serial end sites agrees bit for bit
+        horizon, n = 100.0, 100
+        paths = [simulate_path(coin, i0, rho0, horizon, path_rng(seed, k)) for k in range(n)]
+        vals = [(p.sites[-1] - i0) / horizon for p in paths]
+        mean = math.fsum(vals) / n
+        stderr = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1) / n)
+        est = estimate_drift(coin, rho0, horizon, n, seed, i0=i0)
+        assert est.mean == mean and est.stderr == stderr
+        assert est.jumps == sum(p.jump_times.size for p in paths)
+        if label == "trapped":
+            assert est.mean == 0.0 and est.stderr == 0.0 and est.jumps == 0
+        if label == "trap-mixed":
+            assert est.mean == pytest.approx(-0.585, abs=1e-12)
+
+    def test_guard_raises_like_serial(self):
+        # a path held on the level that never jumps past the guard horizon
+        # (1e9 / rate scale) before its horizon raises in both drivers
+        held = np.diag([0.0, 1.0])
+        with pytest.raises(RuntimeError, match="guard horizon"):
+            simulate_path(TRAP, 0, held, 1e10, path_rng(3, 0))
+        with pytest.raises(RuntimeError, match="guard horizon"):
+            estimate_drift(TRAP, held, 1e10, 100, 3)
 
 
 class TestSeedStreams:

@@ -1,9 +1,11 @@
 """Tour of the recurrence classifier across the built-in coin families.
 
-Each family probes a different branch of the dimension-2 criteria: diagonal
-jump pairs, shared-eigenbasis pairs (including the partially recurrent
-cases), a mixing Hamiltonian on top of a scalar pair, and the tilted
-non-normal pair whose drift has a closed form in the tilt parameters.
+Every verdict is read from the drift spectrum, the slopes at k = 0 of the
+branches of the walk's symbol through 0; a unique stationary state has the
+one slope m. Each family probes a different case: diagonal jump pairs,
+shared-eigenbasis pairs (slopes |a_i|^2 - |c_i|^2, including the partially
+recurrent cases), a mixing Hamiltonian on top of a scalar pair, and the
+tilted non-normal pair whose drift has a closed form in the tilt parameters.
 """
 
 import numpy as np
@@ -24,6 +26,9 @@ def show(label, coin):
     res = classify(coin)
     m = "None" if res.m is None else f"{res.m:+.6f}"
     print(f"  {label:<34} {res.verdict.value:<18} m={m:<10} rule={res.rule}")
+    if "drift_slopes" in res.diagnostics:
+        slopes = ", ".join(f"{x:+.6f}" for x in res.diagnostics["drift_slopes"])
+        print(f"    drift slopes: [{slopes}]")
     if res.transient_state is not None:
         state = np.array2string(res.transient_state, precision=3, suppress_small=True)
         print(f"    transient for: {state}")

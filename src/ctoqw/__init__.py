@@ -46,6 +46,7 @@ from .stationary import (
     StationaryAnalysis,
     common_eigenstructure,
     drift,
+    drift_spectrum,
     internal_lindblad,
     internal_lindblad_matrix,
     solve_drift_operator,
@@ -105,6 +106,7 @@ __all__ = [
     "StationaryAnalysis",
     "common_eigenstructure",
     "drift",
+    "drift_spectrum",
     "internal_lindblad",
     "internal_lindblad_matrix",
     "solve_drift_operator",

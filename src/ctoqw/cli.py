@@ -141,8 +141,7 @@ def _cmd_classify(coin: Coin, args) -> int:
         "diagnostics": diagnostics,
     }
     _emit(render_json(doc) + "\n", args.out)
-    degenerate = "degenerate" in res.diagnostics
-    return 2 if (degenerate or res.rule == "inconsistent-shared-basis-structure") else 0
+    return 2 if "degenerate" in res.diagnostics else 0
 
 
 def _cmd_evolve(coin: Coin, args) -> int:

@@ -1,4 +1,4 @@
-"""Internal-state generator: stationary states, drift, and shared eigenbases.
+"""Internal-state generator: stationary states, drift and the drift spectrum.
 
 Ignoring position, the internal d-dimensional state of the walk evolves under
 
@@ -12,6 +12,13 @@ has a well-defined net velocity
 
 and the centered observable admits a drift operator J solving
 L*(J) = -(A*A - C*C - m I), unique up to multiples of the identity.
+
+L is the Fourier symbol L_k = S + e^{ik} R + e^{-ik} L at k = 0, whose zero
+eigenvalue is semisimple. With V its right kernel and W its left kernel
+(the conserved quantities), the branches of L_k through 0 leave with slopes
+lambda'(0) / i equal to the eigenvalues of the compression
+(W*V)^{-1} W*(R - L) V: the drift spectrum. A unique stationary state gives
+the single slope m.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ KERNEL_RTOL = 1e-10
 PSD_FLOOR = -1e-10
 # Kernel elements with |trace| below this cannot be normalized to a state.
 TRACE_FLOOR = 1e-10
-# Relative Frobenius tolerances for the shared-eigenbasis test.
+# Relative Frobenius tolerances for common_eigenstructure.
 NORMALITY_RTOL = 1e-10
 COMMUTE_RTOL = 1e-10
 # drift() bounds on |L(rho)| and on |Im m|, relative to the coin's rate scale.
@@ -178,6 +185,44 @@ def drift(coin: Coin, rho_inv) -> float:
         raise ArithmeticError(f"drift has imaginary part {m.imag:.3e} "
                               f"at rate scale {scale:.3e}")
     return float(m.real)
+
+
+def drift_spectrum(coin: Coin, kernel_basis: list) -> tuple[np.ndarray, list]:
+    """Slopes of the branches of L_k through 0, and the state of each branch.
+
+    ``kernel_basis`` spans the stationary kernel (the Hermitian basis of
+    :func:`stationary_states`). The slopes are the eigenvalues of
+    (W*V)^{-1} W*(R - L) V in ascending order; an imaginary part above
+    ``DRIFT_IMAG_RTOL`` times :func:`rate_scale` raises ``ArithmeticError``.
+    A branch state is V times the slope's eigenvector, divided by its own
+    trace and made Hermitian, or None when that trace is below
+    ``TRACE_FLOOR`` relative to its norm (possible only inside a repeated
+    slope, where the eigenvectors are not unique).
+    """
+    stay, right, left = symbol_parts(coin)
+    scale = rate_scale(coin)
+    v = np.column_stack([vec(b) for b in kernel_basis])
+    w = null_space((stay + left + right).conj().T, rel_tol=KERNEL_RTOL, scale=scale)
+    if len(w) != v.shape[1]:
+        raise ArithmeticError(f"left kernel has dimension {len(w)}, "
+                              f"right kernel {v.shape[1]}")
+    w = np.column_stack(w).conj().T
+    slopes, vecs = np.linalg.eig(np.linalg.solve(w @ v, w @ (right - left) @ v))
+    worst = float(np.abs(slopes.imag).max())
+    if worst > DRIFT_IMAG_RTOL * scale:
+        raise ArithmeticError(f"drift slope has imaginary part {worst:.3e} "
+                              f"at rate scale {scale:.3e}")
+    order = np.argsort(slopes.real)
+    states = []
+    for col in (v @ vecs[:, order]).T:
+        x = unvec(col, coin.dim)
+        tr = complex(np.trace(x))
+        if abs(tr) <= TRACE_FLOOR * float(np.linalg.norm(x)):
+            states.append(None)
+            continue
+        x = x / tr
+        states.append((x + x.conj().T) / 2.0)
+    return slopes.real[order], states
 
 
 def solve_drift_operator(coin: Coin, m: float) -> tuple[np.ndarray, float]:

@@ -18,8 +18,10 @@ exponential, then repeated squaring, cached per coin) bracket the jump time
 within one step: double until P drops to u, then halve. Inside that step
 e^{x h S} is its Taylor sum up to (hS)^18 / 18!, with remainder at most
 e/19! < 3e-17 in operator norm for 0 <= x <= 1, so P is a polynomial in x
-that Newton steps with bisection invert; the state at the jump comes from
-the same Taylor terms. Nothing here needs G0 to be diagonalizable.
+that Newton steps with bisection invert, stopping once a Newton step leaves
+the time unchanged or the bracket is within REL_TIME_TOL; the state at the
+jump comes from the same Taylor terms. Nothing here needs G0 to be
+diagonalizable.
 
 Reproducibility: every path k of a run with seed s draws from its own
 counter-based stream keyed by (s, k), so results do not depend on scheduling
@@ -252,9 +254,11 @@ class JumpSampler:
                 lo = x
             else:
                 hi = x
+            step = x - (s - u) / ds if ds < 0 else math.nan
+            if step == x:  # Newton no longer moves x: the jump is at x
+                lo = hi = x
             if hi - lo <= REL_TIME_TOL * max(hi, 1e-300):
                 break
-            step = x - (s - u) / ds if ds < 0 else math.nan
             x = step if lo < step < hi else 0.5 * (lo + hi)
         dt = 0.5 * (lo + hi)
 
@@ -278,7 +282,8 @@ def _invert_survival(coef, start, hi, u, h):
 
     Row k solves survival = u[k] for t in (start[k], hi[k]], survival being
     the polynomial coef[k] in x = (t - start[k]) / h; each row stops by the
-    serial rule (bracket within REL_TIME_TOL, or 200 iterations).
+    serial rule (a Newton step that leaves x unchanged, a bracket within
+    REL_TIME_TOL, or 200 iterations).
     """
     dt = np.empty(len(u))
     todo = np.arange(len(u))
@@ -294,9 +299,11 @@ def _invert_survival(coef, start, hi, u, h):
             s, ds = np.einsum("kij,kj->ik", poly, np.power.outer((x - start) / h, _DEGREES))
             above = s > u
             lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+            step = x - (s - u) / ds
+            fixed = (ds < 0) & (step == x)
+            lo, hi = np.where(fixed, x, lo), np.where(fixed, x, hi)
             mid = 0.5 * (lo + hi)
             done = hi - lo <= REL_TIME_TOL * np.maximum(hi, 1e-300)
-            step = x - (s - u) / ds
             x = np.where((ds < 0) & (lo < step) & (step < hi), step, mid)
             if done.any():
                 dt[todo[done]] = mid[done]

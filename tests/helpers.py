@@ -37,6 +37,17 @@ def random_diagonal_coin(rng, d: int = 2, diagonal_ham: bool = False) -> Coin:
     return validate_coin(c, a, h)
 
 
+def random_shared_basis_coin(rng, d: int = 2, matched: int = 0) -> Coin:
+    """C, A and H diagonal in one random orthonormal basis, so every basis
+    projector is stationary; the first ``matched`` levels have |a_i| = |c_i|."""
+    c = rng.uniform(0.2, 1.5, size=d) * np.exp(2j * np.pi * rng.random(d))
+    a = rng.uniform(0.2, 1.5, size=d) * np.exp(2j * np.pi * rng.random(d))
+    a[:matched] = np.abs(c[:matched]) * np.exp(2j * np.pi * rng.random(matched))
+    u = random_unitary(rng, d)
+    return validate_coin(u @ np.diag(c) @ u.conj().T, u @ np.diag(a) @ u.conj().T,
+                         u @ np.diag(rng.uniform(-1.0, 1.0, size=d)) @ u.conj().T)
+
+
 def random_density(rng, d: int) -> np.ndarray:
     m = random_matrix(rng, d)
     rho = m @ m.conj().T

@@ -1,5 +1,9 @@
 """Recurrence classifier tests: fixture verdicts, rule provenance, boundary
-location, closed forms on diagonal coins, and invariance properties."""
+location, closed forms on diagonal coins, drift-spectrum covariance, and
+invariance properties."""
+
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +11,11 @@ import pytest
 from ctoqw import (
     Verdict,
     classify,
+    drift_spectrum,
+    load_coin,
     stationary_states,
     validate_coin,
 )
-from ctoqw.classify import _shared_basis_verdict
 from ctoqw.coins import (
     diagonal_jumps_coin,
     scalar_coin,
@@ -19,9 +24,21 @@ from ctoqw.coins import (
     three_level_coin,
     tilted_pair_boundary,
     tilted_pair_coin,
+    verify_cases,
+)
+from ctoqw.stationary import StationaryAnalysis, rate_scale
+
+from helpers import (
+    random_coin,
+    random_diagonal_coin,
+    random_shared_basis_coin,
+    random_unitary,
+    same_projector,
 )
 
-from helpers import random_coin, random_diagonal_coin, random_unitary, same_projector
+COINS = Path(__file__).resolve().parents[1] / "coins"
+# the package's ``classify`` attribute is the function; this is its module
+classify_module = importlib.import_module("ctoqw.classify")
 
 SQRT2 = np.sqrt(2.0)
 
@@ -88,7 +105,9 @@ class TestSharedBasisFixtures:
         coin = shared_eigenbasis_coin(2.0, 1.0, [[1.0, 0.3], [0.3, 1.0]])
         res = classify(coin)
         assert res.verdict == Verdict.TRANSIENT
-        assert res.rule == "shared-basis-mixing-ham"
+        assert res.rule == "shared-basis-both-unequal"
+        # a scalar pair moves every stationary state at |a|^2 - |c|^2 = 3
+        assert res.diagnostics["drift_slopes"] == pytest.approx([3.0, 3.0], abs=1e-12)
         # equal moduli with a mixing ham is recurrent; scalar pair differing
         # by a phase keeps several stationary states
         coin2 = validate_coin(
@@ -96,7 +115,21 @@ class TestSharedBasisFixtures:
         )
         res2 = classify(coin2)
         assert res2.verdict == Verdict.RECURRENT
-        assert res2.rule == "shared-basis-mixing-ham"
+        assert res2.rule == "shared-basis-both-equal"
+
+    def test_no_common_eigenstructure_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classify called common_eigenstructure")
+
+        monkeypatch.setattr(classify_module, "common_eigenstructure", refuse)
+        fixtures = [(coin, expect["verdict"]) for name, coin, expect in verify_cases()
+                    if name.startswith("shared-basis")]
+        fixtures += [(load_coin(path), None) for path in sorted(COINS.glob("shared_*.json"))]
+        assert len(fixtures) == 10
+        for coin, verdict in fixtures:
+            res = classify(coin)
+            assert verdict is None or res.verdict.value == verdict
+            assert res.rule.startswith("shared-basis-")
 
 
 class TestTiltedPairFixture:
@@ -155,19 +188,27 @@ class TestUndetermined:
         assert res.verdict == Verdict.UNDETERMINED
         assert res.rule == "multiple-stationary-no-criterion"
         assert res.diagnostics["kernel_dim"] == 9
+        assert res.diagnostics["drift_slopes"] == [0.0] * 9
 
-    def test_inconsistent_shared_structure_guard(self):
-        # mixing ham alongside unequal shared rates contradicts the multiple
-        # stationary hypothesis; the guard reports instead of guessing
-        res = _shared_basis_verdict(
-            np.eye(2),
-            np.array([1.0, 2.0]),
-            np.array([3.0, 4.0]),
-            np.array([[0.0, 0.5], [0.5, 0.0]]),
-            {},
-        )
+    def test_high_dimension_reports_slopes(self):
+        rng = np.random.default_rng(43)
+        coin = random_shared_basis_coin(rng, 3, matched=1)
+        res = classify(coin)
         assert res.verdict == Verdict.UNDETERMINED
-        assert res.rule == "inconsistent-shared-basis-structure"
+        assert res.rule == "multiple-stationary-no-criterion"
+        slopes = res.diagnostics["drift_slopes"]
+        assert len(slopes) == 3
+        assert min(abs(x) for x in slopes) < 1e-12
+
+    def test_degenerate_kernel(self, monkeypatch):
+        note = "one-dimensional kernel with near-zero trace; cannot normalize"
+        analysis = StationaryAnalysis(kernel_dim=1, stationary_basis=[np.diag([1.0, -1.0])],
+                                      unique_stationary=False, degenerate=True, note=note)
+        monkeypatch.setattr(classify_module, "stationary_states", lambda coin: analysis)
+        res = classify(shared_eigenbasis_coin(1.5, 1.0))
+        assert res.verdict == Verdict.UNDETERMINED
+        assert res.rule == "degenerate-stationary-kernel"
+        assert res.diagnostics == {"kernel_dim": 1, "degenerate": note}
 
 
 class TestClassifyDiagonal:
@@ -240,6 +281,68 @@ class TestClassifyDiagonal:
                     assert same_projector(res.transient_state, basis_state)
             seen.add(res.verdict)
         assert seen == {Verdict.RECURRENT, Verdict.TRANSIENT, Verdict.PARTIALLY_RECURRENT}
+
+
+def spectrum(coin):
+    return drift_spectrum(coin, stationary_states(coin).stationary_basis)[0]
+
+
+def covariance_coins():
+    """The shipped coins and 50 random d = 2 coins diagonal in a random basis."""
+    rng = np.random.default_rng(44)
+    shipped = [load_coin(path) for path in sorted(COINS.glob("*.json"))]
+    return shipped + [random_shared_basis_coin(rng, 2, matched=k % 3) for k in range(50)]
+
+
+class TestDriftSpectrumCovariance:
+    """Symmetries of the walk act on the drift spectrum and leave verdicts."""
+
+    def test_slopes_in_original_units(self):
+        seen = set()
+        for coin in covariance_coins():
+            res = classify(coin)
+            seen.add(res.verdict)
+            slopes = res.diagnostics.get("drift_slopes", [res.m])
+            assert np.allclose(slopes, spectrum(coin), rtol=0, atol=1e-10 * rate_scale(coin))
+        assert seen == {Verdict.RECURRENT, Verdict.TRANSIENT, Verdict.PARTIALLY_RECURRENT}
+
+    def test_unitary_change_of_basis(self):
+        rng = np.random.default_rng(45)
+        for coin in covariance_coins():
+            base = classify(coin)
+            u = random_unitary(rng, coin.dim)
+            rotated = validate_coin(u @ coin.left @ u.conj().T, u @ coin.right @ u.conj().T,
+                                    u @ coin.ham @ u.conj().T)
+            res = classify(rotated)
+            assert res.verdict == base.verdict
+            assert np.allclose(spectrum(rotated), spectrum(coin), rtol=0,
+                               atol=1e-10 * rate_scale(coin))
+            if base.transient_state is not None:
+                expected = u @ base.transient_state @ u.conj().T
+                assert same_projector(res.transient_state, expected)
+
+    def test_mirror_negates_slopes(self):
+        for coin in covariance_coins():
+            base = classify(coin)
+            mirrored = validate_coin(coin.right, coin.left, coin.ham)
+            res = classify(mirrored)
+            assert res.verdict == base.verdict
+            assert np.allclose(spectrum(mirrored), -spectrum(coin)[::-1], rtol=0,
+                               atol=1e-10 * rate_scale(coin))
+            if base.transient_state is not None:
+                assert same_projector(res.transient_state, base.transient_state)
+
+    @pytest.mark.parametrize("s", [0.3, 2.5])
+    def test_rescaling_multiplies_slopes(self, s):
+        for coin in covariance_coins():
+            base = classify(coin)
+            scaled = validate_coin(s * coin.left, s * coin.right, s * s * coin.ham)
+            res = classify(scaled)
+            assert res.verdict == base.verdict
+            assert np.allclose(spectrum(scaled), s * s * spectrum(coin), rtol=0,
+                               atol=1e-10 * rate_scale(scaled))
+            if base.transient_state is not None:
+                assert same_projector(res.transient_state, base.transient_state)
 
 
 class TestInvariances:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctoqw import save_coin, validate_coin
 from ctoqw.cli import main
 from ctoqw.coins import three_level_stationary
 
@@ -40,6 +41,31 @@ class TestClassifyCommand:
         proj = pairs_to_matrix(doc["transient_state"])
         assert np.allclose(proj, proj.conj().T, atol=1e-12)
         assert np.trace(proj).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_partial_reports_drift_slopes(self, capsys):
+        code, doc = run_json(capsys, ["classify", str(COINS / "shared_partial_a.json")])
+        assert code == 0
+        assert doc["verdict"] == "PartiallyRecurrent"
+        assert doc["rule"] == "shared-basis-one-unequal"
+        assert doc["diagnostics"]["drift_slopes"] == pytest.approx([0.0, 1.89], abs=1e-12)
+
+    def test_mixing_ham_transient_slopes(self, capsys):
+        code, doc = run_json(capsys, ["classify", str(COINS / "shared_mixing_ham.json")])
+        assert code == 0
+        assert doc["verdict"] == "Transient"
+        assert doc["rule"] == "shared-basis-both-unequal"
+        assert doc["diagnostics"]["drift_slopes"] == pytest.approx([3.0, 3.0], abs=1e-12)
+
+    def test_full_kernel_undetermined(self, capsys, tmp_path):
+        path = tmp_path / "identity3.json"
+        save_coin(validate_coin(np.eye(3), np.eye(3), np.zeros((3, 3))), path)
+        code, doc = run_json(capsys, ["classify", str(path)])
+        assert code == 0
+        assert doc["verdict"] == "Undetermined"
+        assert doc["rule"] == "multiple-stationary-no-criterion"
+        assert doc["diagnostics"]["kernel_dim"] == 9
+        assert doc["diagnostics"]["drift_slopes"] == [0.0] * 9
+        assert doc["transient_state"] is None
 
     def test_format_csv_rejected(self, capsys):
         code = main(["classify", str(COINS / "three_level_c0.json"), "--format", "csv"])

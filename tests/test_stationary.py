@@ -1,16 +1,21 @@
 """Internal-generator tests: trace annihilation, adjoint pairing, stationary states,
-drift values, the drift operator equation, and shared eigenstructure extraction."""
+drift values, the drift spectrum, the drift operator equation, and shared
+eigenstructure extraction."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctoqw import (
+    drift_spectrum,
     internal_lindblad,
     internal_lindblad_matrix,
     stationary_states,
     drift,
     solve_drift_operator,
     common_eigenstructure,
+    load_coin,
     validate_coin,
     vec,
     unvec,
@@ -27,7 +32,9 @@ from ctoqw.coins import (
 
 from ctoqw import stationary
 
-from helpers import random_coin, random_hermitian, random_unitary
+from helpers import random_coin, random_hermitian, random_shared_basis_coin, random_unitary
+
+COINS = Path(__file__).resolve().parents[1] / "coins"
 
 
 class TestInternalLindblad:
@@ -237,6 +244,71 @@ class TestDrift:
                 m0 = drift(coin, sa.rho_inv)
                 m1 = drift(rotated, sb.rho_inv)
                 assert abs(m0 - m1) < 1e-10
+
+
+class TestDriftSpectrum:
+    def test_unique_stationary_gives_m(self):
+        rng = np.random.default_rng(60)
+        shipped = [load_coin(f) for f in sorted(COINS.glob("*.json"))]
+        randoms = [random_coin(rng, 2 + k % 3) for k in range(20)]
+        checked = 0
+        for coin in shipped + randoms:
+            sa = stationary_states(coin)
+            if not sa.unique_stationary:
+                continue
+            slopes, states = drift_spectrum(coin, sa.stationary_basis)
+            m = drift(coin, sa.rho_inv)
+            assert slopes.shape == (1,)
+            assert abs(slopes[0] - m) <= 1e-12 * stationary.rate_scale(coin)
+            assert np.abs(states[0] - sa.rho_inv).max() < 1e-10
+            checked += 1
+        assert checked == 8 + len(randoms)
+
+    def test_shared_basis_slopes_are_rate_differences(self):
+        # in the shared eigenbasis the branches decouple: slope_i = |a_i|^2 - |c_i|^2
+        u = shared_basis_vectors()
+        for a, c in ((1.5, 1.0), (1.0, 2.0), (1.7, 2.0), (1.0, 2.6), (1j, -2.0)):
+            coin = shared_eigenbasis_coin(a, c)
+            slopes, states = drift_spectrum(coin, stationary_states(coin).stationary_basis)
+            expected = {0: abs(a) ** 2 - 1.0, 1: 4.0 - abs(c) ** 2}
+            order = sorted(expected, key=expected.get)
+            assert np.allclose(slopes, [expected[k] for k in order], atol=1e-12)
+            if abs(expected[0] - expected[1]) > 1e-6:
+                for k, state in zip(order, states):
+                    assert np.abs(state - np.outer(u[:, k], u[:, k].conj())).max() < 1e-10
+
+    def test_states_are_unit_trace_and_hermitian(self):
+        rng = np.random.default_rng(61)
+        for k in range(20):
+            coin = random_shared_basis_coin(rng, 2 + k % 2)
+            slopes, states = drift_spectrum(coin, stationary_states(coin).stationary_basis)
+            assert np.all(np.diff(slopes) >= 0)
+            for state in states:
+                assert np.abs(state - state.conj().T).max() == 0.0
+                assert abs(np.trace(state) - 1.0) < 1e-12
+
+    def test_repeated_zero_slopes_of_full_kernel(self):
+        coin = validate_coin(np.eye(3), np.eye(3), np.zeros((3, 3)))
+        slopes, states = drift_spectrum(coin, stationary_states(coin).stationary_basis)
+        assert slopes.shape == (9,)
+        assert np.abs(slopes).max() < 1e-15
+        # eigenvectors of a repeated slope are arbitrary; traceless ones give None
+        assert len(states) == 9 and any(state is None for state in states)
+        for state in states:
+            assert state is None or abs(np.trace(state) - 1.0) < 1e-12
+
+    def test_complex_slope_raises(self, monkeypatch):
+        # Moving X from L to R keeps L_0 = S + R + L, so the kernels stay, but
+        # adds 2X to R - L; a large rotation X on the kernel makes slopes complex.
+        coin = shared_eigenbasis_coin(1.5, 1.0)
+        basis = stationary_states(coin).stationary_basis
+        v = np.column_stack([vec(b) for b in basis])
+        x = 10.0 * v @ np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.linalg.pinv(v)
+        stay, right, left = stationary.symbol_parts(coin)
+        monkeypatch.setattr(stationary, "symbol_parts",
+                            lambda c: (stay, right + x, left - x))
+        with pytest.raises(ArithmeticError, match="imaginary part"):
+            drift_spectrum(coin, basis)
 
 
 class TestDriftOperator:

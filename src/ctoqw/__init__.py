@@ -60,6 +60,7 @@ from .trajectory import (
     estimate_drift,
     path_rng,
     sample_next_jump,
+    sample_sites,
     simulate_path,
     survival_probability,
     write_path_csv,
@@ -118,6 +119,7 @@ __all__ = [
     "estimate_drift",
     "path_rng",
     "sample_next_jump",
+    "sample_sites",
     "simulate_path",
     "survival_probability",
     "write_path_csv",

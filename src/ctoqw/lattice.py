@@ -30,10 +30,13 @@ import numpy as np
 import scipy.optimize
 
 from .linalg import mat_exp, vec
-from .model import Coin, check_density, no_jump_generator, symbol_parts
+from .model import Coin, density_for, no_jump_generator, symbol_parts
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
 LEAK_TOL = 1e-8
+# choose_radius doubles from this radius and gives up beyond MAX_RADIUS.
+RADIUS_START = 16
+MAX_RADIUS = 1 << 15
 # Largest vectorized ring state for which dense_matrix builds the full generator.
 DENSE_STATE_CAP = 4096
 # Sites carrying less mass than this are ignored when conditioning. Ring
@@ -124,17 +127,10 @@ def build_block_generator(coin: Coin, radius: int) -> BlockGenerator:
     return BlockGenerator(coin, radius)
 
 
-def _density_for(coin: Coin, rho0) -> np.ndarray:
-    rho = check_density(rho0)
-    if rho.shape[0] != coin.dim:
-        raise ValueError("initial state dimension does not match the coin")
-    return rho
-
-
 def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
     if abs(i0) > gen.radius:
         raise ValueError(f"start site {i0} outside truncation radius {gen.radius}")
-    rho = _density_for(gen.coin, rho0)
+    rho = density_for(gen.coin, rho0)
     blocks = np.zeros((gen.n_sites, gen.coin.dim, gen.coin.dim), dtype=complex)
     blocks[i0 + gen.radius] = rho
     return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=0.0)
@@ -207,7 +203,7 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
         raise ValueError("time must be nonnegative")
     if abs(i0) > radius:
         raise ValueError(f"start site {i0} outside truncation radius {radius}")
-    v = vec(_density_for(coin, rho0))
+    v = vec(density_for(coin, rho0))
     if t == 0:
         return 0.0
     stay, right, left = (t * m for m in symbol_parts(coin))
@@ -296,13 +292,13 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
         )
     lhs = float(np.trace(direct.block(j)).real)
 
-    at_beta = evolve(gen, rho0, i0, beta)
-    probs = at_beta.trace_profile()
+    at_beta = _blocks(gen, rho0, i0, beta)
+    probs = np.einsum("ijj->i", at_beta).real
     rhs = 0.0
-    for k in at_beta.sites[probs > SITE_PROB_FLOOR]:
-        p_k = probs[k + gen.radius]
-        sigma = _condition_block(at_beta.block(k), k)
-        rhs += transition_probability(gen, sigma, int(k), j, alpha) * p_k
+    for q in np.flatnonzero(probs > SITE_PROB_FLOOR):
+        k = int(q) - gen.radius
+        sigma = _condition_block(at_beta[q], k)
+        rhs += transition_probability(gen, sigma, k, j, alpha) * probs[q]
     return abs(lhs - rhs)
 
 
@@ -356,23 +352,22 @@ def skeleton_sum(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
 
 
 def choose_radius(coin: Coin, i0: int, t: float, rho0=None, *,
-                  leak_tol: float = LEAK_TOL, start: int = 16,
-                  max_radius: int = 1 << 15) -> int:
+                  leak_tol: float = LEAK_TOL) -> int:
     """Smallest doubling radius whose leak bound at time t is below leak_tol.
 
-    Doubles from max(start, 2|i0|) and evaluates ``leak_bound`` for each
-    candidate; nothing is evolved. The bound is taken for rho0, or for the
-    maximally mixed state when rho0 is omitted.
+    Doubles from max(RADIUS_START, 2|i0|) up to MAX_RADIUS and evaluates
+    ``leak_bound`` for each candidate; nothing is evolved. The bound is taken
+    for rho0, or for the maximally mixed state when rho0 is omitted.
     """
     if rho0 is None:
         rho0 = np.eye(coin.dim) / coin.dim
-    radius = max(start, 2 * abs(i0), 1)
-    while radius <= max_radius:
+    radius = max(RADIUS_START, 2 * abs(i0))
+    while radius <= MAX_RADIUS:
         if leak_bound(coin, rho0, i0, radius, t) < leak_tol:
             return radius
         radius *= 2
     raise RuntimeError(
-        f"no radius up to {max_radius} keeps the leak bound below {leak_tol:.1e} at t={t}"
+        f"no radius up to {MAX_RADIUS} keeps the leak bound below {leak_tol:.1e} at t={t}"
     )
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "symbol_parts",
     "density_from_pure",
     "check_density",
+    "density_for",
     "coin_from_dict",
     "coin_to_dict",
     "load_coin",
@@ -41,6 +42,10 @@ __all__ = [
 # with a warning, anything larger is rejected as a likely user error.
 HAM_SILENT_TOL = 1e-10
 HAM_WARN_TOL = 1e-6
+# check_density's limits on the Hermiticity defect, eigenvalues and trace.
+DENSITY_HERM_TOL = 1e-10
+DENSITY_EIG_FLOOR = -1e-10
+DENSITY_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,7 @@ def density_from_pure(v) -> np.ndarray:
     return np.outer(x, x.conj()) / n2
 
 
-def check_density(rho, herm_tol: float = 1e-10, eig_floor: float = -1e-10,
-                  trace_tol: float = 1e-10) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD up to floor, unit trace).
 
     Returns the Hermitian-projected matrix; raises ``ValueError`` on violation.
@@ -142,16 +146,21 @@ def check_density(rho, herm_tol: float = 1e-10, eig_floor: float = -1e-10,
     m = _square(rho, "rho", None)
     scale = max(1.0, float(np.abs(m).max()))
     defect = float(np.abs(m - m.conj().T).max())
-    if defect > herm_tol * scale:
+    if defect > DENSITY_HERM_TOL * scale:
         raise ValueError(f"density is not Hermitian: defect {defect:.3e}")
     m = (m + m.conj().T) / 2.0
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density trace {tr!r} differs from 1 beyond {trace_tol:.1e}")
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        raise ValueError(f"density trace {tr!r} differs from 1 beyond {DENSITY_TRACE_TOL:.1e}")
     lo = float(np.linalg.eigvalsh(m).min())
-    if lo < eig_floor:
-        raise ValueError(f"density has eigenvalue {lo:.3e} below floor {eig_floor:.1e}")
+    if lo < DENSITY_EIG_FLOOR:
+        raise ValueError(f"density has eigenvalue {lo:.3e} below floor {DENSITY_EIG_FLOOR:.1e}")
     return m
+
+
+def density_for(coin: Coin, rho) -> np.ndarray:
+    """:func:`check_density` for an internal state of the coin (d x d)."""
+    return check_density(_square(rho, "state", coin.dim))
 
 
 # ---------------------------------------------------------------------------

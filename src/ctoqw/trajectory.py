@@ -27,18 +27,24 @@ Reproducibility: every path k of a run with seed s draws from its own
 counter-based stream keyed by (s, k), so results do not depend on scheduling
 and any path can be regenerated in isolation.
 
-Two drivers share one sampler. simulate_path draws one jump at a time
-(JumpSampler.next_jump). estimate_drift runs all its paths in lockstep: the
-live states form one (P, d^2) array, each bracket level is one product with
-a cached power, the in-step polynomials come from one (P, 19) coefficient
+Two drivers share one sampler. simulate_path records one path's full
+history, one jump at a time (JumpSampler.next_jump). sample_sites returns
+only the end sites and jump counts of many paths, run in lockstep: the live
+states form one (P, d^2) array, each bracket level is one product with a
+cached power, the in-step polynomials come from one (P, 19) coefficient
 product, Newton runs vectorised over the rows not yet converged with the
 serial stopping rule per row, and the direction and post-jump state are
-row-wise on R v and L v. Each path reads its own stream in the serial order
-(jump time, then direction). Batched products sum in another order, so jump
-times agree with simulate_path on path_rng(s, k) to the Newton tolerance,
-and the end site agrees unless a uniform falls within about 1e-10 of a
-decision boundary. A batch of one costs several times a serial jump, so
-single paths stay serial.
+row-wise on R v and L v; estimate_drift is its reduction. Each path reads its
+own stream in the serial order (jump time, then direction). Batched products
+sum in another order, so jump times agree with simulate_path on
+path_rng(s, k) to the Newton tolerance, and the end site agrees unless a
+uniform falls within about 1e-10 of a decision boundary. A batch of one costs
+several times a serial jump, so single paths stay serial.
+
+With the same caveat, the site at tau < T on stream k is the end site of the
+horizon-tau run on that stream: both read the same uniforms in the same
+order, and the draw capped at tau decides "no jump before tau" in both. So
+occupations at several times take one sample_sites call per time.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import mat_exp, unvec, vec
-from .model import Coin, check_density, no_jump_generator, symbol_parts
+from .model import Coin, density_for, no_jump_generator, symbol_parts
 
 REL_TIME_TOL = 1e-10
 MAX_JUMPS = 10 ** 6
@@ -318,11 +324,15 @@ def _invert_survival(coef, start, hi, u, h):
 
 def sample_next_jump(coin: Coin, rho, rng):
     """One jump from a fresh sampler: (dt, direction, rho_after)."""
-    return JumpSampler(coin).next_jump(check_density(rho), rng)
+    return JumpSampler(coin).next_jump(density_for(coin, rho), rng)
 
 
-def _simulate(sampler: JumpSampler, i0: int, rho0, horizon: float, rng) -> TrajectoryPath:
-    rho = check_density(rho0)
+def simulate_path(coin: Coin, i0: int, rho0, horizon: float, rng) -> TrajectoryPath:
+    """Sample one trajectory up to the horizon, recording every jump."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    rho = density_for(coin, rho0)
+    sampler = JumpSampler(coin)
     t = 0.0
     site = int(i0)
     jump_times: list[float] = []
@@ -348,36 +358,32 @@ def _simulate(sampler: JumpSampler, i0: int, rho0, horizon: float, rng) -> Traje
     )
 
 
-def simulate_path(coin: Coin, i0: int, rho0, horizon: float, rng) -> TrajectoryPath:
-    """Sample one trajectory up to the horizon."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    return _simulate(JumpSampler(coin), i0, rho0, horizon, rng)
-
-
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """The deterministic sub-stream for one path of a seeded run."""
     return np.random.Generator(np.random.Philox(key=[seed, path_index]))
 
 
-def _lockstep(sampler: JumpSampler, rho, horizon: float, rngs) -> tuple[np.ndarray, int]:
-    """Net displacement at the horizon of one path per stream, and the jump total.
+def sample_sites(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
+                 i0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Site at the horizon and jump count of each of n_paths independent paths.
 
-    Every path evolves as :func:`_simulate` would evolve it with its stream:
-    round r draws the (r+1)-th jump of every path still short of the
-    horizon, as one batched :meth:`JumpSampler._next_jumps` over the live
-    rows v = vec(sigma). Each stream is read in blocks (``random(n)`` yields
-    the same numbers as n single draws), in the serial order: jump time,
-    then direction.
+    Path k is ``simulate_path(coin, i0, rho0, horizon, path_rng(seed, k))``
+    without its history. Round r draws the (r+1)-th jump of every path still
+    short of the horizon as one batched :meth:`JumpSampler._next_jumps`; each
+    stream is read in blocks, ``random(n)`` giving the same n single draws.
     """
-    d = sampler.coin.dim
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    rho = density_for(coin, rho0)
+    sampler = JumpSampler(coin)
+    rngs = [path_rng(seed, k) for k in range(n_paths)]
     block = 2 * _PREFETCH_ROUNDS
-    uniforms = np.empty((len(rngs), block))
-    paths = np.arange(len(rngs))
-    moved = np.zeros(len(rngs), dtype=int)
-    v = np.tile(vec(rho), (len(rngs), 1))
-    t = np.zeros(len(rngs))
-    jumps = 0
+    uniforms = np.empty((n_paths, block))
+    paths = np.arange(n_paths)
+    sites = np.full(n_paths, int(i0))
+    jumps = np.zeros(n_paths, dtype=int)
+    v = np.tile(vec(rho), (n_paths, 1))
+    t = np.zeros(n_paths)
     r = 0
     while paths.size:
         col = 2 * (r % _PREFETCH_ROUNDS)
@@ -396,39 +402,34 @@ def _lockstep(sampler: JumpSampler, rho, horizon: float, rngs) -> tuple[np.ndarr
         step = np.where(uniforms[paths, col + 1] < w_right / total, 1, -1)
         # Rows reshaped C-order are the transposed states; hermitising and
         # the trace do not care.
-        post = np.where((step == 1)[:, None], right, left).reshape(-1, d, d)
+        post = np.where((step == 1)[:, None], right, left).reshape(-1, coin.dim, coin.dim)
         post = (post + post.conj().swapaxes(1, 2)) / 2.0
         tr = np.trace(post, axis1=1, axis2=2).real
         if np.any(tr <= 0.0):
             raise ArithmeticError("post-jump state has nonpositive trace")
         v = (post / tr[:, None, None]).reshape(len(paths), -1)
         t = t[rows] + dt
-        moved[paths] += step
-        jumps += paths.size
+        sites[paths] += step
+        jumps[paths] += 1
         r += 1
         if r >= MAX_JUMPS:
             raise RuntimeError(_MAX_JUMPS_ERROR)
-    return moved, jumps
+    return sites, jumps
 
 
 def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
                    i0: int = 0) -> DriftEstimate:
     """Mean of X_T / T over independent paths, with its standard error.
 
-    Path k draws from the stream keyed by (seed, k), in the order
-    ``simulate_path(coin, i0, rho0, horizon, path_rng(seed, k))`` draws, so
-    the estimate is reproducible for a fixed seed and agrees with the same
-    reduction over those paths (module docstring); all paths are sampled
-    together in lockstep. The walk is translation invariant, so i0 does not
-    change the estimate.
+    A reduction over :func:`sample_sites`, reproducible for a fixed seed. The
+    walk is translation invariant, so i0 does not change the estimate.
     """
     if horizon < 100:
         raise ValueError("drift estimation needs horizon >= 100 (drift regime)")
     if n_paths < 100:
         raise ValueError("drift estimation needs at least 100 paths")
-    rngs = [path_rng(seed, k) for k in range(n_paths)]
-    moved, jumps = _lockstep(JumpSampler(coin), check_density(rho0), horizon, rngs)
-    vals = moved / horizon
+    sites, jumps = sample_sites(coin, rho0, horizon, n_paths, seed, i0)
+    vals = (sites - i0) / horizon
     mean = math.fsum(vals) / n_paths
     var = math.fsum((v - mean) ** 2 for v in vals) / (n_paths - 1)
     return DriftEstimate(
@@ -437,14 +438,14 @@ def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
         n_paths=n_paths,
         horizon=float(horizon),
         seed=int(seed),
-        jumps=jumps,
+        jumps=int(jumps.sum()),
     )
 
 
 def survival_probability(coin: Coin, rho, t: float) -> float:
     """No-jump probability Tr(e^{G0 t} rho e^{G0* t}) from a given state."""
     e = mat_exp(no_jump_generator(coin), float(t))
-    return float(np.trace(e @ check_density(rho) @ e.conj().T).real)
+    return float(np.trace(e @ density_for(coin, rho) @ e.conj().T).real)
 
 
 def write_path_csv(f, path: TrajectoryPath) -> None:

@@ -16,8 +16,7 @@ from ctoqw import (
     drift,
     estimate_drift,
     internal_lindblad,
-    path_rng,
-    simulate_path,
+    sample_sites,
     solve_drift_operator,
     stationary_states,
     validate_coin,
@@ -202,10 +201,7 @@ def test_acceptance_7_classical_reduction():
     )
 
     n_paths, horizon, lam = 10_000, 5.0, 2.0 * 5.0
-    counts = np.array([
-        simulate_path(coin, 0, one, horizon, path_rng(7, k)).jump_times.size
-        for k in range(n_paths)
-    ])
+    counts = sample_sites(coin, one, horizon, n_paths, 7)[1]
     mean_se = np.sqrt(lam / n_paths)
     # Poisson fourth central moment lam(1+3lam) sets the variance of s^2
     var_se = np.sqrt((lam + 2.0 * lam * lam) / n_paths)

@@ -381,6 +381,13 @@ class TestLeakBound:
         with pytest.raises(ValueError):
             leak_bound(coin, np.eye(1), 5, 3, 1.0)
 
+    def test_rejects_state_of_wrong_dimension(self):
+        coin = three_level_coin(0.0)
+        with pytest.raises(ValueError, match="1x1, expected d=3"):
+            leak_bound(coin, np.eye(1), 0, 3, 1.0)
+        with pytest.raises(ValueError, match="1x1, expected d=3"):
+            evolve(build_block_generator(coin, 3), np.eye(1), 0, 1.0)
+
 
 class TestChooseRadius:
     def test_scalar_radius_controls_leak(self):

@@ -16,6 +16,7 @@ from ctoqw import (
     no_jump_generator,
     path_rng,
     sample_next_jump,
+    sample_sites,
     simulate_path,
     survival_probability,
     validate_coin,
@@ -30,12 +31,6 @@ from ctoqw.coins import (
 from ctoqw.lattice import BlockGenerator, choose_radius, probability_series
 
 from helpers import random_coin, random_density
-
-
-def site_at(path, t):
-    # number of jumps with time <= t indexes the right-continuous position
-    k = int(np.searchsorted(path.jump_times, t, side="right"))
-    return int(path.sites[k])
 
 
 def draw_jumps(coin, rho, rng, n):
@@ -112,6 +107,22 @@ class TestSampleNextJump:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_next_jump(coin, np.array([[0.0 + 0j]]), rng)
+
+
+# Each entry point given a d = 1 state on the three-level coin.
+WRONG_DIM_CALLS = [
+    ("simulate_path", lambda c, rho: simulate_path(c, 0, rho, 1.0, path_rng(0, 0))),
+    ("sample_sites", lambda c, rho: sample_sites(c, rho, 1.0, 10, 0)),
+    ("estimate_drift", lambda c, rho: estimate_drift(c, rho, 100.0, 100, 0)),
+    ("sample_next_jump", lambda c, rho: sample_next_jump(c, rho, np.random.default_rng(0))),
+    ("survival_probability", lambda c, rho: survival_probability(c, rho, 0.5)),
+]
+
+
+@pytest.mark.parametrize("label,call", WRONG_DIM_CALLS, ids=[c[0] for c in WRONG_DIM_CALLS])
+def test_rejects_state_of_wrong_dimension(label, call):
+    with pytest.raises(ValueError, match="1x1, expected d=3"):
+        call(three_level_coin(0.0), [[1.0]])
 
 
 class TestSurvivalProbability:
@@ -323,17 +334,27 @@ class TestLockstepMatchesSerial:
     @pytest.mark.parametrize("label,coin,rho0,i0,seed", LOCKSTEP_CASES,
                              ids=[c[0] for c in LOCKSTEP_CASES])
     def test_same_estimate_as_simulate_path(self, label, coin, rho0, i0, seed):
-        # estimate_drift samples every path at once; path k must still be
-        # simulate_path on the stream (seed, k), so the reduction over the
-        # serial end sites agrees bit for bit
-        horizon, n = 100.0, 100
-        paths = [simulate_path(coin, i0, rho0, horizon, path_rng(seed, k)) for k in range(n)]
-        vals = [(p.sites[-1] - i0) / horizon for p in paths]
+        # sample_sites advances every path at once; path k must still be
+        # simulate_path on the stream (seed, k), so end sites and jump counts
+        # agree path by path, and the drift reduction agrees bit for bit
+        n = 100
+        paths = {}
+        for horizon in (100.0, 37.0):
+            paths[horizon] = [simulate_path(coin, i0, rho0, horizon, path_rng(seed, k))
+                              for k in range(n)]
+            sites, jumps = sample_sites(coin, rho0, horizon, n, seed, i0=i0)
+            assert sites.tolist() == [p.sites[-1] for p in paths[horizon]]
+            assert jumps.tolist() == [p.jump_times.size for p in paths[horizon]]
+        # the site at 37 of a horizon-100 path is the end site of the horizon-37 run
+        for long, short in zip(paths[100.0], paths[37.0]):
+            k = np.searchsorted(long.jump_times, 37.0, side="right")
+            assert long.sites[k] == short.sites[-1]
+        vals = [(p.sites[-1] - i0) / 100.0 for p in paths[100.0]]
         mean = math.fsum(vals) / n
         stderr = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1) / n)
-        est = estimate_drift(coin, rho0, horizon, n, seed, i0=i0)
+        est = estimate_drift(coin, rho0, 100.0, n, seed, i0=i0)
         assert est.mean == mean and est.stderr == stderr
-        assert est.jumps == sum(p.jump_times.size for p in paths)
+        assert est.jumps == sum(p.jump_times.size for p in paths[100.0])
         if label == "trapped":
             assert est.mean == 0.0 and est.stderr == 0.0 and est.jumps == 0
         if label == "trap-mixed":
@@ -405,14 +426,10 @@ class TestMonteCarloVsLattice:
         radius = choose_radius(coin, 0, 5.0, rho0)
         gen = BlockGenerator(coin, radius)
         expected = probability_series(gen, rho0, 0, sites, t_checks)
-        counts = np.zeros((len(t_checks), len(sites)))
         seed = {"scalar": 101, "shared": 202, "three-level": 303}[label]
-        for k in range(n_paths):
-            path = simulate_path(coin, 0, rho0, 5.0, path_rng(seed, k))
-            for row, t in enumerate(t_checks):
-                x = site_at(path, t)
-                if x in sites:
-                    counts[row, sites.index(x)] += 1
+        # the site at t of the path on stream k is the end site of the horizon-t run
+        ends = [sample_sites(coin, rho0, t, n_paths, seed)[0] for t in t_checks]
+        counts = np.array([[np.sum(end == x) for x in sites] for end in ends])
         freq = counts / n_paths
         se = np.sqrt(np.maximum(expected * (1 - expected), 1e-12) / n_paths)
         assert np.all(np.abs(freq - expected) < 4 * se), (

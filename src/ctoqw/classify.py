@@ -17,10 +17,10 @@ criterion for dimension >= 3 without a unique stationary state, and the tool
 must not overclaim. A degenerate stationary analysis is Undetermined too.
 
 Recurrence sits on a measure-zero boundary (a slope equal to 0), so exact
-inputs land on it only up to round-off. All boundary comparisons use an
-absolute tolerance of 1e-9 after rescaling the coin to unit total jump rate
-(|C|_F^2 + |A|_F^2 = 1), which makes the tolerance meaningful across scales.
-The reported m and slopes are in the original units.
+inputs land on it only up to round-off. A slope counts as zero when its size
+is at most 1e-9 (|C|_F^2 + |A|_F^2), computed on the coin as given. Rescaling
+(C, A, H) -> (sC, sA, s^2 H) multiplies both sides by s^2, so the test is
+scale-invariant, and m and the slopes are reported as computed.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Coin, validate_coin
+from .model import Coin
 # common_eigenstructure is unused here but stays bound: bench/tracer.py wraps it.
 from .stationary import common_eigenstructure  # noqa: F401
 from .stationary import drift, drift_spectrum, stationary_states
 
-# Absolute tolerance for a zero slope (m = 0) on the rescaled coin.
+# Tolerance for a zero slope (m = 0), relative to |C|_F^2 + |A|_F^2.
 BOUNDARY_TOL = 1e-9
 
 
@@ -64,21 +64,15 @@ class ClassificationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _normalized(coin: Coin) -> tuple[Coin, float]:
-    """Rescale so |C|_F^2 + |A|_F^2 = 1; time dilates by the returned s2."""
-    s2 = float(np.linalg.norm(coin.left)) ** 2 + float(np.linalg.norm(coin.right)) ** 2
-    s = np.sqrt(s2)
-    return validate_coin(coin.left / s, coin.right / s, coin.ham / s2), s2
-
-
 def classify(coin: Coin) -> ClassificationResult:
     """Recurrence verdict for a coin, with the deciding branch recorded."""
-    cn, s2 = _normalized(coin)
-    sa = stationary_states(cn)
+    tol = BOUNDARY_TOL * (float(np.linalg.norm(coin.left)) ** 2
+                          + float(np.linalg.norm(coin.right)) ** 2)
+    sa = stationary_states(coin)
 
     if sa.unique_stationary:
-        mn = drift(cn, sa.rho_inv)
-        if abs(mn) <= BOUNDARY_TOL:
+        m = drift(coin, sa.rho_inv)
+        if abs(m) <= tol:
             verdict, rule = Verdict.RECURRENT, "unique-stationary-zero-drift"
         else:
             verdict, rule = Verdict.TRANSIENT, "unique-stationary-nonzero-drift"
@@ -86,7 +80,7 @@ def classify(coin: Coin) -> ClassificationResult:
             verdict=verdict,
             rule=rule,
             unique_stationary=True,
-            m=mn * s2,
+            m=m,
             diagnostics={"kernel_dim": 1},
         )
 
@@ -96,9 +90,9 @@ def classify(coin: Coin) -> ClassificationResult:
         diagnostics["degenerate"] = sa.note
         return ClassificationResult(verdict, rule, False, diagnostics=diagnostics)
 
-    slopes, states = drift_spectrum(cn, sa.stationary_basis)
-    diagnostics["drift_slopes"] = [float(x) * s2 for x in slopes]
-    zero = np.abs(slopes) <= BOUNDARY_TOL
+    slopes, states = drift_spectrum(coin, sa.stationary_basis)
+    diagnostics["drift_slopes"] = [float(x) for x in slopes]
+    zero = np.abs(slopes) <= tol
     transient_state = None
     if coin.dim != 2:
         verdict, rule = Verdict.UNDETERMINED, "multiple-stationary-no-criterion"

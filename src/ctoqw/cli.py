@@ -144,6 +144,15 @@ def _cmd_classify(coin: Coin, args) -> int:
     return 2 if "degenerate" in res.diagnostics else 0
 
 
+def _leak_status(coin: Coin, rho0, radius: int, horizon: float) -> int:
+    """Exit code 2, with a warning, when the truncation leak bound reaches LEAK_TOL."""
+    leaked = leak_bound(coin, rho0, 0, radius, horizon)
+    if leaked >= LEAK_TOL:
+        print(f"warning: truncation leak bound {leaked:.3e}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_evolve(coin: Coin, args) -> int:
     if args.t is None or args.t <= 0:
         raise ValueError("evolve needs --t > 0")
@@ -159,7 +168,6 @@ def _cmd_evolve(coin: Coin, args) -> int:
     times = np.linspace(0.0, args.t, n_grid)
     rho0 = _mixed_state(coin)
     profiles = trace_profile_series(gen, rho0, 0, times)
-    leaked = leak_bound(coin, rho0, 0, radius, args.t)
     p = profiles[:, args.site + radius]
     if args.format == "json":
         doc = {"site": args.site, "t": list(times), "p": list(p)}
@@ -168,10 +176,7 @@ def _cmd_evolve(coin: Coin, args) -> int:
         buf = io.StringIO()
         write_series_csv(buf, times, p)
         _emit(buf.getvalue(), args.out)
-    if leaked >= LEAK_TOL:
-        print(f"warning: truncation leak bound {leaked:.3e}", file=sys.stderr)
-        return 2
-    return 0
+    return _leak_status(coin, rho0, radius, args.t)
 
 
 def _cmd_skeleton(coin: Coin, args) -> int:
@@ -184,7 +189,8 @@ def _cmd_skeleton(coin: Coin, args) -> int:
     if abs(site) > radius:
         raise ValueError(f"--site {site} outside truncation radius {radius}")
     gen = build_block_generator(coin, radius)
-    partials = skeleton_partials(gen, _mixed_state(coin), 0, site, args.delta, args.n)
+    rho0 = _mixed_state(coin)
+    partials = skeleton_partials(gen, rho0, 0, site, args.delta, args.n)
     if args.format == "csv":
         lines = ["n,partial_sum"]
         lines += [f"{n},{_f17(v)}" for n, v in enumerate(partials)]
@@ -198,7 +204,7 @@ def _cmd_skeleton(coin: Coin, args) -> int:
             "partial_sums": list(partials),
         }
         _emit(render_json(doc) + "\n", args.out)
-    return 0
+    return _leak_status(coin, rho0, radius, args.delta * args.n)
 
 
 def _cmd_integral(coin: Coin, args) -> int:
@@ -256,17 +262,14 @@ def _check_case(coin: Coin, expect: dict) -> str | None:
 
 
 def _cmd_verify(args) -> int:
-    failures = 0
+    lines = []
     for name, coin, expect in gallery.verify_cases():
         problem = _check_case(coin, expect)
-        if problem is None:
-            print(f"PASS  {name}")
-        else:
-            failures += 1
-            print(f"FAIL  {name}: {problem}")
-    print(f"{'All' if failures == 0 else 'Some'} fixture checks "
-          f"{'passed' if failures == 0 else 'FAILED'}")
-    return 0 if failures == 0 else 1
+        lines.append(f"PASS  {name}" if problem is None else f"FAIL  {name}: {problem}")
+    ok = all(line.startswith("PASS") for line in lines)
+    lines.append("All fixture checks passed" if ok else "Some fixture checks FAILED")
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0 if ok else 1
 
 
 class _Parser(argparse.ArgumentParser):

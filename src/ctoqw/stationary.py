@@ -19,6 +19,10 @@ eigenvalue is semisimple. With V its right kernel and W its left kernel
 lambda'(0) / i equal to the eigenvalues of the compression
 (W*V)^{-1} W*(R - L) V: the drift spectrum. A unique stationary state gives
 the single slope m.
+
+:func:`stationary_states` reports V as ``stationary_basis``, an orthonormal
+basis of the complex kernel of L. Its elements need not be Hermitian or
+states; the state of each branch comes from :func:`drift_spectrum`.
 """
 
 from __future__ import annotations
@@ -52,7 +56,12 @@ _TAUS = (0.6180339887498949, 0.41421356237309515, 1.7320508075688772, 0.31830988
 
 @dataclass(frozen=True)
 class StationaryAnalysis:
-    """Kernel of the internal generator, reduced to its Hermitian part."""
+    """Kernel of the internal generator and, when unique, its stationary state.
+
+    ``stationary_basis`` is an orthonormal basis of the complex kernel of L
+    (d x d matrices, not necessarily Hermitian); the stationary state of each
+    branch through 0 comes from :func:`drift_spectrum` on it.
+    """
 
     kernel_dim: int
     stationary_basis: list
@@ -88,41 +97,15 @@ def rate_scale(coin: Coin) -> float:
     return float(np.linalg.norm(coin.rate_operator()) + np.linalg.norm(coin.ham))
 
 
-def _hermitian_kernel_basis(kernel_vecs: list, d: int) -> list:
-    """Orthonormal Hermitian basis of the *-closed span of kernel vectors.
-
-    L commutes with the adjoint, so its kernel is closed under X -> X* and is
-    spanned by the Hermitian and anti-Hermitian parts of any basis. Those
-    parts are collected and reduced to an orthonormal real basis by SVD; the
-    real dimension of that span equals the complex kernel dimension.
-    """
-    if not kernel_vecs:
-        return []
-    cands = []
-    for v in kernel_vecs:
-        x = unvec(v, d)
-        cands.append((x + x.conj().T) / 2.0)
-        cands.append((x - x.conj().T) / 2.0j)
-    # Hermitian matrices form a real vector space; coordinates are the real
-    # and imaginary entry grids stacked side by side.
-    rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in cands])
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > KERNEL_RTOL * max(s[0], 1e-300)
-    basis = []
-    for row in vh[keep]:
-        m = row[: d * d].reshape(d, d) + 1j * row[d * d :].reshape(d, d)
-        m = (m + m.conj().T) / 2.0
-        basis.append(m / np.linalg.norm(m))
-    return basis
-
-
 def stationary_states(coin: Coin) -> StationaryAnalysis:
     """Kernel of L, and the stationary density when it is unique.
 
-    The complex kernel of the superoperator matrix is projected to Hermitian
-    matrices. If the Hermitian kernel is one-dimensional, its element is
-    normalized by trace to the stationary density; a near-zero trace is
-    flagged as numerical degeneracy instead of dividing.
+    ``stationary_basis`` is the orthonormal basis of the complex kernel of
+    the superoperator matrix, as d x d matrices. If the kernel is
+    one-dimensional, its element b is a phase times a Hermitian matrix: the
+    Hermitian part of b conj(Tr b), normalized by its trace, is the
+    stationary density. A near-zero trace is flagged as numerical degeneracy
+    instead of dividing.
     """
     s = internal_lindblad_matrix(coin)
     kernel = null_space(s, rel_tol=KERNEL_RTOL, scale=rate_scale(coin))
@@ -131,41 +114,26 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
             "empty stationary kernel: a finite-dimensional Lindblad semigroup "
             "always has a stationary state, so this is a numerical failure"
         )
-    basis = _hermitian_kernel_basis(kernel, coin.dim)
+    basis = [unvec(v, coin.dim) for v in kernel]
     kdim = len(basis)
     if kdim != 1:
-        return StationaryAnalysis(
-            kernel_dim=kdim,
-            stationary_basis=basis,
-            unique_stationary=False,
-            note=f"{kdim} independent stationary directions",
-        )
-    b = basis[0]
-    tr = float(np.trace(b).real)
+        return StationaryAnalysis(kernel_dim=kdim, stationary_basis=basis,
+                                  unique_stationary=False,
+                                  note=f"{kdim} independent stationary directions")
+    tr = complex(np.trace(basis[0]))
     if abs(tr) < TRACE_FLOOR:
-        return StationaryAnalysis(
-            kernel_dim=1,
-            stationary_basis=basis,
-            unique_stationary=False,
-            degenerate=True,
-            note="one-dimensional kernel with near-zero trace; cannot normalize",
-        )
-    rho = b / tr
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < PSD_FLOOR:
-        return StationaryAnalysis(
-            kernel_dim=1,
-            stationary_basis=basis,
-            unique_stationary=False,
-            degenerate=True,
-            note=f"normalized kernel element has eigenvalue {lo:.3e}",
-        )
-    return StationaryAnalysis(
-        kernel_dim=1,
-        stationary_basis=basis,
-        unique_stationary=True,
-        rho_inv=rho,
-    )
+        note = "one-dimensional kernel with near-zero trace; cannot normalize"
+    else:
+        x = basis[0] * tr.conjugate()
+        rho = (x + x.conj().T) / 2.0
+        rho /= np.trace(rho).real
+        lo = float(np.linalg.eigvalsh(rho).min())
+        if lo >= PSD_FLOOR:
+            return StationaryAnalysis(kernel_dim=1, stationary_basis=basis,
+                                      unique_stationary=True, rho_inv=rho)
+        note = f"normalized kernel element has eigenvalue {lo:.3e}"
+    return StationaryAnalysis(kernel_dim=1, stationary_basis=basis, unique_stationary=False,
+                              degenerate=True, note=note)
 
 
 def drift(coin: Coin, rho_inv) -> float:
@@ -190,7 +158,7 @@ def drift(coin: Coin, rho_inv) -> float:
 def drift_spectrum(coin: Coin, kernel_basis: list) -> tuple[np.ndarray, list]:
     """Slopes of the branches of L_k through 0, and the state of each branch.
 
-    ``kernel_basis`` spans the stationary kernel (the Hermitian basis of
+    ``kernel_basis`` spans the stationary kernel (the ``stationary_basis`` of
     :func:`stationary_states`). The slopes are the eigenvalues of
     (W*V)^{-1} W*(R - L) V in ascending order; an imaginary part above
     ``DRIFT_IMAG_RTOL`` times :func:`rate_scale` raises ``ArithmeticError``.

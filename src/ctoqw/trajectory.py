@@ -417,19 +417,18 @@ def sample_sites(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
     return sites, jumps
 
 
-def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
-                   i0: int = 0) -> DriftEstimate:
-    """Mean of X_T / T over independent paths, with its standard error.
+def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int,
+                   seed: int) -> DriftEstimate:
+    """Mean of X_T / T over independent paths from site 0, with its standard error.
 
-    A reduction over :func:`sample_sites`, reproducible for a fixed seed. The
-    walk is translation invariant, so i0 does not change the estimate.
+    A reduction over :func:`sample_sites`, reproducible for a fixed seed.
     """
     if horizon < 100:
         raise ValueError("drift estimation needs horizon >= 100 (drift regime)")
     if n_paths < 100:
         raise ValueError("drift estimation needs at least 100 paths")
-    sites, jumps = sample_sites(coin, rho0, horizon, n_paths, seed, i0)
-    vals = (sites - i0) / horizon
+    sites, jumps = sample_sites(coin, rho0, horizon, n_paths, seed)
+    vals = sites / horizon
     mean = math.fsum(vals) / n_paths
     var = math.fsum((v - mean) ** 2 for v in vals) / (n_paths - 1)
     return DriftEstimate(

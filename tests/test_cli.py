@@ -137,12 +137,18 @@ class TestEvolveCommand:
         assert doc["site"] == 0
         assert len(doc["t"]) == len(doc["p"]) == 5
 
-    def test_leak_breach_exits_2(self, capsys):
-        code = main(["evolve", str(COINS / "scalar_symmetric.json"),
-                     "--t", "8.0", "--site", "0", "--n", "5", "--trunc", "2"])
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--t", "8.0", "--site", "0", "--n", "5", "--trunc", "2"],
+        ["skeleton", "--delta", "1.0", "--n", "100", "--trunc", "2"],
+    ], ids=["evolve", "skeleton"])
+    def test_leak_breach_exits_2(self, capsys, argv):
+        # output is still written, but a radius whose leak bound reaches
+        # LEAK_TOL over the horizon is flagged on stderr with exit code 2
+        code = main([argv[0], str(COINS / "scalar_symmetric.json")] + argv[1:])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "leak" in err
+        assert "leak" in captured.err
+        assert captured.out
 
     def test_rejects_nonpositive_time(self, capsys):
         code = main(["evolve", str(COINS / "scalar_symmetric.json"),
@@ -218,6 +224,15 @@ class TestVerifyCommand:
         passes = [ln for ln in lines if ln.startswith("PASS")]
         assert len(passes) == 16
         assert not any(ln.startswith("FAIL") for ln in lines)
+        assert lines[-1] == "All fixture checks passed"
+
+    def test_out_file(self, tmp_path, capsys):
+        target = tmp_path / "verify.txt"
+        code = main(["verify", "--out", str(target)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        lines = target.read_text().splitlines()
+        assert len([ln for ln in lines if ln.startswith("PASS")]) == 16
         assert lines[-1] == "All fixture checks passed"
 
 

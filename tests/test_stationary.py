@@ -173,12 +173,43 @@ class TestStationaryStates:
             assert sa.unique_stationary
             assert np.array_equal(sa.rho_inv, [[1.0]])
 
-    def test_basis_is_hermitian(self):
-        coin = shared_eigenbasis_coin(1.5, 1.0)
+    @pytest.mark.parametrize("b,note", [
+        (np.diag([1.0, -1.0]), "near-zero trace"),
+        (np.diag([2.0, -1.0]), "eigenvalue -1.000e+00"),
+    ], ids=["traceless", "not-psd"])
+    def test_one_dimensional_kernel_degeneracy(self, monkeypatch, b, note):
+        # a kernel element with no trace, or whose normalization is not PSD,
+        # is flagged rather than reported as the stationary state
+        v = np.exp(0.7j) * vec(b) / np.linalg.norm(b)
+        monkeypatch.setattr(stationary, "null_space", lambda *a, **k: [v])
+        sa = stationary_states(diagonal_jumps_coin())
+        assert sa.degenerate and not sa.unique_stationary and sa.rho_inv is None
+        assert sa.kernel_dim == 1 and note in sa.note
+
+    def test_kernel_phase_is_removed(self, monkeypatch):
+        # the kernel vector comes back with an arbitrary complex phase; rho_inv
+        # is the Hermitian, unit-trace state it is a multiple of
+        rho = three_level_stationary(0.0)
+        v = np.exp(-2.1j) * vec(rho) / np.linalg.norm(rho)
+        monkeypatch.setattr(stationary, "null_space", lambda *a, **k: [v])
+        sa = stationary_states(three_level_coin(0.0))
+        assert sa.unique_stationary
+        assert np.abs(sa.rho_inv - rho).max() < 1e-14
+
+    @pytest.mark.parametrize("coin,kdim", [
+        (shared_eigenbasis_coin(1.5, 1.0), 2),
+        (validate_coin(np.eye(2), np.eye(2), np.zeros((2, 2))), 4),
+        (validate_coin(np.eye(3), np.eye(3), np.zeros((3, 3))), 9),
+    ], ids=["shared-basis", "zero-generator", "identity-3"])
+    def test_basis_is_orthonormal_kernel(self, coin, kdim):
+        # stationary_basis is the complex kernel of L as returned, with no
+        # Hermitian re-projection: orthonormal, and annihilated by L
         sa = stationary_states(coin)
-        assert sa.kernel_dim >= 2
-        for b in sa.stationary_basis:
-            assert np.linalg.norm(b - b.conj().T) < 1e-10
+        assert sa.kernel_dim == len(sa.stationary_basis) == kdim
+        v = np.column_stack([vec(b) for b in sa.stationary_basis])
+        assert np.abs(v.conj().T @ v - np.eye(kdim)).max() < 1e-12
+        resid = np.linalg.norm(internal_lindblad_matrix(coin) @ v, axis=0).max()
+        assert resid <= 1e-10 * stationary.rate_scale(coin)
 
 
 class TestDrift:

@@ -352,7 +352,7 @@ class TestLockstepMatchesSerial:
         vals = [(p.sites[-1] - i0) / 100.0 for p in paths[100.0]]
         mean = math.fsum(vals) / n
         stderr = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1) / n)
-        est = estimate_drift(coin, rho0, 100.0, n, seed, i0=i0)
+        est = estimate_drift(coin, rho0, 100.0, n, seed)
         assert est.mean == mean and est.stderr == stderr
         assert est.jumps == sum(p.jump_times.size for p in paths[100.0])
         if label == "trapped":

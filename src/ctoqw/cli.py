@@ -5,13 +5,15 @@ machine-readable output (JSON or CSV) on stdout or to --out. All numbers are
 serialized with 17 significant digits so results round-trip exactly.
 
 Exit codes: 0 success, 1 validation failure (bad file, bad coin, bad
-arguments), 2 numerical-degeneracy flags (degenerate stationary analysis,
-truncation leak bound at or above LEAK_TOL).
+arguments, or an option or --format value the command does not take), 2
+numerical-degeneracy flags (degenerate stationary analysis, truncation leak
+bound at or above LEAK_TOL).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -228,9 +230,7 @@ def _cmd_integral(coin: Coin, args) -> int:
 def _cmd_simulate(coin: Coin, args) -> int:
     if args.horizon is None:
         raise ValueError("simulate needs --horizon")
-    paths = args.paths if args.paths is not None else 200
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    est = estimate_drift(coin, _mixed_state(coin), args.horizon, paths, seed)
+    est = estimate_drift(coin, _mixed_state(coin), args.horizon, args.paths, args.seed)
     _emit(render_json(drift_to_dict(est)) + "\n", args.out)
     return 0
 
@@ -278,73 +278,73 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
+# add_argument keywords for every option; a command row names the ones it reads.
+_OPTIONS = {
+    "coin": dict(help="path to a coin JSON file"),
+    "--t": dict(type=float, help="evolution time"),
+    "--horizon": dict(type=float, help="time horizon"),
+    "--delta": dict(type=float, help="skeleton step"),
+    "--n": dict(type=int, help="step count (skeleton) or grid points (evolve, default 401)"),
+    "--paths": dict(type=int, default=200, help="number of Monte Carlo paths (default 200)"),
+    "--seed": dict(type=int, default=DEFAULT_SEED,
+                   help=f"base RNG seed (default {DEFAULT_SEED})"),
+    "--site": dict(type=int, help="target site"),
+    "--trunc": dict(type=int, help="truncation radius (default: auto-grown)"),
+    "--out": dict(help="write output to this file"),
+}
+
+# name: (help, handler, options it reads, --format choices with the default
+# first; none means the command takes no --format).
+_COMMANDS = {
+    "stationary": ("stationary internal states and uniqueness", _cmd_stationary,
+                   ("coin", "--out"), ("json",)),
+    "drift": ("net velocity m and the drift-operator residual", _cmd_drift,
+              ("coin", "--out"), ("json",)),
+    "classify": ("recurrence verdict with rule provenance", _cmd_classify,
+                 ("coin", "--out"), ("json",)),
+    "evolve": ("site-occupation series p_j0(t) on a time grid", _cmd_evolve,
+               ("coin", "--t", "--n", "--site", "--trunc", "--out"), ("csv", "json")),
+    "skeleton": ("partial sums of the delta-skeleton series", _cmd_skeleton,
+                 ("coin", "--delta", "--n", "--site", "--trunc", "--out"), ("json", "csv")),
+    "integral": ("finite-horizon return-time integral", _cmd_integral,
+                 ("coin", "--horizon", "--trunc", "--out"), ("json",)),
+    "simulate": ("Monte Carlo drift estimate over many paths", _cmd_simulate,
+                 ("coin", "--horizon", "--paths", "--seed", "--out"), ("json",)),
+    "verify": ("check the built-in example-coin suite", _cmd_verify, ("--out",), ()),
+}
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built from _COMMANDS once per process."""
     parser = _Parser(
         prog="ctoqw",
         description="Continuous-time open quantum walks: stationary analysis, "
                     "classification, lattice evolution, and Monte Carlo drift.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "stationary": "stationary internal states and uniqueness",
-        "drift": "net velocity m and the drift-operator residual",
-        "classify": "recurrence verdict with rule provenance",
-        "evolve": "site-occupation series p_j0(t) on a time grid",
-        "skeleton": "partial sums of the delta-skeleton series",
-        "integral": "finite-horizon return-time integral",
-        "simulate": "Monte Carlo drift estimate over many paths",
-        "verify": "check the built-in example-coin suite",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _, options, formats) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "verify":
-            p.add_argument("coin", help="path to a coin JSON file")
-        p.add_argument("--t", type=float, default=None, help="evolution time")
-        p.add_argument("--horizon", type=float, default=None,
-                       help="time horizon (integral, simulate)")
-        p.add_argument("--delta", type=float, default=None, help="skeleton step")
-        p.add_argument("--n", type=int, default=None,
-                       help="step count (skeleton) or grid points (evolve)")
-        p.add_argument("--paths", type=int, default=None,
-                       help="number of Monte Carlo paths (default 200)")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"base RNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--site", type=int, default=None, help="target site")
-        p.add_argument("--trunc", type=int, default=None,
-                       help="truncation radius (default: auto-grown)")
-        p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        if formats:
+            # main refuses a format outside the row: it returns 1, argparse would exit.
+            p.add_argument("--format", choices=("json", "csv"), default=formats[0],
+                           help=f"output format (default {formats[0]})")
     return parser
 
 
-_JSON_ONLY = {"stationary", "drift", "classify", "simulate"}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if args.format is None:
-        args.format = "csv" if args.command == "evolve" else "json"
-    if args.command in _JSON_ONLY and args.format != "json":
-        print(f"{args.command} supports only --format json", file=sys.stderr)
+    args = _parser().parse_args(argv)
+    _, handler, options, formats = _COMMANDS[args.command]
+    if formats and args.format not in formats:
+        print(f"{args.command} supports only --format {'/'.join(formats)}", file=sys.stderr)
         return 1
 
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        coin = load_coin(args.coin)
-        handler = {
-            "stationary": _cmd_stationary,
-            "drift": _cmd_drift,
-            "classify": _cmd_classify,
-            "evolve": _cmd_evolve,
-            "skeleton": _cmd_skeleton,
-            "integral": _cmd_integral,
-            "simulate": _cmd_simulate,
-        }[args.command]
-        return handler(coin, args)
+        if "coin" in options:
+            return handler(load_coin(args.coin), args)
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

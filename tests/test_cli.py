@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctoqw import save_coin, validate_coin
+from ctoqw import cli, save_coin, validate_coin
 from ctoqw.cli import main
 from ctoqw.coins import three_level_stationary
 
@@ -257,6 +257,81 @@ class TestErrorHandling:
         code = main(["evolve", str(COINS / "scalar_symmetric.json"),
                      "--t", "1.0", "--site", "0", "--trunc", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "COIN", "--t", "5", "--paths", "3", "--trunc", "9"],
+        ["verify", "--horizon", "3", "--seed", "4"],
+        ["verify", "--format", "csv"],
+        ["stationary", "COIN", "--site", "0"],
+        ["simulate", "COIN", "--trunc", "4"],
+    ], ids=["classify", "verify-horizon-seed", "verify-format", "stationary", "simulate"])
+    def test_option_the_command_does_not_take_exits_1(self, capsys, argv):
+        coin = str(COINS / "scalar_symmetric.json")
+        with pytest.raises(SystemExit) as exc:
+            main([coin if a == "COIN" else a for a in argv])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_integral_format_csv_rejected(self, capsys):
+        code = main(["integral", str(COINS / "scalar_symmetric.json"),
+                     "--horizon", "2", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "json" in captured.err
+        assert captured.out == ""
+
+
+class TestCommandTable:
+    # The options each command reads, as the README documents them.
+    EXPECTED = {
+        "stationary": {"coin", "--out", "--format"},
+        "drift": {"coin", "--out", "--format"},
+        "classify": {"coin", "--out", "--format"},
+        "evolve": {"coin", "--t", "--n", "--site", "--trunc", "--out", "--format"},
+        "skeleton": {"coin", "--delta", "--n", "--site", "--trunc", "--out", "--format"},
+        "integral": {"coin", "--horizon", "--trunc", "--out", "--format"},
+        "simulate": {"coin", "--horizon", "--paths", "--seed", "--out", "--format"},
+        "verify": {"--out"},
+    }
+
+    def test_subparsers_take_only_their_row(self):
+        subparsers = cli._parser()._subparsers._group_actions[0].choices
+        assert set(subparsers) == set(cli._COMMANDS) == set(self.EXPECTED)
+        for name, (_, _, options, formats) in cli._COMMANDS.items():
+            got = {s for a in subparsers[name]._actions
+                   for s in (a.option_strings or [a.dest])} - {"-h", "--help"}
+            assert got == set(options) | ({"--format"} if formats else set()), name
+            assert got == self.EXPECTED[name], name
+
+    def test_parser_reuse_leaks_no_state(self, capsys, monkeypatch):
+        coin = str(COINS / "scalar_symmetric.json")
+        runs = [
+            ["evolve", coin, "--t", "1.0", "--site", "0", "--n", "5", "--format", "json"],
+            ["classify", coin],
+            ["evolve", coin, "--t", "1.0", "--site", "0", "--n", "5"],
+            ["skeleton", coin, "--delta", "1.0", "--n", "3", "--format", "csv"],
+            ["skeleton", coin, "--delta", "1.0", "--n", "3"],
+        ]
+        first_calls = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            assert main(argv) == 0
+            first_calls.append(capsys.readouterr().out)
+
+        used = []
+        parse_args = cli._Parser.parse_args
+
+        def spy(self, *args, **kwargs):
+            used.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", spy)
+        cli._parser.cache_clear()
+        for argv, expected in zip(runs, first_calls):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected, argv[0]
+        assert len(used) == len(runs)
+        assert all(p is used[0] for p in used)
 
 
 class TestEntryPoint:

@@ -215,8 +215,7 @@ def _cmd_integral(coin: Coin, args) -> int:
     radius = _radius(args, coin, args.horizon)
     gen = build_block_generator(coin, radius)
     rho0 = _mixed_state(coin)
-    full = return_integral(gen, rho0, 0, args.horizon)
-    half = return_integral(gen, rho0, 0, args.horizon / 2.0)
+    full, half = return_integral(gen, rho0, 0, args.horizon, with_half=True)
     doc = {
         "horizon": args.horizon,
         "value": full,

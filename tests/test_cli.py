@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctoqw import cli, save_coin, validate_coin
+from ctoqw import (
+    build_block_generator,
+    choose_radius,
+    cli,
+    load_coin,
+    return_integral,
+    save_coin,
+    validate_coin,
+)
 from ctoqw.cli import main
 from ctoqw.coins import three_level_stationary
 
@@ -194,6 +202,18 @@ class TestIntegralCommand:
         assert doc["value"] > doc["value_half_horizon"] > 0
         # sqrt(T) tail growth: doubling the horizon misses a factor 2
         assert 1.2 < doc["growth_ratio"] < 2.0
+
+    @pytest.mark.parametrize("name", ["three_level_c0.json", "scalar_symmetric.json",
+                                      "scalar_biased.json"])
+    def test_one_exponential_matches_two_integrals(self, capsys, name):
+        code, doc = run_json(capsys, ["integral", str(COINS / name), "--horizon", "50"])
+        assert code == 0
+        coin = load_coin(COINS / name)
+        gen = build_block_generator(coin, choose_radius(coin, 0, 50.0))
+        rho = np.eye(coin.dim) / coin.dim
+        assert doc["value"] == pytest.approx(return_integral(gen, rho, 0, 50.0), rel=1e-12)
+        assert doc["value_half_horizon"] == pytest.approx(
+            return_integral(gen, rho, 0, 25.0), rel=1e-12)
 
 
 class TestSimulateCommand:

@@ -4,10 +4,12 @@ conditioning, the composition identity, return integrals, skeleton sums, scale
 covariance, the leak bound and radius selection."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special
 
 from ctoqw import (
@@ -23,6 +25,7 @@ from ctoqw import (
     skeleton_partials,
     skeleton_sum,
     choose_radius,
+    load_coin,
     write_series_csv,
     write_profile_csv,
     mat_exp,
@@ -30,19 +33,68 @@ from ctoqw import (
     validate_coin,
 )
 import ctoqw.lattice as lattice_mod
+from ctoqw.model import symbol_parts
 from ctoqw.coins import (
     diagonal_jumps_coin,
     scalar_coin,
+    shared_basis_vectors,
     shared_eigenbasis_coin,
     three_level_coin,
 )
 
 from helpers import random_coin, random_density
 
+COINS = Path(__file__).resolve().parents[1] / "coins"
+
 
 def bessel_p00(t):
     # classical symmetric continuous-time walk: p00(t) = exp(-2t) I0(2t)
     return scipy.special.ive(0, 2.0 * t)
+
+
+def outside_mass(coin, rho, i0, radius, t, scale):
+    """Mass beyond -radius..radius at time t, evolved on a ring `scale` times wider."""
+    big = evolve(build_block_generator(coin, scale * radius), rho, i0, t)
+    return big.trace_profile()[np.abs(big.sites) > radius].sum()
+
+
+def exact_theta_leak_bound(coin, rho, i0, radius, t):
+    """leak_bound with theta from bounded Brent on the exact shifted log-moment.
+
+    Every step exponentiates the tilted symbol; a moment that is not a
+    positive normal float counts as the trivial bound at that theta.
+    """
+    v = vec(rho)
+    d = coin.dim
+
+    def tail(stay, ahead, behind, dist):
+        def log_bound(theta):
+            m = stay + np.exp(theta) * ahead + np.exp(-theta) * behind
+            mu = float(np.linalg.eigvals(m).real.max())
+            moment = float((mat_exp(m - mu * np.eye(len(m)))[:: d + 1].sum(axis=0) @ v).real)
+            if not np.isfinite(moment) or moment < np.finfo(float).tiny:
+                return 0.0
+            return mu + np.log(moment) - theta * dist
+
+        best = scipy.optimize.minimize_scalar(
+            log_bound, bounds=(0.0, 2.0 * np.log(2.0 + dist)), method="bounded")
+        return float(np.exp(min(best.fun, 0.0)))
+
+    stay, right, left = (t * m for m in symbol_parts(coin))
+    return min(1.0, tail(stay, right, left, radius + 1 - i0)
+               + tail(stay, left, right, radius + 1 + i0))
+
+
+def per_launch_residual(gen, rho, i0, j, alpha, beta):
+    """The Chapman-Kolmogorov residual with one transition_probability per launch."""
+    lhs = transition_probability(gen, rho, i0, j, alpha + beta)
+    probs = evolve(gen, rho, i0, beta).trace_profile()
+    rhs = 0.0
+    for q in np.flatnonzero(probs > lattice_mod.SITE_PROB_FLOOR):
+        k = int(q) - gen.radius
+        sigma = conditioned_state(gen, rho, i0, k, beta)
+        rhs += transition_probability(gen, sigma, k, j, alpha) * probs[q]
+    return abs(lhs - rhs)
 
 
 class TestBlockGenerator:
@@ -274,6 +326,16 @@ class TestChapmanKolmogorov:
             alpha, beta = rng.uniform(0.05, 1.0, size=2)
             assert chapman_kolmogorov_residual(gen, rho, 0, 1, alpha, beta) <= 1e-7
 
+    @pytest.mark.parametrize("coin", [three_level_coin(0.0), shared_eigenbasis_coin(1.0, 2.0)]
+                             + [random_coin(np.random.default_rng(60 + k), 2 + k % 2)
+                                for k in range(4)])
+    def test_batched_launches_match_per_launch_sum(self, coin):
+        rho = random_density(np.random.default_rng(64), coin.dim)
+        for alpha, beta, j in ((0.1, 0.1, 1), (0.7, 0.7, 0), (0.3, 1.2, -1)):
+            gen = build_block_generator(coin, choose_radius(coin, 0, alpha + beta, rho))
+            batched = chapman_kolmogorov_residual(gen, rho, 0, j, alpha, beta)
+            assert abs(batched - per_launch_residual(gen, rho, 0, j, alpha, beta)) <= 1e-15
+
 
 class TestReturnIntegral:
     def test_matches_bessel_integral(self):
@@ -368,12 +430,58 @@ class TestLeakBound:
         coin = random_coin(rng, d)
         rho = random_density(rng, d)
         for radius, i0, t in ((6, 0, 1.0), (8, 3, 2.0), (12, -2, 4.0), (16, 1, 1.0)):
-            big = evolve(build_block_generator(coin, 4 * radius), rho, i0, t)
-            outside = big.trace_profile()[np.abs(big.sites) > radius].sum()
+            outside = outside_mass(coin, rho, i0, radius, t, 4)
             bound = leak_bound(coin, rho, i0, radius, t)
             assert evolve(build_block_generator(coin, radius), rho, i0, t).leaked_mass == bound
             assert outside <= bound
             assert bound < 1.0 or outside > 1e-3
+
+    def test_decoupled_fast_level_keeps_a_true_bound(self):
+        # C = A = diag(1, 10): the spectral abscissa belongs to the fast level,
+        # which rho never reaches, so the moment shifted by it underflows. That
+        # edge must give the trivial bound 1, never 0.
+        coin = validate_coin(np.diag([1.0, 10.0]), np.diag([1.0, 10.0]), np.zeros((2, 2)))
+        rho = np.diag([1.0, 0.0])
+        for radius, t in ((8, 10.0), (16, 10.0), (12, 20.0)):
+            assert leak_bound(coin, rho, 0, radius, t) >= outside_mass(coin, rho, 0, radius, t, 8)
+        try:
+            radius = choose_radius(coin, 0, 10.0, rho)
+        except RuntimeError:
+            return
+        assert outside_mass(coin, rho, 0, radius, 10.0, 8) < lattice_mod.LEAK_TOL
+
+    @pytest.mark.parametrize("source", [*sorted(p.name for p in COINS.glob("*.json")),
+                                        *range(16)])
+    def test_within_twice_the_exact_theta_bound(self, source):
+        # Shipped coins start maximally mixed, as the CLI and choose_radius do;
+        # random coins start in random states.
+        if isinstance(source, str):
+            coin = load_coin(COINS / source)
+            rho = np.eye(coin.dim) / coin.dim
+        else:
+            rng = np.random.default_rng(80 + source)
+            coin = random_coin(rng, 2 + source % 2)
+            rho = random_density(rng, coin.dim)
+        for t in (0.1, 1.0, 10.0, 100.0):
+            for radius in (8, 16, 32, 64, 128, 256):
+                for i0 in (0, 3):
+                    bound = leak_bound(coin, rho, i0, radius, t)
+                    oracle = exact_theta_leak_bound(coin, rho, i0, radius, t)
+                    assert bound <= 2.0 * oracle
+                    assert (bound < lattice_mod.LEAK_TOL) == (oracle < lattice_mod.LEAK_TOL)
+
+    def test_decoupled_levels_loosen_by_at_most_the_inverse_weight(self):
+        # In the shared eigenbasis the two levels walk independently. Each
+        # edge's theta is optimal for the level that dominates there, so the
+        # bound exceeds the exact-theta one by at most 1 / (smaller level weight).
+        coin = shared_eigenbasis_coin(1.0, 0.5)
+        basis = shared_basis_vectors()
+        for w in (0.5, 0.2, 0.05):
+            rho = basis @ np.diag([w, 1.0 - w]) @ basis.conj().T
+            for radius, t in ((8, 1.0), (16, 4.0), (32, 10.0)):
+                bound = leak_bound(coin, rho, 0, radius, t)
+                assert bound >= outside_mass(coin, rho, 0, radius, t, 4)
+                assert bound <= exact_theta_leak_bound(coin, rho, 0, radius, t) / w
 
     def test_zero_time_and_range(self):
         coin = scalar_coin(1.0, 1.0)

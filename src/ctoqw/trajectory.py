@@ -13,14 +13,21 @@ normalized ODE; the two are equivalent (the normalization cancels in every
 sampled probability). On v = vec(sigma) the flow is e^{tS} with S the
 k-independent part of the walk's Fourier symbol L_k = S + e^{ik} R +
 e^{-ik} L, P(t) = vec(I)^T e^{tS} v, and the jump weights are the traces of
-R v and L v. With the step h = 1/|S|_2, the powers e^{2^j h S} (one
-exponential, then repeated squaring, cached per coin) bracket the jump time
-within one step: double until P drops to u, then halve. Inside that step
-e^{x h S} is its Taylor sum up to (hS)^18 / 18!, with remainder at most
-e/19! < 3e-17 in operator norm for 0 <= x <= 1, so P is a polynomial in x
-that Newton steps with bisection invert, stopping once a Newton step leaves
-the time unchanged or the bracket is within REL_TIME_TOL; the state at the
-jump comes from the same Taylor terms. Nothing here needs G0 to be
+R v and L v. With the step h = 1/|S|_2, e^{x h S} for 0 <= x <= 1 is its
+Taylor sum up to (hS)^18 / 18!, with remainder at most e/19! < 3e-17 in
+operator norm; e^{hS} is that sum at x = 1, so the sampler needs no general
+matrix exponential. Per coin it caches the grid e^{k h S} for k = 0..K
+(K = 64 steps make a window; both stacks are built by batched doubling) and
+the grid's trace rows, so one product gives P at every grid time of a
+window, and the jump lies in the step that ends at the first grid time where
+P is at most u. If P is still above u at the end of the first window, the
+powers e^{2^j K h S} (extended by squaring) bracket the jump within one
+window first: double until P drops to u, then halve; then the grid places it
+in a step of that window. Inside the step P is a polynomial in x that Newton
+steps with bisection invert, starting where the chord between the two
+bracketing grid survivals meets u and stopping once a Newton step leaves the
+time unchanged or the bracket is within REL_TIME_TOL; the state at the jump
+comes from the same Taylor terms. Nothing here needs G0 to be
 diagonalizable.
 
 Reproducibility: every path k of a run with seed s draws from its own
@@ -30,16 +37,18 @@ and any path can be regenerated in isolation.
 Two drivers share one sampler. simulate_path records one path's full
 history, one jump at a time (JumpSampler.next_jump). sample_sites returns
 only the end sites and jump counts of many paths, run in lockstep: the live
-states form one (P, d^2) array, each bracket level is one product with a
-cached power, the in-step polynomials come from one (P, 19) coefficient
-product, Newton runs vectorised over the rows not yet converged with the
-serial stopping rule per row, and the direction and post-jump state are
-row-wise on R v and L v; estimate_drift is its reduction. Each path reads its
-own stream in the serial order (jump time, then direction). Batched products
-sum in another order, so jump times agree with simulate_path on
-path_rng(s, k) to the Newton tolerance, and the end site agrees unless a
-uniform falls within about 1e-10 of a decision boundary. A batch of one costs
-several times a serial jump, so single paths stay serial.
+states form one (P, d^2) array, one product with the grid's trace rows
+places every row's jump in a step (rows past their first window take the
+window chain, one product per level), the in-step polynomials come from one
+coefficient product, Newton runs vectorised over all rows with the serial
+stopping rule per row (a finished row stays in the batch, frozen), and both
+jump weights and the post-jump states come from one product with R and L
+stacked; estimate_drift is its reduction. Each path reads its own stream in
+the serial order (jump time, then direction). Batched products sum in
+another order, so jump times agree with simulate_path on path_rng(s, k) to
+the Newton tolerance, and the end site agrees unless a uniform falls within
+about 1e-10 of a decision boundary. A batch of one costs several times a
+serial jump, so single paths stay serial.
 
 With the same caveat, the site at tau < T on stream k is the end site of the
 horizon-tau run on that stream: both read the same uniforms in the same
@@ -59,10 +68,13 @@ from .model import Coin, density_for, no_jump_generator, symbol_parts
 
 REL_TIME_TOL = 1e-10
 MAX_JUMPS = 10 ** 6
+# Grid steps per window: the sampler caches e^{k h S} for k = 0..K.
+K = 64
 # Taylor terms of e^{x h S} within one step; |hS|_2 = 1 bounds the rest by e/19!.
 _TAYLOR_TERMS = 19
-# Exponents of the in-step polynomials, lowest first.
+# Exponents of the in-step polynomials, lowest first, and 1/j! as a stack.
 _DEGREES = np.arange(_TAYLOR_TERMS)
+_INV_FACTORIALS = 1.0 / np.array([math.factorial(j) for j in _DEGREES])[:, None, None]
 # Bracket-doubling guard, in units of the fastest jump timescale.
 _GUARD_FACTOR = 1e9
 _GUARD_ERROR = ("survival never crossed the target within the guard horizon; "
@@ -104,7 +116,8 @@ class JumpSampler:
 
     States are handled as v = vec(sigma); S, R, L are the coin's
     superoperators from :func:`symbol_parts`, and survival from v after time
-    t is vec(I)^T e^{tS} v. The step is h = 1/|S|_2 (module docstring).
+    t is vec(I)^T e^{tS} v. The step is h = 1/|S|_2 and a window is K steps
+    (module docstring).
     """
 
     def __init__(self, coin: Coin):
@@ -115,19 +128,22 @@ class JumpSampler:
             raise ValueError("total jump rate vanishes; the coin never jumps")
         self.rate_scale = lam
 
-        stay, self._right, self._left = symbol_parts(coin)
+        stay, right, left = symbol_parts(coin)
+        # Both jump superoperators stacked, so one product gives R v and L v.
+        self._rl = np.concatenate([right, left])
         self._h = 1.0 / float(np.linalg.norm(stay, 2))
         # Trace of an unvectorized state: the entries of vec(X) at stride d + 1.
         self._diag = slice(None, None, coin.dim + 1)
-        # _powers[j] = e^{2^j h S}, extended on demand by squaring.
-        self._powers = [mat_exp(stay, self._h)]
-        # (hS)^j / j! for j < _TAYLOR_TERMS, and their traces as row vectors.
-        hs = self._h * stay
-        self._taylor = np.empty((_TAYLOR_TERMS,) + hs.shape, dtype=complex)
-        self._taylor[0] = np.eye(len(hs))
-        for j in range(1, _TAYLOR_TERMS):
-            np.matmul(hs, self._taylor[j - 1] / j, out=self._taylor[j])
-        self._taylor_trace = self._taylor[:, self._diag, :].sum(axis=1)
+        # (hS)^j / j! for j < _TAYLOR_TERMS; _steps[k] = e^{k h S} for k <= K,
+        # e^{hS} being their sum (smallest terms first).
+        self._taylor = _power_stack(self._h * stay, _TAYLOR_TERMS - 1) * _INV_FACTORIALS
+        self._steps = _power_stack(self._taylor[::-1].sum(axis=0), K)
+        # The traces of both stacks, as real rows acting on v.view(float):
+        # survival at every grid time, and the in-step polynomial coefficients.
+        self._grid_trace = _real_rows(self._steps[:, self._diag, :].sum(axis=1))
+        self._taylor_trace = _real_rows(self._taylor[:, self._diag, :].sum(axis=1))
+        # _powers[j] = e^{2^j K h S}, extended on demand by squaring.
+        self._powers = [self._steps[K]]
 
     def _power(self, j: int) -> np.ndarray:
         while len(self._powers) <= j:
@@ -141,21 +157,24 @@ class JumpSampler:
         return rows[:, self._diag].sum(axis=1).real
 
     def _bracket(self, v: np.ndarray, u: np.ndarray, cap: np.ndarray):
-        """Row-wise doubling then halving of :meth:`next_jump`.
+        """Row-wise window doubling then halving of :meth:`next_jump`.
 
+        Every row's survival is above u[k] at the end of its first window.
         Returns (live, start, base): live marks the rows whose jump falls
         before their cap, and for those survival crosses u[k] within
-        (start[k], start[k] + h] with base[k] the state at start[k].
+        (start[k], start[k] + K h] with base[k] the state at start[k].
         """
-        h = self._h
-        start = np.zeros(len(v))
-        base = v.copy()
+        window = K * self._h
+        start = np.full(len(v), window)
+        base = v @ self._power(0).T
         level = np.zeros(len(v), dtype=int)
-        live = np.ones(len(v), dtype=bool)
-        todo = np.arange(len(v))
-        j = 0
+        live = window < cap
+        todo = np.flatnonzero(live)
+        if todo.size and window > _GUARD_FACTOR / self.rate_scale:
+            raise RuntimeError(_GUARD_ERROR)
+        j = 1
         while todo.size:
-            span = h * 2 ** j
+            span = window * 2 ** j
             ahead = v[todo] @ self._power(j).T
             above = self._traces(ahead) > u[todo]
             level[todo] = j
@@ -171,7 +190,7 @@ class JumpSampler:
             ahead = base[rows] @ self._power(i).T
             above = self._traces(ahead) > u[rows]
             rows = rows[above]
-            start[rows] += h * 2 ** i
+            start[rows] += window * 2 ** i
             base[rows] = ahead[above]
         return live, start, base
 
@@ -183,23 +202,43 @@ class JumpSampler:
         times and the unnormalized states just before the jump.
         """
         h = self._h
-        live, start, base = self._bracket(v, u, cap)
-        coef = (base @ self._taylor_trace.T).real
+        n_rows, n = v.shape
+        start = np.zeros(n_rows)
+        live = np.ones(n_rows, dtype=bool)
+        # grid[k, r]: survival of row r at k h into its window.
+        grid = self._grid_trace @ v.view(float).T
+        far = np.flatnonzero(grid[K] > u)
+        if far.size:
+            v = v.copy()
+            live[far], start[far], v[far] = self._bracket(v[far], u[far], cap[far])
+            grid[:, far] = self._grid_trace @ v[far].view(float).T
+        k = np.minimum(np.count_nonzero(grid[1:] > u, axis=0), K - 1)
+        start += k * h
+        cols = np.arange(n_rows)
+        s_lo, s_hi = grid[k, cols], grid[k + 1, cols]
+        base = (self._steps[k] @ v[:, :, None])[:, :, 0]
+        coef = self._taylor_trace @ base.view(float).T
         hi = start + h
         capped = np.flatnonzero(live & (hi > cap))
         if capped.size:
             end, begin = cap[capped], start[capped]
-            s = (coef[capped] * np.power.outer((end - begin) / h, _DEGREES)).sum(axis=1)
+            s = (coef[:, capped] * _power_stack((end - begin) / h, _TAYLOR_TERMS - 1)).sum(axis=0)
             stop = (end <= begin) | (s > u[capped])
             live[capped[stop]] = False
             hi[capped[~stop]] = end[~stop]
         rows = np.flatnonzero(live)
-        start, base, coef = start[rows], base[rows], coef[rows]
-        dt = _invert_survival(coef, start, hi[rows], u[rows], h)
+        start, hi, u, base = start[rows], hi[rows], u[rows], base[rows]
+        s_lo, s_hi = s_lo[rows], s_hi[rows]
+        # Newton's start, as in next_jump: the chord between the grid survivals
+        # at the step's ends meets u there, else the midpoint.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(s_lo > s_hi, start + h * (s_lo - u) / (s_lo - s_hi), np.nan)
+        x = np.where((start < x) & (x < hi), x, 0.5 * (start + hi))
+        dt = _invert_survival(coef[:, rows], start, hi, u, h, x)
 
-        # sigma = (sum_k x^k (hS)^k / k!) base, the Taylor sum of next_jump.
-        n = v.shape[1]
-        flow = np.power.outer((dt - start) / h, _DEGREES) @ self._taylor.reshape(_TAYLOR_TERMS, -1)
+        # sigma = (sum_j x^j (hS)^j / j!) base, the Taylor sum of next_jump.
+        powers = _power_stack((dt - start) / h, _TAYLOR_TERMS - 1)
+        flow = (powers.T @ self._taylor.reshape(_TAYLOR_TERMS, -1).view(float)).view(complex)
         sigma = (flow.reshape(-1, n, n) @ base[:, :, None])[:, :, 0]
         return rows, dt, sigma
 
@@ -209,35 +248,44 @@ class JumpSampler:
         Uniform variates are consumed in a fixed order: first the jump time,
         then (when a jump happens) the direction.
         """
-        v = vec(rho)
+        v = np.ascontiguousarray(vec(rho))
         u = rng.random()
         if t_cap is not None and t_cap <= 0.0:
             return None
         h = self._h
 
-        # Double until survival at 2^j h drops to u, then halve: the jump lies
-        # in (start, start + h] with survival `base` at start above u.
-        j, start, base = 0, 0.0, v
-        while True:
-            span = h * 2 ** j
-            ahead = self._power(j) @ v
-            if self._trace(ahead) <= u:
-                break
-            if t_cap is not None and span >= t_cap:
-                return None
-            if span > _GUARD_FACTOR / self.rate_scale:
-                raise RuntimeError(_GUARD_ERROR)
-            start, base = span, ahead
-            j += 1
-        for i in range(j - 2, -1, -1):
-            ahead = self._power(i) @ base
-            if self._trace(ahead) > u:
-                start, base = start + h * 2 ** i, ahead
+        # Survival at every grid time k h of the window from `start`, whose
+        # state is `base`: the jump lies in the first step that ends at or
+        # below u. If the first window ends above u, double then halve in
+        # whole windows first.
+        start, base = 0.0, v
+        grid = self._grid_trace @ v.view(float)
+        if grid[K] > u:
+            window = K * h
+            j, ahead = 0, self._power(0) @ v
+            while j == 0 or self._trace(ahead) > u:
+                span = window * 2 ** j
+                if t_cap is not None and span >= t_cap:
+                    return None
+                if span > _GUARD_FACTOR / self.rate_scale:
+                    raise RuntimeError(_GUARD_ERROR)
+                start, base = span, ahead
+                j += 1
+                ahead = self._power(j) @ v
+            for i in range(j - 2, -1, -1):
+                ahead = self._power(i) @ base
+                if self._trace(ahead) > u:
+                    start, base = start + window * 2 ** i, ahead
+            grid = self._grid_trace @ base.view(float)
+        k = min(int(np.count_nonzero(grid[1:] > u)), K - 1)
+        start += k * h
+        s_lo, s_hi = grid[k:k + 2].tolist()
 
         # Within the step, survival is the polynomial in x = (t - start) / h
-        # with coefficients vec(I)^T (hS)^k base / k!, exact up to e/19!;
+        # with coefficients vec(I)^T (hS)^j base / j!, exact up to e/19!;
         # coef lists them highest degree first for Horner's rule.
-        coef = (self._taylor_trace @ base).real.tolist()[::-1]
+        terms = self._taylor @ (self._steps[k] @ base)
+        coef = terms[:, self._diag].sum(axis=1).real.tolist()[::-1]
 
         def surv(t):
             x = (t - start) / h
@@ -253,7 +301,11 @@ class JumpSampler:
                 return None
             hi = t_cap
 
-        x = 0.5 * (lo + hi)
+        # Newton starts where the chord between the grid survivals at the
+        # step's ends meets u, or at the midpoint when that falls outside.
+        x = start + h * (s_lo - u) / (s_lo - s_hi) if s_lo > s_hi else math.nan
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
         for _ in range(200):
             s, ds = surv(x)
             if s > u:
@@ -268,9 +320,9 @@ class JumpSampler:
             x = step if lo < step < hi else 0.5 * (lo + hi)
         dt = 0.5 * (lo + hi)
 
-        sigma = ((dt - start) / h) ** _DEGREES @ (self._taylor @ base)
-        right, left = self._right @ sigma, self._left @ sigma
-        w_right, w_left = self._trace(right), self._trace(left)
+        sigma = ((dt - start) / h) ** _DEGREES @ terms
+        right, left = both = (self._rl @ sigma).reshape(2, -1)
+        w_right, w_left = both[:, self._diag].sum(axis=1).real.tolist()
         total = w_right + w_left
         if not (total > 0.0):
             raise ArithmeticError("zero total jump weight at the sampled time")
@@ -283,43 +335,69 @@ class JumpSampler:
         return dt, direction, post / tr
 
 
-def _invert_survival(coef, start, hi, u, h):
+def _power_stack(b: np.ndarray, top: int) -> np.ndarray:
+    """[b^0, b^1, ..., b^top] on a new first axis by doubling, b^{m+i} =
+    b^i b^m for all i <= m at once: matrix powers of a square matrix (the
+    factors stacked into one tall matrix, so one product per doubling),
+    elementwise powers of a vector."""
+    out = np.empty((top + 1,) + b.shape, dtype=b.dtype)
+    out[0] = np.eye(len(b)) if b.ndim == 2 else 1.0
+    out[1] = b
+    m = 1
+    while m < top:
+        end = min(2 * m, top)
+        if b.ndim == 2:
+            np.matmul(out[1:end - m + 1].reshape(-1, len(b)), out[m],
+                      out=out[m + 1:end + 1].reshape(-1, len(b)))
+        else:
+            np.multiply(out[1:end - m + 1], out[m], out=out[m + 1:end + 1])
+        m *= 2
+    return out
+
+
+def _real_rows(rows: np.ndarray) -> np.ndarray:
+    """Real rows r' with r'.dot(v.view(float)) = Re(r.dot(v)) for complex v."""
+    return np.stack([rows.real, -rows.imag], axis=-1).reshape(len(rows), -1)
+
+
+def _invert_survival(coef, start, hi, u, h, x):
     """Row-wise Newton with bisection of :meth:`JumpSampler.next_jump`.
 
-    Row k solves survival = u[k] for t in (start[k], hi[k]], survival being
-    the polynomial coef[k] in x = (t - start[k]) / h; each row stops by the
-    serial rule (a Newton step that leaves x unchanged, a bracket within
-    REL_TIME_TOL, or 200 iterations).
+    Row k solves survival = u[k] for t in (start[k], hi[k]] from x[k],
+    survival being the polynomial with coefficients coef[:, k] in
+    (t - start[k]) / h; each row stops by the serial rule (a Newton step that
+    leaves x unchanged, a bracket within REL_TIME_TOL, or 200 iterations).
     """
-    dt = np.empty(len(u))
-    todo = np.arange(len(u))
-    # poly[k] = (survival, d survival / dt) coefficients, lowest degree first.
-    poly = np.zeros((len(u), 2, _TAYLOR_TERMS))
-    poly[:, 0] = coef
-    poly[:, 1, :-1] = coef[:, 1:] * _DEGREES[1:] / h
+    # poly[0], poly[1]: coefficients of survival and d survival / dt, lowest
+    # degree first, one column per row.
+    poly = np.zeros((2,) + coef.shape)
+    poly[0] = coef
+    poly[1, :-1] = coef[1:] * (_DEGREES[1:, None] / h)
     lo = start
-    x = 0.5 * (lo + hi)
     # Rows with ds >= 0 take the midpoint, so their Newton step may divide by 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(200):
-            s, ds = np.einsum("kij,kj->ik", poly, np.power.outer((x - start) / h, _DEGREES))
+            s, ds = np.einsum("ijk,jk->ik", poly, _power_stack((x - start) / h, _TAYLOR_TERMS - 1))
             above = s > u
             lo, hi = np.where(above, x, lo), np.where(above, hi, x)
             step = x - (s - u) / ds
             fixed = (ds < 0) & (step == x)
-            lo, hi = np.where(fixed, x, lo), np.where(fixed, x, hi)
-            mid = 0.5 * (lo + hi)
-            done = hi - lo <= REL_TIME_TOL * np.maximum(hi, 1e-300)
+            mid = np.where(fixed, x, 0.5 * (lo + hi))
+            done = fixed | (hi - lo <= REL_TIME_TOL * np.maximum(hi, 1e-300))
+            if done.all():
+                return mid
+            # A finished row's bracket collapses onto its time, and every
+            # later pass leaves it there: the row is frozen, not removed.
+            lo, hi = np.where(done, mid, lo), np.where(done, mid, hi)
             x = np.where((ds < 0) & (lo < step) & (step < hi), step, mid)
-            if done.any():
-                dt[todo[done]] = mid[done]
-                keep = ~done
-                todo, x, lo, hi, u, start, poly = (
-                    a[keep] for a in (todo, x, lo, hi, u, start, poly))
-                if not todo.size:
-                    return dt
-    dt[todo] = 0.5 * (lo + hi)
-    return dt
+    return 0.5 * (lo + hi)
+
+
+def _check_horizon(horizon: float) -> None:
+    # NaN fails every comparison, so a NaN or infinite horizon would never cap
+    # a path: it would run to MAX_JUMPS.
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
 def sample_next_jump(coin: Coin, rho, rng):
@@ -329,8 +407,7 @@ def sample_next_jump(coin: Coin, rho, rng):
 
 def simulate_path(coin: Coin, i0: int, rho0, horizon: float, rng) -> TrajectoryPath:
     """Sample one trajectory up to the horizon, recording every jump."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     rho = density_for(coin, rho0)
     sampler = JumpSampler(coin)
     t = 0.0
@@ -372,8 +449,7 @@ def sample_sites(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
     short of the horizon as one batched :meth:`JumpSampler._next_jumps`; each
     stream is read in blocks, ``random(n)`` giving the same n single draws.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     rho = density_for(coin, rho0)
     sampler = JumpSampler(coin)
     rngs = [path_rng(seed, k) for k in range(n_paths)]
@@ -394,15 +470,15 @@ def sample_sites(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
         paths = paths[rows]
         if not paths.size:
             break
-        right, left = sigma @ sampler._right.T, sigma @ sampler._left.T
-        w_right = sampler._traces(right)
-        total = w_right + sampler._traces(left)
+        both = (sigma @ sampler._rl.T).reshape(len(paths), 2, -1)
+        w_right, w_left = both[:, :, sampler._diag].sum(axis=2).real.T
+        total = w_right + w_left
         if not np.all(total > 0.0):
             raise ArithmeticError("zero total jump weight at the sampled time")
         step = np.where(uniforms[paths, col + 1] < w_right / total, 1, -1)
         # Rows reshaped C-order are the transposed states; hermitising and
         # the trace do not care.
-        post = np.where((step == 1)[:, None], right, left).reshape(-1, coin.dim, coin.dim)
+        post = both[np.arange(len(paths)), (step == -1).astype(int)].reshape(-1, coin.dim, coin.dim)
         post = (post + post.conj().swapaxes(1, 2)) / 2.0
         tr = np.trace(post, axis1=1, axis2=2).real
         if np.any(tr <= 0.0):
@@ -423,6 +499,7 @@ def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int,
 
     A reduction over :func:`sample_sites`, reproducible for a fixed seed.
     """
+    _check_horizon(horizon)
     if horizon < 100:
         raise ValueError("drift estimation needs horizon >= 100 (drift regime)")
     if n_paths < 100:
@@ -443,6 +520,8 @@ def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int,
 
 def survival_probability(coin: Coin, rho, t: float) -> float:
     """No-jump probability Tr(e^{G0 t} rho e^{G0* t}) from a given state."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"survival time must be finite and nonnegative, got {t}")
     e = mat_exp(no_jump_generator(coin), float(t))
     return float(np.trace(e @ density_for(coin, rho) @ e.conj().T).real)
 

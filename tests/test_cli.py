@@ -234,6 +234,14 @@ class TestSimulateCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_exits_1(self, capsys, horizon):
+        # argparse takes "nan" and "inf" as floats; the sampler must refuse them
+        # rather than run every path to the jump limit
+        code = main(["simulate", str(COINS / "scalar_biased.json"), "--horizon", horizon])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_all_cases_pass(self, capsys):

@@ -27,8 +27,11 @@ from ctoqw.coins import (
     shared_eigenbasis_coin,
     three_level_coin,
     three_level_stationary,
+    verify_cases,
 )
 from ctoqw.lattice import BlockGenerator, choose_radius, probability_series
+import ctoqw.trajectory as trajectory
+from ctoqw.model import symbol_parts
 
 from helpers import random_coin, random_density
 
@@ -125,7 +128,34 @@ def test_rejects_state_of_wrong_dimension(label, call):
         call(three_level_coin(0.0), [[1.0]])
 
 
+# Each horizon-taking entry point on a horizon that caps nothing.
+HORIZON_CALLS = [
+    ("simulate_path", lambda c, x: simulate_path(c, 0, [[1.0]], x, path_rng(0, 0))),
+    ("sample_sites", lambda c, x: sample_sites(c, [[1.0]], x, 10, 0)),
+    ("estimate_drift", lambda c, x: estimate_drift(c, [[1.0]], x, 100, 0)),
+]
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+@pytest.mark.parametrize("label,call", HORIZON_CALLS, ids=[c[0] for c in HORIZON_CALLS])
+def test_rejects_non_finite_horizon(monkeypatch, label, call, horizon):
+    # NaN fails every comparison and inf every cap, so either would run each
+    # path to MAX_JUMPS; the call must refuse before it builds a sampler
+    def no_sampler(coin):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(trajectory, "JumpSampler", no_sampler)
+    with pytest.raises(ValueError, match="finite"):
+        call(scalar_coin(1.0, 1.0), horizon)
+
+
 class TestSurvivalProbability:
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_time(self, t):
+        # at t = -1 the flow grows: the unchecked value was 11.67
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            survival_probability(three_level_coin(0.0), np.eye(3) / 3, t)
+
     def test_starts_at_one(self):
         coin = three_level_coin(0.0)
         rng = np.random.default_rng(5)
@@ -320,6 +350,10 @@ class TestEstimateDrift:
 # lands back on level 0, so from I/2 half the paths end at the horizon cap
 # without a jump.
 TRAP = validate_coin(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2)))
+# C = diag(2, 0.2), A = diag(1, 0.1), H = 0: jump rates 5 and 0.05, so the
+# step is h = 1/5 and a window K h = 12.8, while a jump from the slow level
+# takes 20 on average; many jumps land beyond the first window.
+SLOW = validate_coin(np.diag([2.0, 0.2]), np.diag([1.0, 0.1]), np.zeros((2, 2)))
 LOCKSTEP_CASES = [
     ("three-level", three_level_coin(0.0), three_level_stationary(0.0), 0, 12345),
     ("jordan", JORDAN, np.eye(2) / 2, 3, 7),
@@ -327,6 +361,7 @@ LOCKSTEP_CASES = [
     ("scalar", scalar_coin(1.0, 0.5), [[1.0]], -2, 5),
     ("trapped", TRAP, np.diag([0.0, 1.0]), 0, 3),
     ("trap-mixed", TRAP, np.eye(2) / 2, 0, 3),
+    ("slow-level", SLOW, np.diag([0.0, 1.0]), 0, 17),
 ]
 
 
@@ -368,6 +403,43 @@ class TestLockstepMatchesSerial:
             simulate_path(TRAP, 0, held, 1e10, path_rng(3, 0))
         with pytest.raises(RuntimeError, match="guard horizon"):
             estimate_drift(TRAP, held, 1e10, 100, 3)
+
+
+class TestFarWindow:
+    def test_jump_inverts_survival(self):
+        # the states stay diagonal, so survival is sum_i rho_ii e^{-gamma_i t}
+        # and every sampled dt must solve it for the drawn u
+        sampler = JumpSampler(SLOW)
+        gammas = np.array([5.0, 0.05])
+        rng = RecordingRng(71)
+        rho = np.eye(2, dtype=complex) / 2
+        far = 0
+        for _ in range(400):
+            rng.draws.clear()
+            dt, _, rho_after = sampler.next_jump(rho, rng)
+            survival = float(np.diag(rho).real @ np.exp(-gammas * dt))
+            assert abs(survival - rng.draws[0]) < 1e-10
+            far += dt > trajectory.K * sampler._h
+            rho = rho_after
+        assert far > 20
+
+
+class TestTaylorStep:
+    COINS = ([c for _, c, _ in verify_cases()]
+             + [random_coin(np.random.default_rng(91 + k), 2 + k % 3) for k in range(20)])
+
+    @pytest.mark.parametrize("coin", COINS)
+    def test_steps_are_powers_of_the_taylor_step(self, coin):
+        # e^{hS} is the 19-term Taylor sum, with no mat_exp, and the grid
+        # holds its powers up to K
+        sampler = JumpSampler(coin)
+        ref = mat_exp(symbol_parts(coin)[0], sampler._h)
+        step = sampler._steps[1]
+        assert np.linalg.norm(step - ref) <= 2e-15 * np.linalg.norm(ref)
+        assert len(sampler._steps) == trajectory.K + 1
+        for k, grid_step in enumerate(sampler._steps):
+            power = np.linalg.matrix_power(step, k)
+            assert np.linalg.norm(grid_step - power) <= 1e-14 * np.linalg.norm(power)
 
 
 class TestSeedStreams:

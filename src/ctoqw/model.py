@@ -75,7 +75,7 @@ def _square(a, name: str, d: int | None) -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if d is not None and m.shape[0] != d:
         raise ValueError(f"{name} is {m.shape[0]}x{m.shape[0]}, expected d={d}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 

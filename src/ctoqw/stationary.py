@@ -27,7 +27,7 @@ states; the state of each branch comes from :func:`drift_spectrum`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

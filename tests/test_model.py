@@ -11,12 +11,15 @@ from ctoqw import (
     no_jump_generator,
     density_from_pure,
     check_density,
+    unvec,
+    vec,
     coin_to_dict,
     coin_from_dict,
     load_coin,
     save_coin,
 )
 from ctoqw.coins import diagonal_jumps_coin, scalar_coin
+from ctoqw.model import density_for
 
 from helpers import random_coin
 
@@ -63,6 +66,13 @@ class TestValidateCoin:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             validate_coin(np.eye(2), np.eye(3), np.eye(2))
+
+    def test_accepts_non_contiguous_matrices(self):
+        # a transposed view is Fortran-ordered; the finiteness check must not
+        # reinterpret its memory
+        m = np.array([[1.0, 2.0], [0.0, 1.0]])
+        coin = validate_coin(m.T, m, np.eye(2))
+        assert np.array_equal(coin.left, m.T)
 
     def test_rate_operator(self):
         coin = diagonal_jumps_coin()
@@ -131,6 +141,17 @@ class TestCheckDensity:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             check_density(np.diag([0.5, 0.6]))
+
+    def test_accepts_non_contiguous(self):
+        rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+        assert np.array_equal(check_density(rho.T), rho.T)
+
+
+class TestDensityFor:
+    def test_accepts_fortran_ordered(self):
+        # unvec returns a Fortran-ordered reshape
+        rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+        assert np.array_equal(density_for(diagonal_jumps_coin(), unvec(vec(rho))), rho)
 
 
 class TestJsonFormat:

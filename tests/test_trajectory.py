@@ -18,6 +18,7 @@ from ctoqw import (
     sample_next_jump,
     sample_sites,
     simulate_path,
+    stationary_states,
     survival_probability,
     validate_coin,
     write_path_csv,
@@ -339,6 +340,17 @@ class TestEstimateDrift:
         c = estimate_drift(coin, [[1.0]], 100.0, 100, 6)
         assert c.mean != a.mean
 
+    def test_accepts_unvec_stationary_state(self):
+        # the stationary basis is unvec'd, so Fortran-ordered; it must give
+        # the same estimate as a C-ordered copy
+        coin = three_level_coin(0.0)
+        b = stationary_states(coin).stationary_basis[0]
+        rho = b / np.trace(b)
+        assert not rho.flags["C_CONTIGUOUS"]
+        a = estimate_drift(coin, rho, 100.0, 100, 1)
+        c = estimate_drift(coin, np.ascontiguousarray(rho), 100.0, 100, 1)
+        assert a.mean == c.mean and a.jumps == c.jumps
+
     def test_dict_round_trip(self):
         est = estimate_drift(scalar_coin(1.0, 1.0), [[1.0]], 100.0, 100, 2)
         d = drift_to_dict(est)
@@ -422,6 +434,29 @@ class TestFarWindow:
             far += dt > trajectory.K * sampler._h
             rho = rho_after
         assert far > 20
+
+    def test_capped_draws_match_survival(self):
+        # from the slow level survival is e^{-0.05 t}: a draw capped at t_cap
+        # is None exactly when survival at t_cap is still above u, else dt
+        # solves it; most caps lie past the first window
+        sampler = JumpSampler(SLOW)
+        window = trajectory.K * sampler._h
+        rho = np.diag([0.0, 1.0]).astype(complex)
+        caps = np.random.default_rng(72).uniform(0.5, 80.0, 600)
+        rng = RecordingRng(73)
+        far = none = 0
+        for t_cap in caps:
+            rng.draws.clear()
+            drawn = sampler.next_jump(rho, rng, t_cap=t_cap)
+            u = rng.draws[0]
+            assert (drawn is None) == (math.exp(-0.05 * t_cap) > u)
+            if drawn is None:
+                none += 1
+            else:
+                assert drawn[0] <= t_cap
+                assert abs(math.exp(-0.05 * drawn[0]) - u) < 1e-10
+            far += t_cap > window and math.exp(-0.05 * window) > u
+        assert far > 200 and none > 100
 
 
 class TestTaylorStep:

@@ -5,9 +5,9 @@ machine-readable output (JSON or CSV) on stdout or to --out. All numbers are
 serialized with 17 significant digits so results round-trip exactly.
 
 Exit codes: 0 success, 1 validation failure (bad file, bad coin, bad
-arguments, or an option or --format value the command does not take), 2
-numerical-degeneracy flags (degenerate stationary analysis, truncation leak
-bound at or above LEAK_TOL).
+arguments such as a non-finite time or --trunc above 32768, or an option or
+--format value the command does not take), 2 numerical-degeneracy flags
+(degenerate stationary analysis, truncation leak bound at or above LEAK_TOL).
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from . import coins as gallery
 from .classify import classify
 from .lattice import (
     LEAK_TOL,
+    MAX_RADIUS,
     build_block_generator,
     choose_radius,
     leak_bound,
+    probability_series,
     return_integral,
     skeleton_partials,
-    trace_profile_series,
     write_series_csv,
 )
 from .model import Coin, load_coin, _matrix_to_pairs
@@ -80,16 +81,16 @@ def _matrix_or_none(m):
     return None if m is None else _matrix_to_pairs(np.asarray(m, dtype=complex))
 
 
-def _mixed_state(coin: Coin) -> np.ndarray:
-    return np.eye(coin.dim) / coin.dim
-
-
-def _radius(args, coin: Coin, horizon: float) -> int:
-    if args.trunc is not None:
-        if args.trunc < 1:
-            raise ValueError("--trunc must be at least 1")
-        return args.trunc
-    return choose_radius(coin, 0, horizon)
+def _ring(args, coin: Coin, horizon: float):
+    """Ring generator and rho0 = I/d, on --trunc or the radius choose_radius certifies."""
+    if not np.isfinite(horizon):
+        raise ValueError(f"time horizon must be finite, got {horizon}")
+    if args.trunc is not None and args.trunc < 1:
+        raise ValueError("--trunc must be at least 1")
+    if args.trunc is not None and args.trunc > MAX_RADIUS:
+        raise ValueError(f"--trunc must be at most {MAX_RADIUS}")
+    radius = choose_radius(coin, 0, horizon) if args.trunc is None else args.trunc
+    return build_block_generator(coin, radius), np.eye(coin.dim) / coin.dim
 
 
 def _cmd_stationary(coin: Coin, args) -> int:
@@ -128,27 +129,23 @@ def _cmd_drift(coin: Coin, args) -> int:
 
 def _cmd_classify(coin: Coin, args) -> int:
     res = classify(coin)
-    diagnostics = {}
-    for k, v in res.diagnostics.items():
-        if isinstance(v, (list, tuple)):
-            diagnostics[k] = [list(x) if isinstance(x, tuple) else x for x in v]
-        else:
-            diagnostics[k] = v
     doc = {
         "verdict": res.verdict.value,
         "rule": res.rule,
         "unique_stationary": res.unique_stationary,
         "m": res.m,
         "transient_state": _matrix_or_none(res.transient_state),
-        "diagnostics": diagnostics,
+        "diagnostics": res.diagnostics,
     }
     _emit(render_json(doc) + "\n", args.out)
     return 2 if "degenerate" in res.diagnostics else 0
 
 
-def _leak_status(coin: Coin, rho0, radius: int, horizon: float) -> int:
-    """Exit code 2, with a warning, when the truncation leak bound reaches LEAK_TOL."""
-    leaked = leak_bound(coin, rho0, 0, radius, horizon)
+def _leak_status(coin: Coin, rho0, trunc, horizon: float) -> int:
+    """Exit code 2, with a warning, when the leak bound of a --trunc radius reaches LEAK_TOL."""
+    if trunc is None:  # choose_radius certified the radius for this coin, rho0 and horizon
+        return 0
+    leaked = leak_bound(coin, rho0, 0, trunc, horizon)
     if leaked >= LEAK_TOL:
         print(f"warning: truncation leak bound {leaked:.3e}", file=sys.stderr)
         return 2
@@ -163,14 +160,9 @@ def _cmd_evolve(coin: Coin, args) -> int:
     n_grid = args.n if args.n is not None else 401
     if n_grid < 2:
         raise ValueError("--n must be at least 2 grid points")
-    radius = _radius(args, coin, args.t)
-    if abs(args.site) > radius:
-        raise ValueError(f"--site {args.site} outside truncation radius {radius}")
-    gen = build_block_generator(coin, radius)
+    gen, rho0 = _ring(args, coin, args.t)
     times = np.linspace(0.0, args.t, n_grid)
-    rho0 = _mixed_state(coin)
-    profiles = trace_profile_series(gen, rho0, 0, times)
-    p = profiles[:, args.site + radius]
+    p = probability_series(gen, rho0, 0, args.site, times)[:, 0]
     if args.format == "json":
         doc = {"site": args.site, "t": list(times), "p": list(p)}
         _emit(render_json(doc) + "\n", args.out)
@@ -178,7 +170,7 @@ def _cmd_evolve(coin: Coin, args) -> int:
         buf = io.StringIO()
         write_series_csv(buf, times, p)
         _emit(buf.getvalue(), args.out)
-    return _leak_status(coin, rho0, radius, args.t)
+    return _leak_status(coin, rho0, args.trunc, args.t)
 
 
 def _cmd_skeleton(coin: Coin, args) -> int:
@@ -187,11 +179,7 @@ def _cmd_skeleton(coin: Coin, args) -> int:
     if args.n is None or args.n < 0:
         raise ValueError("skeleton needs --n >= 0")
     site = args.site if args.site is not None else 0
-    radius = _radius(args, coin, args.delta * max(args.n, 1))
-    if abs(site) > radius:
-        raise ValueError(f"--site {site} outside truncation radius {radius}")
-    gen = build_block_generator(coin, radius)
-    rho0 = _mixed_state(coin)
+    gen, rho0 = _ring(args, coin, args.delta * max(args.n, 1))
     partials = skeleton_partials(gen, rho0, 0, site, args.delta, args.n)
     if args.format == "csv":
         lines = ["n,partial_sum"]
@@ -206,15 +194,13 @@ def _cmd_skeleton(coin: Coin, args) -> int:
             "partial_sums": list(partials),
         }
         _emit(render_json(doc) + "\n", args.out)
-    return _leak_status(coin, rho0, radius, args.delta * args.n)
+    return _leak_status(coin, rho0, args.trunc, args.delta * args.n)
 
 
 def _cmd_integral(coin: Coin, args) -> int:
     if args.horizon is None or args.horizon <= 0:
         raise ValueError("integral needs --horizon > 0")
-    radius = _radius(args, coin, args.horizon)
-    gen = build_block_generator(coin, radius)
-    rho0 = _mixed_state(coin)
+    gen, rho0 = _ring(args, coin, args.horizon)
     full, half = return_integral(gen, rho0, 0, args.horizon, with_half=True)
     doc = {
         "horizon": args.horizon,
@@ -229,7 +215,7 @@ def _cmd_integral(coin: Coin, args) -> int:
 def _cmd_simulate(coin: Coin, args) -> int:
     if args.horizon is None:
         raise ValueError("simulate needs --horizon")
-    est = estimate_drift(coin, _mixed_state(coin), args.horizon, args.paths, args.seed)
+    est = estimate_drift(coin, np.eye(coin.dim) / coin.dim, args.horizon, args.paths, args.seed)
     _emit(render_json(drift_to_dict(est)) + "\n", args.out)
     return 0
 

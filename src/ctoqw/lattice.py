@@ -146,8 +146,8 @@ def _to_sites(gen: BlockGenerator, hat: np.ndarray, i0: int) -> np.ndarray:
 
 def _blocks(gen: BlockGenerator, rho0, i0: int, t: float) -> np.ndarray:
     """Ring blocks at time t >= 0 from rho0 at site i0."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     state = initial_block_state(gen, rho0, i0)
     if t == 0:
         return state.blocks
@@ -218,8 +218,8 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     theta suits the level that dominates the edge, and the bound loosens by
     up to the inverse of rho's weight on that level.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     if abs(i0) > radius:
         raise ValueError(f"start site {i0} outside truncation radius {radius}")
     v = vec(density_for(coin, rho0))
@@ -253,8 +253,9 @@ def probability_series(gen: BlockGenerator, rho0, i0: int, sites, times) -> np.n
 def trace_profile_series(gen: BlockGenerator, rho0, i0: int, times) -> np.ndarray:
     """Site-occupation profiles Tr(rho_t(i)) over a time grid."""
     times = np.asarray(times, dtype=float)
-    if times.size and (times[0] < 0 or np.any(np.diff(times) <= 0)):
-        raise ValueError("times must be strictly increasing and nonnegative")
+    if times.size and (not np.isfinite(times).all() or times[0] < 0
+                       or np.any(np.diff(times) <= 0)):
+        raise ValueError("times must be finite, strictly increasing and nonnegative")
     rows = list(_trace_rows(gen, rho0, i0, np.diff(times, prepend=0.0)))
     return np.array(rows).reshape(len(rows), gen.n_sites)
 
@@ -262,14 +263,14 @@ def trace_profile_series(gen: BlockGenerator, rho0, i0: int, times) -> np.ndarra
 def transition_probability(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> float:
     """p_{j i0; rho}(t) = Tr(rho_t(j))."""
     if abs(j) > gen.radius:
-        raise IndexError(f"site {j} outside truncation radius {gen.radius}")
+        raise ValueError(f"site {j} outside truncation radius {gen.radius}")
     return float(np.trace(_blocks(gen, rho0, i0, t)[j + gen.radius]).real)
 
 
 def conditioned_state(gen: BlockGenerator, rho0, i0: int, k: int, beta: float) -> np.ndarray:
     """Internal state at site k given the walker is observed there at time beta."""
     if abs(k) > gen.radius:
-        raise IndexError(f"site {k} outside truncation radius {gen.radius}")
+        raise ValueError(f"site {k} outside truncation radius {gen.radius}")
     return _condition_block(_blocks(gen, rho0, i0, beta)[k + gen.radius], k)
 
 
@@ -304,8 +305,8 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     with the left side is the identity under test. Raises if the leak bound
     at alpha+beta reaches LEAK_TOL.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
+    if not (np.isfinite([alpha, beta]).all() and min(alpha, beta) >= 0):
+        raise ValueError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
     direct = evolve(gen, rho0, i0, alpha + beta)
     if direct.leaked_mass >= LEAK_TOL:
         raise RuntimeError(
@@ -338,8 +339,8 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
     column is that of E^2, e^{T/2 L_k} c + c for E's last column c. Raises if
     the leak bound at T (or at T/2 with ``with_half``) reaches LEAK_TOL.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     rho = initial_block_state(gen, rho0, i0).block(i0)
     for t in (horizon, horizon / 2.0) if with_half else (horizon,):
         leak = leak_bound(gen.coin, rho, i0, gen.radius, t)
@@ -370,8 +371,8 @@ def skeleton_partials(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
     Term n applies the n-th power of e^{delta L_k}; term 0 is the initial
     occupation of site j.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if abs(j) > gen.radius:

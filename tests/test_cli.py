@@ -300,6 +300,37 @@ class TestErrorHandling:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--t", "nan", "--site", "0", "--trunc", "4"],
+        ["evolve", "--t", "inf", "--site", "0", "--trunc", "4"],
+        ["evolve", "--t", "nan", "--site", "0"],
+        ["skeleton", "--delta", "nan", "--n", "3", "--trunc", "4"],
+        ["integral", "--horizon", "inf"],
+    ], ids=["evolve-nan-trunc", "evolve-inf-trunc", "evolve-nan", "skeleton-nan", "integral-inf"])
+    def test_non_finite_time_exits_1(self, capsys, argv):
+        code = main([argv[0], str(COINS / "three_level_c0.json")] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["evolve", "--t", "1", "--site", "0"],
+        ["skeleton", "--delta", "1", "--n", "3"],
+        ["integral", "--horizon", "1"],
+    ], ids=["evolve", "skeleton", "integral"])
+    def test_trunc_above_max_radius_exits_1(self, capsys, monkeypatch, command):
+        # refused before any ring is allocated: (2r+1) d^4 entries per stack
+        def unreachable(coin, radius):
+            raise AssertionError(f"ring of radius {radius} built")
+
+        monkeypatch.setattr(cli, "build_block_generator", unreachable)
+        trunc = str(cli.MAX_RADIUS + 1)
+        code = main([command[0], str(COINS / "scalar_symmetric.json")] + command[1:]
+                    + ["--trunc", trunc])
+        assert code == 1
+        assert "--trunc" in capsys.readouterr().err
+
     def test_integral_format_csv_rejected(self, capsys):
         code = main(["integral", str(COINS / "scalar_symmetric.json"),
                      "--horizon", "2", "--format", "csv"])
@@ -307,6 +338,34 @@ class TestErrorHandling:
         assert code == 1
         assert "json" in captured.err
         assert captured.out == ""
+
+
+class TestLeakCertificate:
+    # One certificate per command: choose_radius certifies an auto-grown
+    # radius, the CLI bounds a --trunc radius once, and return_integral
+    # certifies its own horizons.
+    @pytest.mark.parametrize("argv, calls", [
+        (["evolve", "--t", "2", "--site", "0", "--n", "5"], 0),
+        (["skeleton", "--delta", "0.5", "--n", "4"], 0),
+        (["integral", "--horizon", "2"], 0),
+        (["evolve", "--t", "2", "--site", "0", "--n", "5", "--trunc", "40"], 1),
+        (["skeleton", "--delta", "0.5", "--n", "4", "--trunc", "40"], 1),
+        (["integral", "--horizon", "2", "--trunc", "40"], 0),
+    ], ids=["evolve", "skeleton", "integral", "evolve-trunc", "skeleton-trunc",
+            "integral-trunc"])
+    def test_leak_bound_calls(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        bound = cli.leak_bound
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return bound(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "leak_bound", counted)
+        code = main([argv[0], str(COINS / "three_level_c0.json")] + argv[1:])
+        assert code == 0
+        assert capsys.readouterr().out
+        assert len(seen) == calls
 
 
 class TestCommandTable:

@@ -514,6 +514,40 @@ class TestChooseRadius:
         assert r_loose <= r_tight
 
 
+class TestArgumentChecks:
+    # NaN fails every comparison, so each time check must also ask for a
+    # finite value; otherwise NaN or inf reaches mat_exp or LAPACK.
+    CALLS = {
+        "evolve": lambda gen, t: evolve(gen, np.eye(1), 0, t),
+        "transition_probability": lambda gen, t: transition_probability(gen, np.eye(1), 0, 0, t),
+        "conditioned_state": lambda gen, t: conditioned_state(gen, np.eye(1), 0, 0, t),
+        "leak_bound": lambda gen, t: leak_bound(gen.coin, np.eye(1), 0, gen.radius, t),
+        "choose_radius": lambda gen, t: choose_radius(gen.coin, 0, t),
+        "return_integral": lambda gen, t: return_integral(gen, np.eye(1), 0, t),
+        "skeleton_partials": lambda gen, t: skeleton_partials(gen, np.eye(1), 0, 0, t, 3),
+        "trace_profile_series": lambda gen, t: lattice_mod.trace_profile_series(
+            gen, np.eye(1), 0, [0.0, 0.5, t]),
+        "ck_alpha": lambda gen, t: chapman_kolmogorov_residual(gen, np.eye(1), 0, 0, t, 0.5),
+        "ck_beta": lambda gen, t: chapman_kolmogorov_residual(gen, np.eye(1), 0, 0, 0.5, t),
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_rejects_non_finite_time(self, entry, value):
+        gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
+        with pytest.raises(ValueError, match="finite"):
+            self.CALLS[entry](gen, value)
+
+    @pytest.mark.parametrize("call", [transition_probability, conditioned_state],
+                             ids=["transition_probability", "conditioned_state"])
+    def test_off_ring_site_is_a_value_error(self, call):
+        # the same error as probability_series and skeleton_partials, so the
+        # CLI reports it as a validation failure
+        gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
+        with pytest.raises(ValueError, match="site 5 outside truncation radius 4"):
+            call(gen, np.eye(1), 0, 5, 1.0)
+
+
 class TestCsvExport:
     def test_series_format(self):
         buf = io.StringIO()

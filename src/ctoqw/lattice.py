@@ -13,6 +13,14 @@ where the momenta k = 2 pi q / N are exact: the blocks at time t are the
 inverse DFT of e^{t L_k} vec(rho0). Time grids use powers of e^{dt L_k} and
 the return integral a Van Loan exponential; nothing is integrated numerically.
 
+Only the momenta q = 0..radius are exponentiated. The symbol satisfies
+L_k(X)^* = L_{-k}(X^*), and every start state is Hermitian, so
+hat(-k) = hat(k)^* exactly: the state at q = N - q' is the adjoint of the one
+at q', and its trace the conjugate. Profiles are then real inverse DFTs
+(``np.fft.hfft``), and one site j is the projection
+p_j = Re sum_q w_q Tr hat(q) with w_q = c_q e^{-2 pi i q (j - i0) / N} / N,
+c_0 = 1 and c_q = 2 for q >= 1, which needs no transform at all.
+
 The ring differs from the infinite line only by mass that wraps around it.
 Since Tr(e^{t L(theta)} rho0) = sum_i e^{theta (i - i0)} p_i(t) for the
 symbol L(theta) at k = -i theta, ``leak_bound`` takes the Chernoff bound
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .linalg import mat_exp, vec
+from .linalg import mat_exp, unvec, vec
 from .model import Coin, density_for, no_jump_generator, symbol_parts
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
@@ -74,16 +82,17 @@ class BlockState:
         return float(self.trace_profile().sum())
 
     def min_eigenvalue(self) -> float:
-        return float(
-            min(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min() for b in self.blocks)
-        )
+        hermitian = (self.blocks + self.blocks.conj().transpose(0, 2, 1)) / 2.0
+        return float(np.linalg.eigvalsh(hermitian).min())
 
 
 class BlockGenerator:
     """The walk generator on the ring of sites -radius..radius and its symbols.
 
     ``symbols[q]`` is L_k at k = 2 pi q / n_sites, the generator restricted
-    to momentum k.
+    to momentum k, for q = 0..radius only. Since L_k(X)^* = L_{-k}(X^*), a
+    Hermitian state at momentum -k is the adjoint of the one at k, so the
+    other radius momenta of the ring are never needed (module docstring).
     """
 
     def __init__(self, coin: Coin, radius: int):
@@ -94,7 +103,7 @@ class BlockGenerator:
         self.n_sites = 2 * self.radius + 1
         self._g0 = no_jump_generator(coin)
         self._stay, self._right, self._left = symbol_parts(coin)
-        phase = np.exp(2j * np.pi * np.arange(self.n_sites) / self.n_sites)[:, None, None]
+        phase = np.exp(2j * np.pi * np.arange(self.radius + 1) / self.n_sites)[:, None, None]
         self.symbols = self._stay + phase * self._right + phase.conj() * self._left
 
     @property
@@ -139,43 +148,105 @@ def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
     return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=0.0)
 
 
-def _to_sites(gen: BlockGenerator, hat: np.ndarray, i0: int) -> np.ndarray:
-    """Inverse DFT of per-momentum values (axis 0), ordered from site -radius."""
-    return np.roll(np.fft.fft(hat, axis=0), gen.radius + i0, axis=0) / gen.n_sites
+def _check_site(gen: BlockGenerator, j: int) -> None:
+    if abs(j) > gen.radius:
+        raise ValueError(f"site {j} outside truncation radius {gen.radius}")
 
 
-def _blocks(gen: BlockGenerator, rho0, i0: int, t: float) -> np.ndarray:
-    """Ring blocks at time t >= 0 from rho0 at site i0."""
+def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
+    """Rows w, one per offset m = j - i0, with p_j = Re(w @ tr) for the half traces tr.
+
+    w_q = c_q e^{-2 pi i q m / N} / N, c_0 = 1 and c_q = 2 for q >= 1, folds
+    in the conjugate half tr(N - q) = tr(q)^*. Applied to the half stack of
+    vec blocks instead, it gives vec(Y) with rho(j) the Hermitian part of Y.
+    """
+    q = np.arange(gen.radius + 1)
+    # q m reduced mod N in integers, so every phase is below 2 pi
+    turns = np.outer(np.atleast_1d(offsets), q) % gen.n_sites
+    return np.where(q == 0, 1.0, 2.0) * np.exp(-2j * np.pi * turns / gen.n_sites) / gen.n_sites
+
+
+def _half_stack(gen: BlockGenerator, rho0, i0: int, t: float):
+    """The initial state and hat(q) = e^{t L_k} vec(rho0) for q = 0..radius (None at t = 0)."""
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     state = initial_block_state(gen, rho0, i0)
     if t == 0:
+        return state, None
+    return state, mat_exp(gen.symbols, t) @ vec(state.block(i0))
+
+
+def _blocks(gen: BlockGenerator, rho0, i0: int, t: float) -> np.ndarray:
+    """Ring blocks at time t >= 0 from rho0 at site i0.
+
+    The full momentum array is the half stack followed by its mirror
+    hat(N - q) = vec(X^*) for hat(q) = vec(X): the vec(X^T) permutation,
+    conjugated. One complex FFT then gives every block.
+    """
+    state, hat = _half_stack(gen, rho0, i0, t)
+    if hat is None:
         return state.blocks
     d = gen.coin.dim
-    hat = mat_exp(gen.symbols, t) @ vec(state.block(i0))
-    blocks = _to_sites(gen, hat, i0).reshape(-1, d, d).transpose(0, 2, 1)
+    mirror = hat[:0:-1].reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d).conj()
+    per_offset = np.fft.fft(np.concatenate([hat, mirror]), axis=0)
+    blocks = np.roll(per_offset, gen.radius + i0, axis=0) / gen.n_sites
+    blocks = blocks.reshape(-1, d, d).transpose(0, 2, 1)
     return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _trace_rows(gen: BlockGenerator, rho0, i0: int, steps):
-    """Yield the site-occupation profile after each of consecutive time steps.
+def _site_block(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> np.ndarray:
+    """Block rho_t(j), projected from the half stack with the weights of site j."""
+    _check_site(gen, j)
+    state, hat = _half_stack(gen, rho0, i0, t)
+    if hat is None:
+        return state.block(j)
+    block = unvec(_site_weights(gen, j - i0)[0] @ hat, gen.coin.dim)
+    return (block + block.conj().T) / 2.0
 
-    The momentum-space state advances by e^{dt L_k}, with one batched
-    exponential per distinct step length. A leading step of 0 yields the
-    initial profile exactly.
+
+def _trace_rows(gen: BlockGenerator, rho, steps):
+    """Yield the half traces Tr hat(q), q = 0..radius, after each of consecutive time steps.
+
+    Only momenta 0..radius are stepped; the traces of the others are the
+    conjugates tr(N - q) = tr(q)^* (module docstring). hat(q) advances by
+    e^{dt L_k}, with one batched exponential per distinct step length; a
+    step of 0 leaves it unchanged.
     """
-    state = initial_block_state(gen, rho0, i0)
     d = gen.coin.dim
-    hat = np.broadcast_to(vec(state.block(i0)), (gen.n_sites, d * d))
+    hat = np.broadcast_to(vec(rho), (gen.radius + 1, d * d))
     powers = {}
     for dt in steps:
-        if dt == 0:
-            yield state.trace_profile()
-            continue
-        if dt not in powers:
-            powers[dt] = mat_exp(gen.symbols, dt)
-        hat = np.einsum("kab,kb->ka", powers[dt], hat)
-        yield _to_sites(gen, hat[:, :: d + 1].sum(axis=1), i0).real
+        if dt != 0:
+            if dt not in powers:
+                powers[dt] = mat_exp(gen.symbols, dt)
+            hat = np.einsum("kab,kb->ka", powers[dt], hat)
+        yield hat[:, :: d + 1].sum(axis=1)
+
+
+def _site_series(gen: BlockGenerator, rho0, i0: int, sites, steps) -> np.ndarray:
+    """p_{j i0; rho} after each of consecutive time steps, shape (len(steps), len(sites)).
+
+    Every step projects its half traces onto the sites; no profile and no
+    FFT is formed. A leading step of 0 gives the initial occupation exactly.
+    """
+    sites = np.array([int(s) for s in np.atleast_1d(sites)], dtype=int)
+    for s in sites:
+        _check_site(gen, s)
+    state = initial_block_state(gen, rho0, i0)
+    weights = _site_weights(gen, sites - i0)
+    rows = np.array([(weights @ tr).real for tr in _trace_rows(gen, state.block(i0), steps)])
+    rows = rows.reshape(len(steps), len(sites))
+    if len(steps) and steps[0] == 0:
+        rows[0] = state.trace_profile()[sites + gen.radius]
+    return rows
+
+
+def _time_grid(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.size and (not np.isfinite(times).all() or times[0] < 0
+                       or np.any(np.diff(times) <= 0)):
+        raise ValueError("times must be finite, strictly increasing and nonnegative")
+    return times
 
 
 def _chernoff_tail(stay, ahead, behind, v, dist: int) -> float:
@@ -241,37 +312,36 @@ def evolve(gen: BlockGenerator, rho0, i0: int, t: float) -> BlockState:
 def probability_series(gen: BlockGenerator, rho0, i0: int, sites, times) -> np.ndarray:
     """p_{j i0; rho}(t) for each requested site j over a time grid.
 
-    Returns an array of shape (len(times), len(sites)).
+    Returns an array of shape (len(times), len(sites)); each time step
+    projects onto the requested sites alone (``_site_series``).
     """
-    sites = [int(s) for s in np.atleast_1d(sites)]
-    for s in sites:
-        if abs(s) > gen.radius:
-            raise ValueError(f"site {s} outside truncation radius {gen.radius}")
-    return trace_profile_series(gen, rho0, i0, times)[:, [s + gen.radius for s in sites]]
+    times = _time_grid(times)
+    return _site_series(gen, rho0, i0, sites, np.diff(times, prepend=0.0))
 
 
 def trace_profile_series(gen: BlockGenerator, rho0, i0: int, times) -> np.ndarray:
-    """Site-occupation profiles Tr(rho_t(i)) over a time grid."""
-    times = np.asarray(times, dtype=float)
-    if times.size and (not np.isfinite(times).all() or times[0] < 0
-                       or np.any(np.diff(times) <= 0)):
-        raise ValueError("times must be finite, strictly increasing and nonnegative")
-    rows = list(_trace_rows(gen, rho0, i0, np.diff(times, prepend=0.0)))
-    return np.array(rows).reshape(len(rows), gen.n_sites)
+    """Site-occupation profiles Tr(rho_t(i)) over a time grid.
+
+    One real inverse DFT (``np.fft.hfft``) over the half traces of all rows.
+    """
+    times = _time_grid(times)
+    state = initial_block_state(gen, rho0, i0)
+    rows = np.array(list(_trace_rows(gen, state.block(i0), np.diff(times, prepend=0.0))))
+    per_offset = np.fft.hfft(rows.reshape(len(times), gen.radius + 1), n=gen.n_sites, axis=1)
+    profiles = np.roll(per_offset, gen.radius + i0, axis=1) / gen.n_sites
+    if times.size and times[0] == 0:
+        profiles[0] = state.trace_profile()
+    return profiles
 
 
 def transition_probability(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> float:
     """p_{j i0; rho}(t) = Tr(rho_t(j))."""
-    if abs(j) > gen.radius:
-        raise ValueError(f"site {j} outside truncation radius {gen.radius}")
-    return float(np.trace(_blocks(gen, rho0, i0, t)[j + gen.radius]).real)
+    return float(np.trace(_site_block(gen, rho0, i0, j, t)).real)
 
 
 def conditioned_state(gen: BlockGenerator, rho0, i0: int, k: int, beta: float) -> np.ndarray:
     """Internal state at site k given the walker is observed there at time beta."""
-    if abs(k) > gen.radius:
-        raise ValueError(f"site {k} outside truncation radius {gen.radius}")
-    return _condition_block(_blocks(gen, rho0, i0, beta)[k + gen.radius], k)
+    return _condition_block(_site_block(gen, rho0, i0, k, beta), k)
 
 
 def _condition_block(block: np.ndarray, site: int) -> np.ndarray:
@@ -299,9 +369,10 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     The left side is one propagation to alpha+beta. The right side re-launches
     the walk from every site k that carries mass at time beta, started in the
     conditioned internal state there. The launches share only the
-    propagator e^{alpha L_k}, exponentiated once: each launch is one row of
-    a matrix that meets the propagator's trace rows in one product, and one
-    FFT over momenta gives every launch's occupation of j. Their agreement
+    propagator e^{alpha L_k}, exponentiated once for momenta 0..radius: each
+    launch is one row of a matrix that meets the propagator's trace rows in
+    one product, and one real inverse DFT over momenta (the launches are
+    Hermitian) gives every launch's occupation of j. Their agreement
     with the left side is the identity under test. Raises if the leak bound
     at alpha+beta reaches LEAK_TOL.
     """
@@ -323,8 +394,8 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     d = gen.coin.dim
     trace_rows = mat_exp(gen.symbols, alpha)[:, :: d + 1].sum(axis=1)
     hat = trace_rows @ launches.T
-    at_j = np.fft.fft(hat, axis=0)[(j + gen.radius - occupied) % gen.n_sites,
-                                   np.arange(len(occupied))].real / gen.n_sites
+    at_j = np.fft.hfft(hat, n=gen.n_sites, axis=0)[(j + gen.radius - occupied) % gen.n_sites,
+                                                   np.arange(len(occupied))] / gen.n_sites
     return abs(lhs - float(at_j @ probs[occupied]))
 
 
@@ -334,7 +405,8 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
 
     For each momentum, exp([[T L_k, T vec(rho0)], [0, 0]]) (Van Loan) carries
     int_0^T e^{t L_k} vec(rho0) dt in its last column; the return integral is
-    the mean of their traces over k. With ``with_half`` it returns the pair
+    the mean of their traces over the ring's momenta, (tr_0 + 2 sum_{q >= 1}
+    Re tr_q) / N from momenta 0..radius. With ``with_half`` it returns the pair
     (value at T, value at T/2) from the one exponential E at T/2: the full
     column is that of E^2, e^{T/2 L_k} c + c for E's last column c. Raises if
     the leak bound at T (or at T/2 with ``with_half``) reaches LEAK_TOL.
@@ -349,14 +421,15 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
                 f"truncation leak bound {leak:.3e} at time {t:g}; enlarge the radius"
             )
     d2 = gen.coin.dim ** 2
-    aug = np.zeros((gen.n_sites, d2 + 1, d2 + 1), dtype=complex)
+    aug = np.zeros((gen.radius + 1, d2 + 1, d2 + 1), dtype=complex)
     aug[:, :d2, :d2] = gen.symbols
     aug[:, :d2, d2] = vec(rho)
     e = mat_exp(aug, horizon / 2.0 if with_half else horizon)
     column = e[:, :d2, d2]
+    at_start = _site_weights(gen, 0)[0]
 
     def value(c):
-        return float(c[:, :: gen.coin.dim + 1].sum(axis=1).mean().real)
+        return float((at_start @ c[:, :: gen.coin.dim + 1].sum(axis=1)).real)
 
     if not with_half:
         return value(column)
@@ -368,19 +441,16 @@ def skeleton_partials(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
                       n_steps: int) -> np.ndarray:
     """Partial sums sum_{n=0}^{k} p_{j i0; rho}(n delta) for k = 0..n_steps.
 
-    Term n applies the n-th power of e^{delta L_k}; term 0 is the initial
-    occupation of site j.
+    Term n applies the n-th power of e^{delta L_k} and projects onto site j
+    (``_site_series``); term 0 is the initial occupation of site j exactly.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    if abs(j) > gen.radius:
-        raise ValueError(f"site {j} outside truncation radius {gen.radius}")
     steps = np.full(n_steps + 1, float(delta))
     steps[0] = 0.0
-    terms = [profile[j + gen.radius] for profile in _trace_rows(gen, rho0, i0, steps)]
-    return np.cumsum(terms)
+    return np.cumsum(_site_series(gen, rho0, i0, j, steps)[:, 0])
 
 
 def skeleton_sum(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,

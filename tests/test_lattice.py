@@ -4,11 +4,13 @@ conditioning, the composition identity, return integrals, skeleton sums, scale
 covariance, the leak bound and radius selection."""
 
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 import scipy.special
 
@@ -152,6 +154,137 @@ class TestBlockGenerator:
         assert np.linalg.norm(via_dense - expect) < 1e-12
 
 
+def dense_blocks(gen, rho, i0, t):
+    """Ring blocks at time t from scipy's expm of the dense ring generator."""
+    d = gen.coin.dim
+    start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+    y = scipy.linalg.expm(t * gen.dense_matrix()) @ start
+    return y.reshape(gen.n_sites, d, d).transpose(0, 2, 1)
+
+
+def dense_traces(blocks):
+    return np.einsum("ijj->i", blocks).real
+
+
+# (d, radius, i0): the three-site ring and a larger one, starts on both edges
+HALF_SPECTRUM_CASES = [(d, radius, i0) for d in (1, 2, 3)
+                       for radius, i0 in ((1, -1), (1, 1), (4, -4), (4, 2), (4, 4))]
+
+
+class TestHalfSpectrum:
+    """Entry points that exponentiate momenta 0..radius only, against scipy's
+    expm of the dense ring generator, which moves all 2 radius + 1 momenta."""
+
+    T = 0.6
+
+    @pytest.fixture(params=HALF_SPECTRUM_CASES, ids=lambda c: "d%d-r%d-i%d" % c)
+    def case(self, request):
+        d, radius, i0 = request.param
+        rng = np.random.default_rng([d, radius, i0 + radius])
+        return build_block_generator(random_coin(rng, d), radius), random_density(rng, d), i0
+
+    def test_blocks_profiles_and_sites(self, case):
+        gen, rho, i0 = case
+        assert len(gen.symbols) == gen.radius + 1
+        sites = np.arange(-gen.radius, gen.radius + 1)
+        times = [0.0, self.T / 3.0, self.T]
+        ref = [dense_traces(dense_blocks(gen, rho, i0, t)) for t in times]
+        ref_blocks = dense_blocks(gen, rho, i0, self.T)
+        assert np.abs(evolve(gen, rho, i0, self.T).blocks - ref_blocks).max() <= 1e-13
+        profiles = lattice_mod.trace_profile_series(gen, rho, i0, times)
+        series = probability_series(gen, rho, i0, sites, times)
+        assert np.array_equal(profiles[0], ref[0]) and np.array_equal(series[0], ref[0])
+        assert np.abs(profiles - ref).max() <= 1e-13
+        assert np.abs(series - ref).max() <= 1e-13
+        for j in sites:
+            p = transition_probability(gen, rho, i0, int(j), self.T)
+            assert abs(p - ref[-1][j + gen.radius]) <= 1e-13
+
+    def test_conditioned_states(self, case):
+        gen, rho, i0 = case
+        ref = dense_blocks(gen, rho, i0, self.T)
+        for q, block in enumerate(ref):
+            p = np.trace(block).real
+            if p > 1e-3:
+                expect = (block + block.conj().T) / (2.0 * p)
+                got = conditioned_state(gen, rho, i0, q - gen.radius, self.T)
+                assert np.abs(got - expect).max() <= 1e-13
+
+    def test_skeleton_partials(self, case):
+        gen, rho, i0 = case
+        delta, n_steps = 0.2, 6
+        step = scipy.linalg.expm(delta * gen.dense_matrix())
+        y = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+        terms = []
+        for _ in range(n_steps + 1):
+            terms.append(dense_traces(y.reshape(gen.n_sites, gen.coin.dim, -1)))
+            y = step @ y
+        ref = np.cumsum(terms, axis=0)
+        for q in range(gen.n_sites):
+            got = skeleton_partials(gen, rho, i0, q - gen.radius, delta, n_steps)
+            assert np.abs(got - ref[:, q]).max() <= 1e-13
+
+    def test_skeleton_term_zero_is_exact(self, case):
+        gen, _, i0 = case
+        rho = np.eye(gen.coin.dim) / gen.coin.dim
+        for j in range(-gen.radius, gen.radius + 1):
+            got = skeleton_partials(gen, rho, i0, j, 0.2, 0).tolist()
+            assert got == ([1.0] if j == i0 else [0.0])
+
+    @pytest.fixture
+    def ungated(self, monkeypatch):
+        # The reference is the same ring, so the wrap-around gate is lifted:
+        # on these small rings the leak bound never drops below LEAK_TOL.
+        monkeypatch.setattr(lattice_mod, "LEAK_TOL", np.inf)
+
+    def test_return_integral(self, case, ungated):
+        gen, rho, i0 = case
+        horizon = self.T
+        n = gen.vec_dim
+        start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+
+        def ref(t):
+            aug = np.zeros((n + 1, n + 1), dtype=complex)
+            aug[:n, :n] = t * gen.dense_matrix()
+            aug[:n, n] = t * start
+            column = scipy.linalg.expm(aug)[:n, n]
+            return dense_traces(column.reshape(gen.n_sites, gen.coin.dim, -1))[i0 + gen.radius]
+
+        plain = return_integral(gen, rho, i0, horizon)
+        full, half = return_integral(gen, rho, i0, horizon, with_half=True)
+        for got, t in ((plain, horizon), (full, horizon), (half, horizon / 2.0)):
+            assert abs(got - ref(t)) <= 1e-13 * ref(t)
+
+    def test_chapman_kolmogorov_residual(self, case, ungated):
+        gen, rho, i0 = case
+        alpha, beta = self.T / 3.0, self.T / 2.0
+        at_beta = dense_blocks(gen, rho, i0, beta)
+        probs = dense_traces(at_beta)
+        rhs = 0.0
+        for q in np.flatnonzero(probs > lattice_mod.SITE_PROB_FLOOR):
+            sigma = (at_beta[q] + at_beta[q].conj().T) / (2.0 * probs[q])
+            rhs = rhs + probs[q] * dense_traces(dense_blocks(gen, sigma, q - gen.radius, alpha))
+        lhs = dense_traces(dense_blocks(gen, rho, i0, alpha + beta))
+        for j in range(-gen.radius, gen.radius + 1):
+            res = chapman_kolmogorov_residual(gen, rho, i0, j, alpha, beta)
+            assert abs(res - abs(lhs - rhs)[j + gen.radius]) <= 1e-13
+
+
+class TestProbabilitySeriesMemory:
+    def test_one_site_builds_no_profile(self):
+        # the (401, 8193) float profile of the whole ring alone is 26 MB
+        gen = build_block_generator(scalar_coin(1.0, 1.0), 4096)
+        times = np.linspace(0.0, 10.0, 401)
+        tracemalloc.start()
+        try:
+            p = probability_series(gen, np.eye(1), 0, [0], times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert abs(p[-1, 0] - bessel_p00(10.0)) <= 1e-13
+
+
 class TestEvolve:
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_dense_ring_exponential(self, d):
@@ -195,6 +328,8 @@ class TestEvolve:
             st = evolve(gen, random_density(rng, d), 0, 1.0)
             assert st.total_trace() + st.leaked_mass == pytest.approx(1.0, abs=1e-8)
             assert st.min_eigenvalue() >= -1e-9
+            per_block = min(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min() for b in st.blocks)
+            assert st.min_eigenvalue() == per_block
 
     def test_blocks_stay_hermitian(self):
         coin = three_level_coin(0.0)

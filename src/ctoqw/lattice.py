@@ -27,21 +27,31 @@ symbol L(theta) at k = -i theta, ``leak_bound`` takes the Chernoff bound
 e^{-theta D} Tr(e^{t L(theta)} rho0) at each window edge. The bound holds for
 every theta >= 0; theta minimises t lambda(theta) - theta D, with lambda the
 spectral abscissa of L(theta) (the large-deviation rate of the walk), found
-from eigenvalues alone, and the moment is then exponentiated once at that
-theta. It bounds the mass outside the window at time t, hence the
-wrap-around error of every window value then; ``BlockState.leaked_mass``
-reports it, and the long-horizon routines raise when it reaches LEAK_TOL.
+from eigenvalues alone. L(theta) maps Hermitian matrices to Hermitian
+matrices, so in an orthonormal basis of them it is a real matrix with the
+same eigenvalues: each search step is one LAPACK dgeev on that real form,
+and the moments of both edges come from one stacked exponential, 1.0-1.4 ms
+per call at d <= 3. The search range grows as t rate_scale -> 0, so the
+bound vanishes with t. It bounds the mass outside the window at time t,
+hence the wrap-around error of every window value then;
+``BlockState.leaked_mass`` reports it, and the long-horizon routines raise
+when it reaches LEAK_TOL.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg.lapack import dgeev
 
 from .linalg import mat_exp, unvec, vec
 from .model import Coin, density_for, no_jump_generator, symbol_parts
+from .stationary import rate_scale
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
 LEAK_TOL = 1e-8
@@ -50,6 +60,10 @@ RADIUS_START = 16
 MAX_RADIUS = 1 << 15
 # Largest vectorized ring state for which dense_matrix builds the full generator.
 DENSE_STATE_CAP = 4096
+# Time steps within STEP_MERGE_EPS float epsilons of the grid's end time of
+# each other share one exponential in _trace_rows: np.linspace steps differ by
+# at most about 4.5 epsilons of the end time (two roundings of the times).
+STEP_MERGE_EPS = 16
 # Sites carrying less mass than this are ignored when conditioning. Ring
 # blocks carry absolute round-off up to about 1e-17 from the Fourier sums;
 # on a lighter site that round-off approaches the 1e-8 eigenvalue check of
@@ -148,6 +162,11 @@ def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
     return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=0.0)
 
 
+def _check_time(t: float) -> None:
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
 def _check_site(gen: BlockGenerator, j: int) -> None:
     if abs(j) > gen.radius:
         raise ValueError(f"site {j} outside truncation radius {gen.radius}")
@@ -166,24 +185,22 @@ def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
     return np.where(q == 0, 1.0, 2.0) * np.exp(-2j * np.pi * turns / gen.n_sites) / gen.n_sites
 
 
-def _half_stack(gen: BlockGenerator, rho0, i0: int, t: float):
-    """The initial state and hat(q) = e^{t L_k} vec(rho0) for q = 0..radius (None at t = 0)."""
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
-    state = initial_block_state(gen, rho0, i0)
+def _half_stack(gen: BlockGenerator, state: BlockState, i0: int, t: float):
+    """hat(q) = e^{t L_k} vec(rho0) for q = 0..radius from the initial state (None at t = 0)."""
+    _check_time(t)
     if t == 0:
-        return state, None
-    return state, mat_exp(gen.symbols, t) @ vec(state.block(i0))
+        return None
+    return mat_exp(gen.symbols, t) @ vec(state.block(i0))
 
 
-def _blocks(gen: BlockGenerator, rho0, i0: int, t: float) -> np.ndarray:
-    """Ring blocks at time t >= 0 from rho0 at site i0.
+def _blocks(gen: BlockGenerator, state: BlockState, i0: int, t: float) -> np.ndarray:
+    """Ring blocks at time t >= 0 from the initial state at site i0.
 
     The full momentum array is the half stack followed by its mirror
     hat(N - q) = vec(X^*) for hat(q) = vec(X): the vec(X^T) permutation,
     conjugated. One complex FFT then gives every block.
     """
-    state, hat = _half_stack(gen, rho0, i0, t)
+    hat = _half_stack(gen, state, i0, t)
     if hat is None:
         return state.blocks
     d = gen.coin.dim
@@ -197,7 +214,8 @@ def _blocks(gen: BlockGenerator, rho0, i0: int, t: float) -> np.ndarray:
 def _site_block(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> np.ndarray:
     """Block rho_t(j), projected from the half stack with the weights of site j."""
     _check_site(gen, j)
-    state, hat = _half_stack(gen, rho0, i0, t)
+    state = initial_block_state(gen, rho0, i0)
+    hat = _half_stack(gen, state, i0, t)
     if hat is None:
         return state.block(j)
     block = unvec(_site_weights(gen, j - i0)[0] @ hat, gen.coin.dim)
@@ -209,14 +227,20 @@ def _trace_rows(gen: BlockGenerator, rho, steps):
 
     Only momenta 0..radius are stepped; the traces of the others are the
     conjugates tr(N - q) = tr(q)^* (module docstring). hat(q) advances by
-    e^{dt L_k}, with one batched exponential per distinct step length; a
-    step of 0 leaves it unchanged.
+    e^{dt L_k}, with one batched exponential per step length; a step of 0
+    leaves it unchanged. Steps of a float grid such as np.linspace differ
+    by the rounding of the times, so a step within STEP_MERGE_EPS * eps * T
+    (T the sum of the steps, eps the float epsilon) of one already seen
+    reuses its exponential: the time of row n then moves by at most
+    n * STEP_MERGE_EPS * eps * T.
     """
     d = gen.coin.dim
     hat = np.broadcast_to(vec(rho), (gen.radius + 1, d * d))
+    tol = STEP_MERGE_EPS * np.finfo(float).eps * float(np.sum(steps))
     powers = {}
     for dt in steps:
         if dt != 0:
+            dt = next((h for h in powers if abs(h - dt) <= tol), dt)
             if dt not in powers:
                 powers[dt] = mat_exp(gen.symbols, dt)
             hat = np.einsum("kab,kb->ka", powers[dt], hat)
@@ -249,63 +273,122 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def _chernoff_tail(stay, ahead, behind, v, dist: int) -> float:
-    """e^{-theta dist} Tr(e^{M(theta)} rho), M(theta) = stay + e^theta ahead + e^-theta behind.
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Columns vec(B) of an orthonormal basis of the Hermitian d x d matrices.
 
-    theta minimises lambda(theta) - theta dist on 0..2 log(2 + dist), with
-    lambda(theta) the spectral abscissa of M(theta), by bounded Brent on
-    eigenvalues alone. The moment is then exponentiated once, at that theta,
-    shifted by lambda(theta) so that it cannot overflow; the Chernoff
-    inequality holds at every theta, so the value is a bound. A moment that
-    is not a positive normal float (it underflows when the abscissa belongs
-    to a level rho barely reaches) gives the trivial bound 1.
+    The d diagonal units E_ii come first, so Tr X is the sum of the first d
+    coordinates of X; each pair i < j adds (E_ij + E_ji)/sqrt 2 and
+    i (E_ij - E_ji)/sqrt 2.
+    """
+    eye = np.eye(d)
+    units = [np.outer(e, e) for e in eye]
+    for i, j in itertools.combinations(range(d), 2):
+        e = np.outer(eye[i], eye[j])
+        units += [(e + e.T) / np.sqrt(2.0), 1j * (e - e.T) / np.sqrt(2.0)]
+    basis = np.array([vec(b) for b in units]).T
+    basis.setflags(write=False)
+    return basis
+
+
+def _theta_max(dist: int, t_rate: float) -> float:
+    """Upper end of the theta search for an edge dist sites away, t_rate = t rate_scale.
+
+    2 log(2 + dist), or log(4 dist / t_rate) when that is larger: for a short
+    time the optimal theta is about log(dist / (t a)), a the rate of jumps
+    towards the edge, so the range holds it while a >= rate_scale / 4. It
+    depends on t only through t_rate, so the rescaled coin (sC, sA, s^2 H) at
+    t / s^2 searches the same range. Capped at half the log of the largest
+    float, where e^theta stays finite.
+    """
+    grown = np.log(4.0 * dist) - np.log(t_rate)
+    return min(max(2.0 * np.log(2.0 + dist), grown), 0.5 * np.log(np.finfo(float).max))
+
+
+def _abscissa(m: np.ndarray) -> float:
+    """Largest real part of the eigenvalues of a real square matrix (LAPACK dgeev)."""
+    wr, _, _, _, info = dgeev(m, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgeev failed with info {info}")
+    return float(wr.max())
+
+
+def _edge_tilt(stay, ahead, behind, dist: int, theta_max: float):
+    """(theta, lambda, M(theta) - lambda) at the minimiser of lambda(theta) - theta dist.
+
+    M(theta) = stay + e^theta ahead + e^-theta behind on the real form, and
+    lambda its spectral abscissa; bounded Brent on 0..theta_max.
     """
     def tilted(theta):
-        return stay + np.exp(theta) * ahead + np.exp(-theta) * behind
-
-    def abscissa(m):
-        return float(np.linalg.eigvals(m).real.max())
+        return stay + math.exp(theta) * ahead + math.exp(-theta) * behind
 
     theta = scipy.optimize.minimize_scalar(
-        lambda th: abscissa(tilted(th)) - th * dist,
-        bounds=(0.0, 2.0 * np.log(2.0 + dist)), method="bounded").x
+        lambda th: _abscissa(tilted(th)) - th * dist,
+        bounds=(0.0, theta_max), method="bounded").x
     m = tilted(theta)
-    mu = abscissa(m)
-    d = int(round(np.sqrt(v.size)))
-    moment = float((mat_exp(m - mu * np.eye(len(m)))[:: d + 1].sum(axis=0) @ v).real)
-    if not np.isfinite(moment) or moment < np.finfo(float).tiny:
-        return 1.0
-    return float(np.exp(min(mu + np.log(moment) - theta * dist, 0.0)))
+    mu = _abscissa(m)
+    return theta, mu, m - mu * np.eye(len(m))
+
+
+def _leak_bound(coin: Coin, rho: np.ndarray, i0: int, radius: int, t: float) -> float:
+    """leak_bound for a state already checked by density_for, i0 in range and t >= 0 finite."""
+    if t == 0:
+        return 0.0
+    basis = _hermitian_basis(coin.dim)
+    # Fortran order, which dgeev takes without a copy
+    stay, right, left = (np.asfortranarray((basis.conj().T @ (t * p) @ basis).real)
+                         for p in symbol_parts(coin))
+    v = (basis.conj().T @ vec(rho)).real
+    t_rate = t * rate_scale(coin)
+    edges = [(right, left, radius + 1 - i0), (left, right, radius + 1 + i0)]
+    tilts = [_edge_tilt(stay, ahead, behind, dist, _theta_max(dist, t_rate))
+             for ahead, behind, dist in edges]
+    # both moments from one stacked exponential; rows 0..d-1 of the real form sum to Tr
+    shifted = mat_exp(np.array([m for _, _, m in tilts]))
+    moments = (shifted[:, : coin.dim].sum(axis=1) @ v).real
+    total = 0.0
+    for (theta, mu, _), moment, (_, _, dist) in zip(tilts, moments, edges):
+        if not np.isfinite(moment) or moment < np.finfo(float).tiny:
+            total += 1.0
+        else:
+            total += float(np.exp(min(mu + np.log(moment) - theta * dist, 0.0)))
+    return min(1.0, total)
 
 
 def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     """Certified bound on the mass beyond sites -radius..radius at time t.
 
-    The sum over both edges of the Chernoff bound (module docstring), with D
-    the distance from i0 to the edge plus one, capped at 1. Each edge costs
-    one exponential; its theta comes from the spectral abscissa. Against
-    theta minimising the exact moment the bound is within a factor 1.7 on
-    random coins and states (median 1.00001). When the levels decouple,
-    theta suits the level that dominates the edge, and the bound loosens by
-    up to the inverse of rho's weight on that level.
+    The sum over both edges of the Chernoff bound e^{-theta D} Tr(e^{M(theta)}
+    rho0), M(theta) = t (S + e^theta R + e^-theta L), with D the distance from
+    i0 to the edge plus one, capped at 1. M(theta) maps Hermitian matrices to
+    Hermitian matrices, so in an orthonormal basis of them (``_hermitian_basis``)
+    it is a real d^2 x d^2 matrix with the same eigenvalues; S, R and L are
+    put in that form once per call. theta minimises lambda(theta) - theta D,
+    lambda the spectral abscissa, by bounded Brent over ``_theta_max`` with
+    one LAPACK dgeev (no eigenvectors) per step. That range grows as
+    t rate_scale -> 0, so the bound vanishes with t (about e t from an edge
+    start of the scalar walk) instead of stalling at (2 + D)^{-2D}. The
+    moments of both edges, each shifted by its lambda so that it cannot
+    overflow, come from one stacked exponential; a moment that is not a
+    positive normal float (it underflows when the abscissa belongs to a
+    level rho barely reaches) gives that edge the trivial bound 1. A call
+    takes 1.0-1.4 ms at d <= 3 (2-vCPU Xeon, one BLAS thread). Against theta
+    minimising the exact moment the bound is within a factor 1.7 on random
+    coins and states (median 1.00001). When the levels decouple, theta suits
+    the level that dominates the edge, and the bound loosens by up to the
+    inverse of rho's weight on that level.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    _check_time(t)
     if abs(i0) > radius:
         raise ValueError(f"start site {i0} outside truncation radius {radius}")
-    v = vec(density_for(coin, rho0))
-    if t == 0:
-        return 0.0
-    stay, right, left = (t * m for m in symbol_parts(coin))
-    total = (_chernoff_tail(stay, right, left, v, radius + 1 - i0)
-             + _chernoff_tail(stay, left, right, v, radius + 1 + i0))
-    return min(1.0, total)
+    return _leak_bound(coin, density_for(coin, rho0), i0, radius, t)
 
 
 def evolve(gen: BlockGenerator, rho0, i0: int, t: float) -> BlockState:
     """State at time t >= 0 from rho0 concentrated at site i0."""
-    blocks = _blocks(gen, rho0, i0, t)
-    leak = leak_bound(gen.coin, rho0, i0, gen.radius, t)
+    state = initial_block_state(gen, rho0, i0)
+    blocks = _blocks(gen, state, i0, t)
+    leak = _leak_bound(gen.coin, state.block(i0), i0, gen.radius, t)
     return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=leak)
 
 
@@ -378,7 +461,9 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     """
     if not (np.isfinite([alpha, beta]).all() and min(alpha, beta) >= 0):
         raise ValueError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
-    direct = evolve(gen, rho0, i0, alpha + beta)
+    state = initial_block_state(gen, rho0, i0)
+    direct = BlockState(gen.radius, _blocks(gen, state, i0, alpha + beta),
+                        _leak_bound(gen.coin, state.block(i0), i0, gen.radius, alpha + beta))
     if direct.leaked_mass >= LEAK_TOL:
         raise RuntimeError(
             f"truncation leak bound {direct.leaked_mass:.3e} at time alpha+beta; "
@@ -386,7 +471,7 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
         )
     lhs = float(np.trace(direct.block(j)).real)
 
-    at_beta = _blocks(gen, rho0, i0, beta)
+    at_beta = _blocks(gen, state, i0, beta)
     probs = np.einsum("ijj->i", at_beta).real
     occupied = np.flatnonzero(probs > SITE_PROB_FLOOR)
     launches = np.array([vec(_condition_block(at_beta[q], int(q) - gen.radius))
@@ -415,7 +500,7 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     rho = initial_block_state(gen, rho0, i0).block(i0)
     for t in (horizon, horizon / 2.0) if with_half else (horizon,):
-        leak = leak_bound(gen.coin, rho, i0, gen.radius, t)
+        leak = _leak_bound(gen.coin, rho, i0, gen.radius, t)
         if leak >= LEAK_TOL:
             raise RuntimeError(
                 f"truncation leak bound {leak:.3e} at time {t:g}; enlarge the radius"
@@ -464,14 +549,15 @@ def choose_radius(coin: Coin, i0: int, t: float, rho0=None, *,
     """Smallest doubling radius whose leak bound at time t is below leak_tol.
 
     Doubles from max(RADIUS_START, 2|i0|) up to MAX_RADIUS and evaluates
-    ``leak_bound`` for each candidate; nothing is evolved. The bound is taken
-    for rho0, or for the maximally mixed state when rho0 is omitted.
+    ``leak_bound`` for each candidate; nothing is evolved, and rho0 is
+    checked once. The bound is taken for rho0, or for the maximally mixed
+    state when rho0 is omitted.
     """
-    if rho0 is None:
-        rho0 = np.eye(coin.dim) / coin.dim
+    _check_time(t)
+    rho = np.eye(coin.dim) / coin.dim if rho0 is None else density_for(coin, rho0)
     radius = max(RADIUS_START, 2 * abs(i0))
     while radius <= MAX_RADIUS:
-        if leak_bound(coin, rho0, i0, radius, t) < leak_tol:
+        if _leak_bound(coin, rho, i0, radius, t) < leak_tol:
             return radius
         radius *= 2
     raise RuntimeError(

@@ -1,8 +1,12 @@
 """Shared helpers for the test suite: random coin factories and matrix probes."""
 
 import numpy as np
+import scipy.optimize
 
-from ctoqw import Coin, validate_coin
+from ctoqw import Coin, mat_exp, validate_coin, vec
+from ctoqw.lattice import _theta_max
+from ctoqw.model import symbol_parts
+from ctoqw.stationary import rate_scale
 
 
 def random_hermitian(rng, d: int, scale: float = 1.0) -> np.ndarray:
@@ -56,3 +60,39 @@ def random_density(rng, d: int) -> np.ndarray:
 
 def same_projector(p, q, tol: float = 1e-8) -> bool:
     return np.max(np.abs(np.asarray(p) - np.asarray(q))) < tol
+
+
+def complex_chernoff_tail(stay, ahead, behind, v, dist: int, theta_max: float) -> float:
+    """The Chernoff tail of one edge on the complex d^2 x d^2 tilted symbol.
+
+    Bounded Brent over 0..theta_max with ``np.linalg.eigvals`` at every step,
+    then one exponential of M(theta) shifted by its abscissa: the form
+    ``lattice.leak_bound`` had before it moved to the real form.
+    """
+    def tilted(theta):
+        return stay + np.exp(theta) * ahead + np.exp(-theta) * behind
+
+    def abscissa(m):
+        return float(np.linalg.eigvals(m).real.max())
+
+    theta = scipy.optimize.minimize_scalar(
+        lambda th: abscissa(tilted(th)) - th * dist,
+        bounds=(0.0, theta_max), method="bounded").x
+    m = tilted(theta)
+    mu = abscissa(m)
+    d = int(round(np.sqrt(v.size)))
+    moment = float((mat_exp(m - mu * np.eye(len(m)))[:: d + 1].sum(axis=0) @ v).real)
+    if not np.isfinite(moment) or moment < np.finfo(float).tiny:
+        return 1.0
+    return float(np.exp(min(mu + np.log(moment) - theta * dist, 0.0)))
+
+
+def complex_leak_bound(coin: Coin, rho, i0: int, radius: int, t: float) -> float:
+    """``lattice.leak_bound`` (t > 0) from :func:`complex_chernoff_tail`, same theta range."""
+    stay, right, left = (t * m for m in symbol_parts(coin))
+    t_rate = t * rate_scale(coin)
+    total = sum(complex_chernoff_tail(stay, ahead, behind, vec(rho), dist,
+                                      _theta_max(dist, t_rate))
+                for ahead, behind, dist in ((right, left, radius + 1 - i0),
+                                            (left, right, radius + 1 + i0)))
+    return min(1.0, total)

@@ -203,6 +203,13 @@ class TestIntegralCommand:
         # sqrt(T) tail growth: doubling the horizon misses a factor 2
         assert 1.2 < doc["growth_ratio"] < 2.0
 
+    def test_short_horizon_on_a_three_site_ring(self, capsys):
+        # the leak bound vanishes with t, so a --trunc 3 ring certifies T = 0.01
+        code, doc = run_json(capsys, ["integral", str(COINS / "scalar_symmetric.json"),
+                                      "--horizon", "0.01", "--trunc", "3"])
+        assert code == 0
+        assert doc["value"] == pytest.approx(0.00990099172, rel=1e-9)
+
     @pytest.mark.parametrize("name", ["three_level_c0.json", "scalar_symmetric.json",
                                       "scalar_biased.json"])
     def test_one_exponential_matches_two_integrals(self, capsys, name):

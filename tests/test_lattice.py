@@ -36,6 +36,7 @@ from ctoqw import (
 )
 import ctoqw.lattice as lattice_mod
 from ctoqw.model import symbol_parts
+from ctoqw.stationary import rate_scale
 from ctoqw.coins import (
     diagonal_jumps_coin,
     scalar_coin,
@@ -44,7 +45,7 @@ from ctoqw.coins import (
     three_level_coin,
 )
 
-from helpers import random_coin, random_density
+from helpers import complex_leak_bound, random_coin, random_density
 
 COINS = Path(__file__).resolve().parents[1] / "coins"
 
@@ -61,7 +62,8 @@ def outside_mass(coin, rho, i0, radius, t, scale):
 
 
 def exact_theta_leak_bound(coin, rho, i0, radius, t):
-    """leak_bound with theta from bounded Brent on the exact shifted log-moment.
+    """leak_bound with theta from bounded Brent on the exact shifted log-moment,
+    over the same theta range.
 
     Every step exponentiates the tilted symbol; a moment that is not a
     positive normal float counts as the trivial bound at that theta.
@@ -79,7 +81,8 @@ def exact_theta_leak_bound(coin, rho, i0, radius, t):
             return mu + np.log(moment) - theta * dist
 
         best = scipy.optimize.minimize_scalar(
-            log_bound, bounds=(0.0, 2.0 * np.log(2.0 + dist)), method="bounded")
+            log_bound, bounds=(0.0, lattice_mod._theta_max(dist, t * rate_scale(coin))),
+            method="bounded")
         return float(np.exp(min(best.fun, 0.0)))
 
     stay, right, left = (t * m for m in symbol_parts(coin))
@@ -268,6 +271,33 @@ class TestHalfSpectrum:
         for j in range(-gen.radius, gen.radius + 1):
             res = chapman_kolmogorov_residual(gen, rho, i0, j, alpha, beta)
             assert abs(res - abs(lhs - rhs)[j + gen.radius]) <= 1e-13
+
+
+class TestTraceRowSteps:
+    def test_linspace_steps_share_one_exponential(self, monkeypatch):
+        # np.diff(np.linspace(0, 10, 401)) holds 10 distinct floats that
+        # differ only by the rounding of the times
+        times = np.linspace(0.0, 10.0, 401)
+        assert len(set(np.diff(times))) > 1
+        rng = np.random.default_rng(11)
+        gen = build_block_generator(random_coin(rng, 2), 8)
+        rho = random_density(rng, 2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mat_exp(*args)
+
+        monkeypatch.setattr(lattice_mod, "mat_exp", counted)
+        sites = np.arange(-gen.radius, gen.radius + 1)
+        series = probability_series(gen, rho, 0, sites, times)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        a = gen.dense_matrix()
+        start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, 0).blocks])
+        for t, row in zip(times[::20], series[::20]):
+            ref = dense_traces((scipy.linalg.expm(t * a) @ start).reshape(gen.n_sites, 2, 2))
+            assert np.abs(row - ref).max() <= 1e-12
 
 
 class TestProbabilitySeriesMemory:
@@ -497,6 +527,14 @@ class TestReturnIntegral:
                                           epsabs=1e-14, epsrel=1e-13)
             assert abs(val - ref) <= 1e-10 * ref
 
+    def test_short_horizon_on_a_small_ring(self):
+        # the leak bound at T = 0.01 on the radius-3 ring is about 4e-9, so
+        # the value is certified instead of refused
+        gen = build_block_generator(scalar_coin(1.0, 1.0), 3)
+        ref, _ = scipy.integrate.quad(bessel_p00, 0.0, 0.01, epsabs=0.0, epsrel=1e-12)
+        assert abs(ref - 0.00990099172) <= 1e-9 * ref
+        assert abs(return_integral(gen, np.eye(1), 0, 0.01) - ref) <= 1e-9 * ref
+
     def test_leak_breach_raises(self):
         gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
         with pytest.raises(RuntimeError):
@@ -617,6 +655,68 @@ class TestLeakBound:
                 bound = leak_bound(coin, rho, 0, radius, t)
                 assert bound >= outside_mass(coin, rho, 0, radius, t, 4)
                 assert bound <= exact_theta_leak_bound(coin, rho, 0, radius, t) / w
+
+    @pytest.mark.parametrize("source", [*sorted(p.name for p in COINS.glob("*.json")),
+                                        *range(16)])
+    def test_matches_the_complex_form(self, source):
+        # The real form changes only the rounding of lambda(theta): the bound
+        # stays within 1e-9 of the complex-symbol search over the same range.
+        if isinstance(source, str):
+            coin = load_coin(COINS / source)
+            rho = np.eye(coin.dim) / coin.dim
+        else:
+            rng = np.random.default_rng(90 + source)
+            coin = random_coin(rng, 1 + source % 3)
+            rho = random_density(rng, coin.dim)
+        for t in (0.1, 1.0, 10.0, 100.0):
+            for radius in (8, 16, 32, 64, 128, 256):
+                for i0 in (0, 3):
+                    bound = leak_bound(coin, rho, i0, radius, t)
+                    ref = complex_leak_bound(coin, rho, i0, radius, t)
+                    assert abs(bound - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_real_form_has_the_complex_abscissa(self, d):
+        # ||M|| is taken as ||S|| + e^theta ||R|| + e^-theta ||L||: at d = 1
+        # and theta = 0 the symbol cancels to round-off, M = 0.
+        rng = np.random.default_rng(100 + d)
+        basis = lattice_mod._hermitian_basis(d)
+        assert np.abs(basis.conj().T @ basis - np.eye(d * d)).max() <= 1e-15
+        for _ in range(4):
+            parts = symbol_parts(random_coin(rng, d))
+            real = [basis.conj().T @ p @ basis for p in parts]
+            assert max(np.abs(r.imag).max() / np.linalg.norm(p, 2)
+                       for r, p in zip(real, parts)) <= 1e-15
+            for theta in np.linspace(-5.0, 5.0, 21):
+                weights = (1.0, np.exp(theta), np.exp(-theta))
+                m = sum(w * p for w, p in zip(weights, parts))
+                scale = sum(w * np.linalg.norm(p, 2) for w, p in zip(weights, parts))
+                got = lattice_mod._abscissa(
+                    np.asfortranarray(sum(w * r.real for w, r in zip(weights, real))))
+                assert abs(got - np.linalg.eigvals(m).real.max()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-8])
+    def test_vanishes_with_time_from_an_edge_start(self, t):
+        # One jump to the right leaves the radius-3 ring from site 3, with
+        # probability about t; the theta range grows as t -> 0, so the bound
+        # follows (e t) instead of stalling at 1/9.
+        coin = scalar_coin(1.0, 1.0)
+        bound = leak_bound(coin, np.eye(1), 3, 3, t)
+        assert outside_mass(coin, np.eye(1), 3, 3, t, 8) <= bound <= 3.0 * t
+
+    @pytest.mark.parametrize("s", [0.3, 2.5])
+    def test_scale_covariant_at_every_time(self, s):
+        # theta's range depends on t only through t rate_scale, so the
+        # rescaled coin (sC, sA, s^2 H) at t / s^2 gives the same bound
+        rng = np.random.default_rng(7)
+        for coin, rho in ((scalar_coin(1.0, 1.0), np.eye(1)),
+                          (random_coin(rng, 2), random_density(rng, 2))):
+            fast = validate_coin(s * coin.left, s * coin.right, s * s * coin.ham)
+            for t in (1e-8, 1e-4, 0.1, 1.0, 10.0):
+                for radius, i0 in ((3, 3), (3, 0), (16, -2)):
+                    plain = leak_bound(coin, rho, i0, radius, t)
+                    scaled = leak_bound(fast, rho, i0, radius, t / (s * s))
+                    assert abs(scaled - plain) <= 1e-9 * plain
 
     def test_zero_time_and_range(self):
         coin = scalar_coin(1.0, 1.0)

@@ -24,12 +24,13 @@ P is at most u. If P is still above u at the end of the first window, the
 powers e^{2^j K h S} (extended by squaring) bracket the jump within one
 window first (JumpSampler._bracket, row-wise, so a single draw passes it one
 row): double until P drops to u, then halve; then the grid places it in a
-step of that window. Inside the step P is a polynomial in x that Newton
-steps with bisection invert, starting where the chord between the two
-bracketing grid survivals meets u and stopping once a Newton step leaves the
-time unchanged or the bracket is within REL_TIME_TOL; the state at the jump
-comes from the same Taylor terms. Nothing here needs G0 to be
-diagonalizable.
+step of that window. Inside the step P is a polynomial in x that Halley
+steps with bisection invert (Newton's step where Halley's denominator is not
+positive), starting where the chord between the two bracketing grid
+survivals meets u and stopping once a step corrects the time by at most
+REL_TIME_TOL relative or the bracket is within REL_TIME_TOL; the state at
+the jump comes from the same Taylor terms, and the jump weights from real
+trace rows of R and L. Nothing here needs G0 to be diagonalizable.
 
 Reproducibility: every path k of a run with seed s draws from its own
 counter-based stream keyed by (s, k), so results do not depend on scheduling
@@ -41,15 +42,17 @@ only the end sites and jump counts of many paths, run in lockstep: the live
 states form one (P, d^2) array, one product with the grid's trace rows
 places every row's jump in a step (rows past their first window take the
 window chain, one product per level), the in-step polynomials come from one
-coefficient product, Newton runs vectorised over all rows with the serial
-stopping rule per row (a finished row stays in the batch, frozen), and both
-jump weights and the post-jump states come from one product with R and L
-stacked; estimate_drift is its reduction. Each path reads its own stream in
-the serial order (jump time, then direction). Batched products sum in
-another order, so jump times agree with simulate_path on path_rng(s, k) to
-the Newton tolerance, and the end site agrees unless a uniform falls within
-about 1e-10 of a decision boundary. Single paths stay serial: a batch of one
-costs 260-440 us a draw against 37-69 us (near-EP coin, README timings).
+coefficient product, Halley runs vectorised over all rows with the serial
+stopping rule per row (a finished row stays in the batch, frozen; on the
+three-level coin nearly every round takes three passes), both jump weights
+come from one product with the real trace rows, and the post-jump states
+from one product with R and L stacked; estimate_drift is its reduction and
+reports the rounds and passes. Each path reads its own stream in the serial
+order (jump time, then direction). Batched products sum in another order, so jump
+times agree with simulate_path on path_rng(s, k) to REL_TIME_TOL, and the
+end site agrees unless a uniform falls within about 1e-10 of a decision
+boundary. Single paths stay serial: a batch of one costs 500-544 us a draw
+against 57-74 us (near-EP coin, README timings).
 
 With the same caveat, the site at tau < T on stream k is the end site of the
 horizon-tau run on that stream: both read the same uniforms in the same
@@ -110,6 +113,9 @@ class DriftEstimate:
     seed: int
     # Jumps over all paths.
     jumps: int
+    # Lockstep rounds, and the jump-time root finder's passes summed over them.
+    rounds: int
+    solver_passes: int
 
 
 class JumpSampler:
@@ -130,6 +136,7 @@ class JumpSampler:
         self.rate_scale = lam
 
         stay, right, left = symbol_parts(coin)
+        n = len(stay)
         # Both jump superoperators stacked, so one product gives R v and L v.
         self._rl = np.concatenate([right, left])
         self._h = 1.0 / float(np.linalg.norm(stay, 2))
@@ -139,10 +146,12 @@ class JumpSampler:
         # e^{hS} being their sum (smallest terms first).
         self._taylor = _power_stack(self._h * stay, _TAYLOR_TERMS - 1) * _INV_FACTORIALS
         self._steps = _power_stack(self._taylor[::-1].sum(axis=0), K)
-        # The traces of both stacks, as real rows acting on v.view(float):
-        # survival at every grid time, and the in-step polynomial coefficients.
+        # The traces of both stacks and of R v and L v, as real rows acting on
+        # v.view(float): survival at every grid time, the in-step polynomial
+        # coefficients, and the right and left jump weights.
         self._grid_trace = _real_rows(self._steps[:, self._diag, :].sum(axis=1))
         self._taylor_trace = _real_rows(self._taylor[:, self._diag, :].sum(axis=1))
+        self._rl_trace = _real_rows(self._rl.reshape(2, n, n)[:, self._diag, :].sum(axis=1))
         # _powers[j] = e^{2^j K h S}, extended on demand by squaring.
         self._powers = [self._steps[K]]
 
@@ -152,7 +161,8 @@ class JumpSampler:
         return self._powers[j]
 
     def _traces(self, rows: np.ndarray) -> np.ndarray:
-        return rows[:, self._diag].sum(axis=1).real
+        # The grid's first trace row is that of e^{0 hS} = I.
+        return rows.view(float) @ self._grid_trace[0]
 
     def _bracket(self, v: np.ndarray, u: np.ndarray, cap: np.ndarray):
         """The one window chain, doubling then halving, for rows of both drivers.
@@ -196,8 +206,9 @@ class JumpSampler:
         """Batched :meth:`next_jump` up to the jump, on rows v = vec(sigma).
 
         u[k] is row k's jump-time uniform and cap[k] its time cap. Returns
-        (rows, dt, sigma) for the rows that jump before their cap: the jump
-        times and the unnormalized states just before the jump.
+        (rows, dt, sigma, passes) for the rows that jump before their cap:
+        the jump times, the unnormalized states just before the jump, and
+        the root finder's passes over the batch.
         """
         h = self._h
         n_rows, n = v.shape
@@ -227,18 +238,18 @@ class JumpSampler:
         rows = np.flatnonzero(live)
         start, hi, u, base = start[rows], hi[rows], u[rows], base[rows]
         s_lo, s_hi = s_lo[rows], s_hi[rows]
-        # Newton's start, as in next_jump: the chord between the grid survivals
-        # at the step's ends meets u there, else the midpoint.
+        # The root finder's start, as in next_jump: the chord between the grid
+        # survivals at the step's ends meets u there, else the midpoint.
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(s_lo > s_hi, start + h * (s_lo - u) / (s_lo - s_hi), np.nan)
         x = np.where((start < x) & (x < hi), x, 0.5 * (start + hi))
-        dt = _invert_survival(coef[:, rows], start, hi, u, h, x)
+        dt, passes = _invert_survival(coef[:, rows], start, hi, u, h, x)
 
         # sigma = (sum_j x^j (hS)^j / j!) base, the Taylor sum of next_jump.
         powers = _power_stack((dt - start) / h, _TAYLOR_TERMS - 1)
         flow = (powers.T @ self._taylor.reshape(_TAYLOR_TERMS, -1).view(float)).view(complex)
         sigma = (flow.reshape(-1, n, n) @ base[:, :, None])[:, :, 0]
-        return rows, dt, sigma
+        return rows, dt, sigma, passes
 
     def next_jump(self, rho: np.ndarray, rng, t_cap: float = math.inf):
         """Draw (dt, direction, rho_after), or None if no jump before t_cap.
@@ -270,16 +281,19 @@ class JumpSampler:
         # Within the step, survival is the polynomial in x = (t - start) / h
         # with coefficients vec(I)^T (hS)^j base / j!, exact up to e/19!;
         # coef lists them highest degree first for Horner's rule.
-        terms = self._taylor @ (self._steps[k] @ base)
-        coef = terms[:, self._diag].sum(axis=1).real.tolist()[::-1]
+        base = self._steps[k] @ base
+        terms = self._taylor @ base
+        coef = (self._taylor_trace @ base.view(float)).tolist()[::-1]
 
         def surv(t):
+            # Survival and its first two time derivatives at t.
             x = (t - start) / h
-            s = ds = 0.0
+            s = ds = dds = 0.0
             for c in coef:
+                dds = dds * x + ds
                 ds = ds * x + s
                 s = s * x + c
-            return s, ds / h
+            return s, ds / h, 2.0 * dds / (h * h)
 
         lo, hi = start, start + h
         if hi > t_cap:
@@ -287,38 +301,48 @@ class JumpSampler:
                 return None
             hi = t_cap
 
-        # Newton starts where the chord between the grid survivals at the
+        # Halley starts where the chord between the grid survivals at the
         # step's ends meets u, or at the midpoint when that falls outside.
         x = start + h * (s_lo - u) / (s_lo - s_hi) if s_lo > s_hi else math.nan
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         for _ in range(200):
-            s, ds = surv(x)
+            s, ds, dds = surv(x)
             if s > u:
                 lo = x
             else:
                 hi = x
-            step = x - (s - u) / ds if ds < 0 else math.nan
-            if step == x:  # Newton no longer moves x: the jump is at x
-                lo = hi = x
+            step = _root_step(x, s - u, ds, dds)
+            if lo <= step <= hi and abs(step - x) <= REL_TIME_TOL * x:
+                lo = hi = step  # the correction is within tolerance: the jump is at step
             if hi - lo <= REL_TIME_TOL * max(hi, 1e-300):
                 break
             x = step if lo < step < hi else 0.5 * (lo + hi)
         dt = 0.5 * (lo + hi)
 
         sigma = ((dt - start) / h) ** _DEGREES @ terms
-        right, left = both = (self._rl @ sigma).reshape(2, -1)
-        w_right, w_left = both[:, self._diag].sum(axis=1).real.tolist()
+        w_right, w_left = (self._rl_trace @ sigma.view(float)).tolist()
         total = w_right + w_left
         if not (total > 0.0):
             raise ArithmeticError("zero total jump weight at the sampled time")
         direction = 1 if rng.random() < w_right / total else -1
-        post = unvec(right if direction == 1 else left, self.coin.dim)
-        post = (post + post.conj().T) / 2.0
-        tr = float(np.trace(post).real)
-        if tr <= 0.0:
+        # The trace of the post-jump state is the chosen weight.
+        n = len(sigma)
+        weight, jump = (w_right, self._rl[:n]) if direction == 1 else (w_left, self._rl[n:])
+        if weight <= 0.0:
             raise ArithmeticError("post-jump state has nonpositive trace")
-        return dt, direction, post / tr
+        post = unvec(jump @ sigma, self.coin.dim)
+        return dt, direction, (post + post.conj().T) / (2.0 * weight)
+
+
+def _root_step(x, f, ds, dds):
+    """Halley's step from x for survival - u = f with time derivatives ds and
+    dds; Newton's where Halley's denominator is not positive; NaN (so the
+    caller bisects) where the slope is not negative."""
+    if not ds < 0.0:
+        return math.nan
+    den = 2.0 * ds * ds - f * dds
+    return x - 2.0 * f * ds / den if den > 0.0 else x - f / ds
 
 
 def _power_stack(b: np.ndarray, top: int) -> np.ndarray:
@@ -347,36 +371,43 @@ def _real_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _invert_survival(coef, start, hi, u, h, x):
-    """Row-wise Newton with bisection of :meth:`JumpSampler.next_jump`.
+    """Row-wise Halley with bisection of :meth:`JumpSampler.next_jump`.
 
     Row k solves survival = u[k] for t in (start[k], hi[k]] from x[k],
     survival being the polynomial with coefficients coef[:, k] in
-    (t - start[k]) / h; each row stops by the serial rule (a Newton step that
-    leaves x unchanged, a bracket within REL_TIME_TOL, or 200 iterations).
+    (t - start[k]) / h; each row takes the serial step (:func:`_root_step`)
+    and stops by the serial rule (a step that corrects the time by at most
+    REL_TIME_TOL relative, a bracket within REL_TIME_TOL, or 200 passes).
+    Returns the times and the number of passes.
     """
-    # poly[0], poly[1]: coefficients of survival and d survival / dt, lowest
+    # poly[i]: coefficients of the i-th time derivative of survival, lowest
     # degree first, one column per row.
-    poly = np.zeros((2,) + coef.shape)
+    poly = np.zeros((3,) + coef.shape)
     poly[0] = coef
-    poly[1, :-1] = coef[1:] * (_DEGREES[1:, None] / h)
+    for i in (1, 2):
+        poly[i, :-1] = poly[i - 1, 1:] * (_DEGREES[1:, None] / h)
     lo = start
-    # Rows with ds >= 0 take the midpoint, so their Newton step may divide by 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(200):
-            s, ds = np.einsum("ijk,jk->ik", poly, _power_stack((x - start) / h, _TAYLOR_TERMS - 1))
-            above = s > u
-            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-            step = x - (s - u) / ds
-            fixed = (ds < 0) & (step == x)
-            mid = np.where(fixed, x, 0.5 * (lo + hi))
-            done = fixed | (hi - lo <= REL_TIME_TOL * np.maximum(hi, 1e-300))
-            if done.all():
-                return mid
-            # A finished row's bracket collapses onto its time, and every
-            # later pass leaves it there: the row is frozen, not removed.
-            lo, hi = np.where(done, mid, lo), np.where(done, mid, hi)
-            x = np.where((ds < 0) & (lo < step) & (step < hi), step, mid)
-    return 0.5 * (lo + hi)
+    for passes in range(1, 201):
+        s, ds, dds = np.einsum("ijk,jk->ik", poly, _power_stack((x - start) / h, _TAYLOR_TERMS - 1))
+        above = s > u
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        # _root_step row-wise; a NaN divisor leaves a NaN step, which bisects.
+        f = s - u
+        den = 2.0 * ds * ds - f * dds
+        falling = ds < 0.0
+        halley = falling & (den > 0.0)
+        step = x - (np.where(halley, 2.0 * f * ds, f)
+                    / np.where(halley, den, np.where(falling, ds, np.nan)))
+        fixed = (lo <= step) & (step <= hi) & (np.abs(step - x) <= REL_TIME_TOL * x)
+        mid = np.where(fixed, step, 0.5 * (lo + hi))
+        done = fixed | (hi - lo <= REL_TIME_TOL * np.maximum(hi, 1e-300))
+        if done.all():
+            return mid, passes
+        # A finished row's bracket collapses onto its time, and every
+        # later pass leaves it there: the row is frozen, not removed.
+        lo, hi = np.where(done, mid, lo), np.where(done, mid, hi)
+        x = np.where((lo < step) & (step < hi), step, mid)
+    return 0.5 * (lo + hi), passes
 
 
 def _check_horizon(horizon: float) -> None:
@@ -435,6 +466,12 @@ def sample_sites(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
     short of the horizon as one batched :meth:`JumpSampler._next_jumps`; each
     stream is read in blocks, ``random(n)`` giving the same n single draws.
     """
+    return _lockstep(coin, rho0, horizon, n_paths, seed, i0)[:2]
+
+
+def _lockstep(coin: Coin, rho0, horizon: float, n_paths: int, seed: int, i0: int = 0):
+    """:func:`sample_sites` plus its cost: (sites, jumps, rounds, passes),
+    with the root finder's passes summed over the rounds."""
     _check_horizon(horizon)
     rho = density_for(coin, rho0)
     sampler = JumpSampler(coin)
@@ -446,37 +483,39 @@ def sample_sites(coin: Coin, rho0, horizon: float, n_paths: int, seed: int,
     jumps = np.zeros(n_paths, dtype=int)
     v = np.tile(vec(rho), (n_paths, 1))
     t = np.zeros(n_paths)
-    r = 0
+    r = passes = 0
     while paths.size:
         col = 2 * (r % _PREFETCH_ROUNDS)
         if col == 0:
             for k in paths:
                 uniforms[k] = rngs[k].random(block)
-        rows, dt, sigma = sampler._next_jumps(v, uniforms[paths, col], horizon - t)
+        rows, dt, sigma, round_passes = sampler._next_jumps(v, uniforms[paths, col], horizon - t)
+        passes += round_passes
+        r += 1
         paths = paths[rows]
         if not paths.size:
             break
-        both = (sigma @ sampler._rl.T).reshape(len(paths), 2, -1)
-        w_right, w_left = both[:, :, sampler._diag].sum(axis=2).real.T
+        w_right, w_left = (sigma.view(float) @ sampler._rl_trace.T).T
         total = w_right + w_left
         if not np.all(total > 0.0):
             raise ArithmeticError("zero total jump weight at the sampled time")
-        step = np.where(uniforms[paths, col + 1] < w_right / total, 1, -1)
-        # Rows reshaped C-order are the transposed states; hermitising and
-        # the trace do not care.
-        post = both[np.arange(len(paths)), (step == -1).astype(int)].reshape(-1, coin.dim, coin.dim)
-        post = (post + post.conj().swapaxes(1, 2)) / 2.0
-        tr = np.trace(post, axis1=1, axis2=2).real
-        if np.any(tr <= 0.0):
+        right = uniforms[paths, col + 1] < w_right / total
+        # The trace of the post-jump state is the chosen weight.
+        weight = np.where(right, w_right, w_left)
+        if np.any(weight <= 0.0):
             raise ArithmeticError("post-jump state has nonpositive trace")
-        v = (post / tr[:, None, None]).reshape(len(paths), -1)
+        # Rows reshaped C-order are the transposed states; hermitising does
+        # not care.
+        both = (sigma @ sampler._rl.T).reshape(len(paths), 2, -1)
+        post = both[np.arange(len(paths)), (~right).astype(int)].reshape(-1, coin.dim, coin.dim)
+        post = (post + post.conj().swapaxes(1, 2)) / (2.0 * weight[:, None, None])
+        v = post.reshape(len(paths), -1)
         t = t[rows] + dt
-        sites[paths] += step
+        sites[paths] += np.where(right, 1, -1)
         jumps[paths] += 1
-        r += 1
         if r >= MAX_JUMPS:
             raise RuntimeError(_MAX_JUMPS_ERROR)
-    return sites, jumps
+    return sites, jumps, r, passes
 
 
 def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int,
@@ -490,7 +529,7 @@ def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int,
         raise ValueError("drift estimation needs horizon >= 100 (drift regime)")
     if n_paths < 100:
         raise ValueError("drift estimation needs at least 100 paths")
-    sites, jumps = sample_sites(coin, rho0, horizon, n_paths, seed)
+    sites, jumps, rounds, passes = _lockstep(coin, rho0, horizon, n_paths, seed)
     vals = sites / horizon
     mean = math.fsum(vals) / n_paths
     var = math.fsum((v - mean) ** 2 for v in vals) / (n_paths - 1)
@@ -501,6 +540,8 @@ def estimate_drift(coin: Coin, rho0, horizon: float, n_paths: int,
         horizon=float(horizon),
         seed=int(seed),
         jumps=int(jumps.sum()),
+        rounds=rounds,
+        solver_passes=passes,
     )
 
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ctoqw.coins import (
     verify_cases,
 )
 from ctoqw.lattice import BlockGenerator, choose_radius, probability_series
+from ctoqw.linalg import vec
 import ctoqw.trajectory as trajectory
 from ctoqw.model import symbol_parts
 
@@ -457,6 +459,112 @@ class TestFarWindow:
                 assert abs(math.exp(-0.05 * drawn[0]) - u) < 1e-10
             far += t_cap > window and math.exp(-0.05 * window) > u
         assert far > 200 and none > 100
+
+    def test_lockstep_jump_inverts_survival(self):
+        # the lockstep twin of test_jump_inverts_survival: every row's dt
+        # solves sum_i p_i e^{-gamma_i dt} = u for its diagonal state
+        sampler = JumpSampler(SLOW)
+        gammas = np.array([5.0, 0.05])
+        rng = np.random.default_rng(74)
+        p = rng.uniform(0.0, 1.0, 400)
+        v = np.array([vec(np.diag([q, 1.0 - q]).astype(complex)) for q in p])
+        u = rng.random(400)
+        rows, dt, _, _ = sampler._next_jumps(v, u, np.full(400, math.inf))
+        assert rows.tolist() == list(range(400))
+        survival = p * np.exp(-gammas[0] * dt) + (1.0 - p) * np.exp(-gammas[1] * dt)
+        assert np.abs(survival - u).max() < 1e-10
+        assert np.count_nonzero(dt > trajectory.K * sampler._h) > 20
+
+
+class FixedRng:
+    """Hands out the given uniforms in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+SOLVER_COINS = [("three-level", three_level_coin(0.0)), ("slow-level", SLOW),
+                ("jordan", JORDAN), ("near-ep", NEAR_EP)]
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize("label,coin", SOLVER_COINS, ids=[c[0] for c in SOLVER_COINS])
+    def test_lockstep_and_serial_agree(self, label, coin):
+        # for the same state, uniform and cap, the batched and the single draw
+        # jump (or not) together, at times within REL_TIME_TOL of each other;
+        # a third of the caps are within two mean jump times and a third
+        # within four windows, so capped rows both jump and stop
+        sampler = JumpSampler(coin)
+        rng = np.random.default_rng(75)
+        n = 300
+        rhos = [random_density(rng, coin.dim) for _ in range(n)]
+        u = rng.random(n)
+        window = trajectory.K * sampler._h
+        cap = np.choose(np.arange(n) % 3, [rng.uniform(0.0, 2.0 / sampler.rate_scale, n),
+                                           rng.uniform(0.0, 4.0 * window, n),
+                                           np.full(n, math.inf)])
+        v = np.array([vec(rho) for rho in rhos], dtype=complex)
+        rows, dt, _, _ = sampler._next_jumps(v, u, cap)
+        serial = [sampler.next_jump(rho, FixedRng([u[k], 0.5]), t_cap=cap[k])
+                  for k, rho in enumerate(rhos)]
+        assert rows.tolist() == [k for k, drawn in enumerate(serial) if drawn is not None]
+        expected = np.array([serial[k][0] for k in rows])
+        assert np.all(np.abs(dt - expected) <= trajectory.REL_TIME_TOL * expected)
+        capped = np.isfinite(cap)
+        assert np.count_nonzero(capped[rows]) > 10
+        assert np.count_nonzero(capped) - np.count_nonzero(capped[rows]) > 10
+
+    def test_nonpositive_halley_denominator_converges(self):
+        # column 0: s = 1 - 0.1 x + 2 x^2 - 3 x^3 from x = 1e-3, where
+        # 2 s'^2 - (s - u) s'' < 0, so the first step falls back to Newton;
+        # column 1: s = 0.9375 + 0.5 x - x^2 from x = 0.25, where s' = 0, so
+        # it bisects. Each has one root in (0, 1], and no pass may warn.
+        poly = np.polynomial.polynomial
+        coef = np.zeros((trajectory._TAYLOR_TERMS, 2))
+        coef[:4, 0] = [1.0, -0.1, 2.0, -3.0]
+        coef[:3, 1] = [0.9375, 0.5, -1.0]
+        x0 = np.array([1e-3, 0.25])
+        s, ds, dds = (poly.polyval(x0[0], poly.polyder(coef[:, 0], m)) for m in range(3))
+        assert ds < 0 and 2 * ds * ds - (s - 0.5) * dds <= 0
+        assert poly.polyval(x0[1], poly.polyder(coef[:, 1])) == 0
+        start, hi, u = np.zeros(2), np.ones(2), np.full(2, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dt, passes = trajectory._invert_survival(coef, start, hi, u, 1.0, x0)
+        assert passes < 200
+        assert np.all((start < dt) & (dt <= hi))
+        values = [poly.polyval(dt[k], coef[:, k]) for k in range(2)]
+        assert np.abs(np.array(values) - 0.5).max() < 1e-10
+
+    def test_serial_step_guards(self):
+        # Halley where its denominator is positive, Newton where it is not
+        # (zero included, with no division by it), bisection (NaN) where the
+        # slope is not negative
+        assert trajectory._root_step(1.0, 0.5, -1.0, 1.0) == pytest.approx(1.0 + 2.0 / 3.0)
+        assert trajectory._root_step(1.0, 1.0, -1.0, 2.0) == 2.0
+        assert trajectory._root_step(1.0, 1.0, -1.0, 5.0) == 2.0
+        assert math.isnan(trajectory._root_step(1.0, 1.0, 0.0, 5.0))
+        assert math.isnan(trajectory._root_step(1.0, 1.0, 1e-3, 5.0))
+
+    def test_drift_rounds_take_at_most_four_passes(self, monkeypatch):
+        # the benchmark's drift input: every lockstep round's slowest row
+        # stops within four passes, and the estimate counts rounds and passes
+        per_round = []
+        invert = trajectory._invert_survival
+
+        def recording(*args):
+            dt, passes = invert(*args)
+            per_round.append(passes)
+            return dt, passes
+
+        monkeypatch.setattr(trajectory, "_invert_survival", recording)
+        est = estimate_drift(three_level_coin(0.0), three_level_stationary(0.0), 500.0, 200, 3)
+        assert max(per_round) <= 4
+        assert est.rounds == len(per_round) and est.solver_passes == sum(per_round)
+        assert set(drift_to_dict(est)) == {"mean", "stderr", "n_paths", "horizon", "seed"}
 
 
 class TestTaylorStep:

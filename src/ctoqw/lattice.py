@@ -31,7 +31,7 @@ from eigenvalues alone. L(theta) maps Hermitian matrices to Hermitian
 matrices, so in an orthonormal basis of them it is a real matrix with the
 same eigenvalues: each search step is one LAPACK dgeev on that real form,
 and the moments of both edges come from one stacked exponential, 1.0-1.4 ms
-per call at d <= 3. The search range grows as t rate_scale -> 0, so the
+per call at d <= 3. The search range grows as t Coin.rate_scale -> 0, so the
 bound vanishes with t. It bounds the mass outside the window at time t,
 hence the wrap-around error of every window value then;
 ``BlockState.leaked_mass`` reports it, and the long-horizon routines raise
@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,7 @@ import scipy.optimize
 from scipy.linalg.lapack import dgeev
 
 from .linalg import mat_exp, unvec, vec
-from .model import Coin, density_for, no_jump_generator, symbol_parts
-from .stationary import rate_scale
+from .model import Coin, density_for, no_jump_generator
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
 LEAK_TOL = 1e-8
@@ -110,15 +110,15 @@ class BlockGenerator:
     """
 
     def __init__(self, coin: Coin, radius: int):
+        radius = _integer(radius, "radius")
         if radius < 1:
             raise ValueError("truncation radius must be at least 1")
         self.coin = coin
-        self.radius = int(radius)
-        self.n_sites = 2 * self.radius + 1
-        self._g0 = no_jump_generator(coin)
-        self._stay, self._right, self._left = symbol_parts(coin)
-        phase = np.exp(2j * np.pi * np.arange(self.radius + 1) / self.n_sites)[:, None, None]
-        self.symbols = self._stay + phase * self._right + phase.conj() * self._left
+        self.radius = radius
+        self.n_sites = 2 * radius + 1
+        stay, right, left = coin.symbol
+        phase = np.exp(2j * np.pi * np.arange(radius + 1) / self.n_sites)[:, None, None]
+        self.symbols = stay + phase * right + phase.conj() * left
 
     @property
     def vec_dim(self) -> int:
@@ -128,7 +128,8 @@ class BlockGenerator:
     def apply(self, blocks: np.ndarray) -> np.ndarray:
         """Time derivative of a (2*radius+1, d, d) block array on the ring."""
         a, c = self.coin.right, self.coin.left
-        out = self._g0 @ blocks + blocks @ self._g0.conj().T
+        g0 = no_jump_generator(self.coin)
+        out = g0 @ blocks + blocks @ g0.conj().T
         out += a @ np.roll(blocks, 1, axis=0) @ a.conj().T
         out += c @ np.roll(blocks, -1, axis=0) @ c.conj().T
         return out
@@ -144,9 +145,10 @@ class BlockGenerator:
                 f"dense generator of dimension {self.vec_dim} exceeds {DENSE_STATE_CAP}"
             )
         n = self.n_sites
+        stay, right, left = self.coin.symbol
         shift = np.roll(np.eye(n), 1, axis=0)  # site i-1 feeds site i, wrapping
-        return (np.kron(np.eye(n), self._stay) + np.kron(shift, self._right)
-                + np.kron(shift.T, self._left))
+        return (np.kron(np.eye(n), stay) + np.kron(shift, right)
+                + np.kron(shift.T, left))
 
 
 def build_block_generator(coin: Coin, radius: int) -> BlockGenerator:
@@ -160,6 +162,13 @@ def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
     blocks = np.zeros((gen.n_sites, gen.coin.dim, gen.coin.dim), dtype=complex)
     blocks[i0 + gen.radius] = rho
     return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=0.0)
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_time(t: float) -> None:
@@ -292,7 +301,7 @@ def _hermitian_basis(d: int) -> np.ndarray:
 
 
 def _theta_max(dist: int, t_rate: float) -> float:
-    """Upper end of the theta search for an edge dist sites away, t_rate = t rate_scale.
+    """Upper end of the theta search for an edge dist sites away, t_rate = t Coin.rate_scale.
 
     2 log(2 + dist), or log(4 dist / t_rate) when that is larger: for a short
     time the optimal theta is about log(dist / (t a)), a the rate of jumps
@@ -337,9 +346,9 @@ def _leak_bound(coin: Coin, rho: np.ndarray, i0: int, radius: int, t: float) -> 
     basis = _hermitian_basis(coin.dim)
     # Fortran order, which dgeev takes without a copy
     stay, right, left = (np.asfortranarray((basis.conj().T @ (t * p) @ basis).real)
-                         for p in symbol_parts(coin))
+                         for p in coin.symbol)
     v = (basis.conj().T @ vec(rho)).real
-    t_rate = t * rate_scale(coin)
+    t_rate = t * coin.rate_scale
     edges = [(right, left, radius + 1 - i0), (left, right, radius + 1 + i0)]
     tilts = [_edge_tilt(stay, ahead, behind, dist, _theta_max(dist, t_rate))
              for ahead, behind, dist in edges]
@@ -362,11 +371,11 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     rho0), M(theta) = t (S + e^theta R + e^-theta L), with D the distance from
     i0 to the edge plus one, capped at 1. M(theta) maps Hermitian matrices to
     Hermitian matrices, so in an orthonormal basis of them (``_hermitian_basis``)
-    it is a real d^2 x d^2 matrix with the same eigenvalues; S, R and L are
+    it is a real d^2 x d^2 matrix with the same eigenvalues; ``Coin.symbol`` is
     put in that form once per call. theta minimises lambda(theta) - theta D,
     lambda the spectral abscissa, by bounded Brent over ``_theta_max`` with
     one LAPACK dgeev (no eigenvectors) per step. That range grows as
-    t rate_scale -> 0, so the bound vanishes with t (about e t from an edge
+    t Coin.rate_scale -> 0, so the bound vanishes with t (about e t from an edge
     start of the scalar walk) instead of stalling at (2 + D)^{-2D}. The
     moments of both edges, each shifted by its lambda so that it cannot
     overflow, come from one stacked exponential; a moment that is not a
@@ -531,6 +540,7 @@ def skeleton_partials(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    n_steps = _integer(n_steps, "n_steps")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     steps = np.full(n_steps + 1, float(delta))

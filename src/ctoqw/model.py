@@ -10,11 +10,12 @@ state evolves by the contraction semigroup generated by
 
 which satisfies G0 + G0* = -(left* left + right* right). On vectorized
 states the walk's generator has the Fourier symbol
-L_k = S + e^{ik} R + e^{-ik} L (``symbol_parts``): S is the no-jump flow
-X -> G0 X + X G0*, R and L the right and left jumps X -> A X A*, C X C*.
+L_k = S + e^{ik} R + e^{-ik} L (``symbol_parts``, once per coin as ``Coin.symbol``):
+S is the no-jump flow X -> G0 X + X G0*, R and L the jumps X -> A X A*, C X C*.
 """
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -65,6 +66,20 @@ class Coin:
     def rate_operator(self) -> np.ndarray:
         """left*left + right*right, the total jump-rate operator."""
         return self.left.conj().T @ self.left + self.right.conj().T @ self.right
+
+    @functools.cached_property
+    def symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, R, L) of :func:`symbol_parts`, built on first use; read-only like the matrices."""
+        parts = symbol_parts(self)
+        for p in parts:
+            p.setflags(write=False)
+        return parts
+
+    @functools.cached_property
+    def rate_scale(self) -> float:
+        """|C*C + A*A| + |H|: (C, A, H) -> (sC, sA, s^2 H) multiplies it by s^2,
+        like L and m, so tolerances relative to it are scale-covariant."""
+        return float(np.linalg.norm(self.rate_operator()) + np.linalg.norm(self.ham))
 
 
 def _square(a, name: str, d: int | None) -> np.ndarray:

@@ -34,9 +34,9 @@ import scipy.linalg
 
 # superop_matrix is unused here but stays bound: bench/tracer.py wraps it.
 from .linalg import null_space, superop_matrix, unvec, vec  # noqa: F401
-from .model import Coin, symbol_parts
+from .model import Coin
 
-# Singular values below KERNEL_RTOL times the rate scale (see rate_scale)
+# Singular values below KERNEL_RTOL times the rate scale (Coin.rate_scale)
 # count as kernel directions.
 KERNEL_RTOL = 1e-10
 # A candidate stationary state may not dip below this eigenvalue.
@@ -87,14 +87,8 @@ def internal_lindblad(coin: Coin, rho) -> np.ndarray:
 
 def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
     """d^2 x d^2 matrix with M @ vec(rho) = vec(L(rho)): the symbol at k = 0."""
-    stay, right, left = symbol_parts(coin)
+    stay, right, left = coin.symbol
     return stay + left + right
-
-
-def rate_scale(coin: Coin) -> float:
-    """|C*C + A*A| + |H|: (C, A, H) -> (sC, sA, s^2 H) multiplies it by s^2,
-    like L and m, so tolerances relative to it are scale-covariant."""
-    return float(np.linalg.norm(coin.rate_operator()) + np.linalg.norm(coin.ham))
 
 
 def stationary_states(coin: Coin) -> StationaryAnalysis:
@@ -108,7 +102,7 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
     instead of dividing.
     """
     s = internal_lindblad_matrix(coin)
-    kernel = null_space(s, rel_tol=KERNEL_RTOL, scale=rate_scale(coin))
+    kernel = null_space(s, rel_tol=KERNEL_RTOL, scale=coin.rate_scale)
     if not kernel:
         raise ArithmeticError(
             "empty stationary kernel: a finite-dimensional Lindblad semigroup "
@@ -139,10 +133,10 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
 def drift(coin: Coin, rho_inv) -> float:
     """Net velocity m = Tr(A rho A*) - Tr(C rho C*) at a stationary state.
 
-    The checks are relative to :func:`rate_scale`.
+    The checks are relative to ``Coin.rate_scale``.
     """
     rho = np.asarray(rho_inv, dtype=complex)
-    scale = rate_scale(coin)
+    scale = coin.rate_scale
     resid = float(np.linalg.norm(internal_lindblad(coin, rho)))
     if resid > STATIONARY_RTOL * scale:
         raise ValueError(f"state is not stationary: |L(rho)| = {resid:.3e} "
@@ -161,16 +155,16 @@ def drift_spectrum(coin: Coin, kernel_basis: list) -> tuple[np.ndarray, list]:
     ``kernel_basis`` spans the stationary kernel (the ``stationary_basis`` of
     :func:`stationary_states`). The slopes are the eigenvalues of
     (W*V)^{-1} W*(R - L) V in ascending order; an imaginary part above
-    ``DRIFT_IMAG_RTOL`` times :func:`rate_scale` raises ``ArithmeticError``.
+    ``DRIFT_IMAG_RTOL`` times ``Coin.rate_scale`` raises ``ArithmeticError``.
     A branch state is V times the slope's eigenvector, divided by its own
     trace and made Hermitian, or None when that trace is below
     ``TRACE_FLOOR`` relative to its norm (possible only inside a repeated
     slope, where the eigenvectors are not unique).
     """
-    stay, right, left = symbol_parts(coin)
-    scale = rate_scale(coin)
+    _, right, left = coin.symbol
+    scale = coin.rate_scale
     v = np.column_stack([vec(b) for b in kernel_basis])
-    w = null_space((stay + left + right).conj().T, rel_tol=KERNEL_RTOL, scale=scale)
+    w = null_space(internal_lindblad_matrix(coin).conj().T, rel_tol=KERNEL_RTOL, scale=scale)
     if len(w) != v.shape[1]:
         raise ArithmeticError(f"left kernel has dimension {len(w)}, "
                               f"right kernel {v.shape[1]}")

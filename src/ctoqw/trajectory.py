@@ -51,8 +51,8 @@ reports the rounds and passes. Each path reads its own stream in the serial
 order (jump time, then direction). Batched products sum in another order, so jump
 times agree with simulate_path on path_rng(s, k) to REL_TIME_TOL, and the
 end site agrees unless a uniform falls within about 1e-10 of a decision
-boundary. Single paths stay serial: a batch of one costs 500-544 us a draw
-against 57-74 us (near-EP coin, README timings).
+boundary. Single paths stay serial: one row of _next_jumps costs 190-250 us
+against 29-40 us for next_jump (three-level coin, README timings).
 
 With the same caveat, the site at tau < T on stream k is the end site of the
 horizon-tau run on that stream: both read the same uniforms in the same
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import mat_exp, unvec, vec
-from .model import Coin, density_for, no_jump_generator, symbol_parts
+from .model import Coin, density_for, no_jump_generator
 
 REL_TIME_TOL = 1e-10
 MAX_JUMPS = 10 ** 6
@@ -122,7 +122,7 @@ class JumpSampler:
     """Per-coin cached machinery for drawing jumps from any current state.
 
     States are handled as v = vec(sigma); S, R, L are the coin's
-    superoperators from :func:`symbol_parts`, and survival from v after time
+    superoperators, read from ``Coin.symbol``, and survival from v after time
     t is vec(I)^T e^{tS} v. The step is h = 1/|S|_2 and a window is K steps
     (module docstring).
     """
@@ -135,7 +135,7 @@ class JumpSampler:
             raise ValueError("total jump rate vanishes; the coin never jumps")
         self.rate_scale = lam
 
-        stay, right, left = symbol_parts(coin)
+        stay, right, left = coin.symbol
         n = len(stay)
         # Both jump superoperators stacked, so one product gives R v and L v.
         self._rl = np.concatenate([right, left])

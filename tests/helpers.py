@@ -6,7 +6,6 @@ import scipy.optimize
 from ctoqw import Coin, mat_exp, validate_coin, vec
 from ctoqw.lattice import _theta_max
 from ctoqw.model import symbol_parts
-from ctoqw.stationary import rate_scale
 
 
 def random_hermitian(rng, d: int, scale: float = 1.0) -> np.ndarray:
@@ -90,7 +89,7 @@ def complex_chernoff_tail(stay, ahead, behind, v, dist: int, theta_max: float) -
 def complex_leak_bound(coin: Coin, rho, i0: int, radius: int, t: float) -> float:
     """``lattice.leak_bound`` (t > 0) from :func:`complex_chernoff_tail`, same theta range."""
     stay, right, left = (t * m for m in symbol_parts(coin))
-    t_rate = t * rate_scale(coin)
+    t_rate = t * coin.rate_scale
     total = sum(complex_chernoff_tail(stay, ahead, behind, vec(rho), dist,
                                       _theta_max(dist, t_rate))
                 for ahead, behind, dist in ((right, left, radius + 1 - i0),

@@ -26,7 +26,7 @@ from ctoqw.coins import (
     tilted_pair_coin,
     verify_cases,
 )
-from ctoqw.stationary import StationaryAnalysis, rate_scale
+from ctoqw.stationary import StationaryAnalysis
 
 from helpers import (
     random_coin,
@@ -303,7 +303,7 @@ class TestDriftSpectrumCovariance:
             res = classify(coin)
             seen.add(res.verdict)
             slopes = res.diagnostics.get("drift_slopes", [res.m])
-            assert np.allclose(slopes, spectrum(coin), rtol=0, atol=1e-10 * rate_scale(coin))
+            assert np.allclose(slopes, spectrum(coin), rtol=0, atol=1e-10 * coin.rate_scale)
         assert seen == {Verdict.RECURRENT, Verdict.TRANSIENT, Verdict.PARTIALLY_RECURRENT}
 
     def test_unitary_change_of_basis(self):
@@ -316,7 +316,7 @@ class TestDriftSpectrumCovariance:
             res = classify(rotated)
             assert res.verdict == base.verdict
             assert np.allclose(spectrum(rotated), spectrum(coin), rtol=0,
-                               atol=1e-10 * rate_scale(coin))
+                               atol=1e-10 * coin.rate_scale)
             if base.transient_state is not None:
                 expected = u @ base.transient_state @ u.conj().T
                 assert same_projector(res.transient_state, expected)
@@ -328,7 +328,7 @@ class TestDriftSpectrumCovariance:
             res = classify(mirrored)
             assert res.verdict == base.verdict
             assert np.allclose(spectrum(mirrored), -spectrum(coin)[::-1], rtol=0,
-                               atol=1e-10 * rate_scale(coin))
+                               atol=1e-10 * coin.rate_scale)
             if base.transient_state is not None:
                 assert same_projector(res.transient_state, base.transient_state)
 
@@ -340,7 +340,7 @@ class TestDriftSpectrumCovariance:
             res = classify(scaled)
             assert res.verdict == base.verdict
             assert np.allclose(spectrum(scaled), s * s * spectrum(coin), rtol=0,
-                               atol=1e-10 * rate_scale(scaled))
+                               atol=1e-10 * scaled.rate_scale)
             if base.transient_state is not None:
                 assert same_projector(res.transient_state, base.transient_state)
 

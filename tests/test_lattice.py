@@ -36,7 +36,6 @@ from ctoqw import (
 )
 import ctoqw.lattice as lattice_mod
 from ctoqw.model import symbol_parts
-from ctoqw.stationary import rate_scale
 from ctoqw.coins import (
     diagonal_jumps_coin,
     scalar_coin,
@@ -81,7 +80,7 @@ def exact_theta_leak_bound(coin, rho, i0, radius, t):
             return mu + np.log(moment) - theta * dist
 
         best = scipy.optimize.minimize_scalar(
-            log_bound, bounds=(0.0, lattice_mod._theta_max(dist, t * rate_scale(coin))),
+            log_bound, bounds=(0.0, lattice_mod._theta_max(dist, t * coin.rate_scale)),
             method="bounded")
         return float(np.exp(min(best.fun, 0.0)))
 
@@ -781,6 +780,18 @@ class TestArgumentChecks:
         gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
         with pytest.raises(ValueError, match="site 5 outside truncation radius 4"):
             call(gen, np.eye(1), 0, 5, 1.0)
+
+    def test_radius_must_be_an_integer(self):
+        # a fractional radius is refused, not truncated to the radius below
+        with pytest.raises(TypeError, match="radius must be an integer, got 2.7"):
+            build_block_generator(scalar_coin(1.0, 1.0), 2.7)
+        assert build_block_generator(scalar_coin(1.0, 1.0), np.int64(2)).radius == 2
+
+    def test_n_steps_must_be_an_integer(self):
+        gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
+        with pytest.raises(TypeError, match="n_steps must be an integer, got 2.5"):
+            skeleton_partials(gen, np.eye(1), 0, 0, 1.0, 2.5)
+        assert len(skeleton_partials(gen, np.eye(1), 0, 0, 1.0, np.int64(2))) == 3
 
 
 class TestCsvExport:

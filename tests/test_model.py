@@ -1,12 +1,24 @@
 """Coin and density-matrix domain type tests: validation, the no-jump generator,
-pure-state projectors, and the JSON interchange format."""
+the coin's cached symbol and rate scale, pure-state projectors, and the JSON
+interchange format."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctoqw import (
+    build_block_generator,
+    choose_radius,
+    classify,
+    estimate_drift,
+    evolve,
+    model,
+    path_rng,
+    return_integral,
+    simulate_path,
+    stationary_states,
     validate_coin,
     no_jump_generator,
     density_from_pure,
@@ -23,6 +35,7 @@ from ctoqw.model import density_for
 
 from helpers import random_coin
 
+COINS = Path(__file__).resolve().parents[1] / "coins"
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
 SQRT11 = np.sqrt(11.0)
@@ -97,6 +110,47 @@ class TestNoJumpGenerator:
             coin = random_coin(rng, d)
             g0 = no_jump_generator(coin)
             assert np.linalg.norm(g0 + g0.conj().T + coin.rate_operator()) < 1e-12
+
+
+class TestSymbol:
+    def test_built_once_across_every_layer(self, monkeypatch):
+        # classify, the lattice and the sampler all read the coin's one symbol
+        built = []
+
+        def counting(coin):
+            built.append(coin)
+            return exact(coin)
+
+        exact = model.symbol_parts
+        monkeypatch.setattr(model, "symbol_parts", counting)
+        coin = load_coin(COINS / "three_level_c0.json")
+        assert classify(coin).unique_stationary
+        rho = stationary_states(coin).rho_inv
+        radius = choose_radius(coin, 0, 50.0, rho)
+        gen = build_block_generator(coin, radius)
+        evolve(gen, rho, 0, 50.0)
+        return_integral(gen, rho, 0, 50.0, with_half=True)
+        simulate_path(coin, 0, rho, 5.0, path_rng(1, 0))
+        estimate_drift(coin, rho, 100.0, 100, 1)
+        assert len(built) == 1 and built[0] is coin
+
+    def test_read_only_and_per_coin(self):
+        coin = scalar_coin(2.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            coin.symbol[0][0, 0] = 0.0
+        assert [p[0, 0] for p in coin.symbol] == [-5.0, 4.0, 1.0]
+        # the same matrices validated again make a new coin with its own symbol
+        again = validate_coin(coin.left, coin.right, coin.ham)
+        assert all(p is not q and np.array_equal(p, q)
+                   for p, q in zip(again.symbol, coin.symbol))
+
+    def test_rate_scale(self):
+        coin = diagonal_jumps_coin()
+        expected = np.linalg.norm(np.diag([7.0, 19.0])) + np.linalg.norm(coin.ham)
+        assert coin.rate_scale == pytest.approx(expected, rel=1e-15)
+        s = 3.0
+        scaled = validate_coin(s * coin.left, s * coin.right, s * s * coin.ham)
+        assert scaled.rate_scale == pytest.approx(s * s * coin.rate_scale, rel=1e-14)
 
 
 class TestDensityFromPure:

@@ -30,7 +30,7 @@ from ctoqw.coins import (
     three_level_stationary,
 )
 
-from ctoqw import stationary
+from ctoqw import model, stationary
 
 from helpers import random_coin, random_hermitian, random_shared_basis_coin, random_unitary
 
@@ -165,11 +165,26 @@ class TestStationaryStates:
             coins.append(validate_coin([[c]], [[a]], [[rng.normal()]]))
         for coin in coins:
             assert np.array_equal(stationary_states(coin).rho_inv, [[1.0]])
-        exact = stationary.internal_lindblad_matrix
-        monkeypatch.setattr(stationary, "internal_lindblad_matrix",
-                            lambda coin: exact(coin) + 1e-16)
-        for coin in coins[:5] + [scalar_coin(2.0, 1.0)]:
+        # Round-off enters through the one builder of the symbol, which a
+        # coin calls once, so the perturbed coins are fresh: R is off by 1e-15.
+        exact, kernel_of = model.symbol_parts, stationary.null_space
+        generators = []
+
+        def perturbed(coin):
+            stay, right, left = exact(coin)
+            return stay, right * (1.0 + 1e-15), left
+
+        def recording(m, **kw):
+            generators.append(m)
+            return kernel_of(m, **kw)
+
+        monkeypatch.setattr(model, "symbol_parts", perturbed)
+        monkeypatch.setattr(stationary, "null_space", recording)
+        for old in coins[:5] + [scalar_coin(2.0, 1.0)]:
+            coin = validate_coin(old.left, old.right, old.ham)
             sa = stationary_states(coin)
+            # the generator stationary_states saw is round-off, not 0
+            assert 0.0 < abs(generators[-1][0, 0]) < 1e-14 * coin.rate_scale
             assert sa.unique_stationary
             assert np.array_equal(sa.rho_inv, [[1.0]])
 
@@ -209,7 +224,7 @@ class TestStationaryStates:
         v = np.column_stack([vec(b) for b in sa.stationary_basis])
         assert np.abs(v.conj().T @ v - np.eye(kdim)).max() < 1e-12
         resid = np.linalg.norm(internal_lindblad_matrix(coin) @ v, axis=0).max()
-        assert resid <= 1e-10 * stationary.rate_scale(coin)
+        assert resid <= 1e-10 * coin.rate_scale
 
 
 class TestDrift:
@@ -290,7 +305,7 @@ class TestDriftSpectrum:
             slopes, states = drift_spectrum(coin, sa.stationary_basis)
             m = drift(coin, sa.rho_inv)
             assert slopes.shape == (1,)
-            assert abs(slopes[0] - m) <= 1e-12 * stationary.rate_scale(coin)
+            assert abs(slopes[0] - m) <= 1e-12 * coin.rate_scale
             assert np.abs(states[0] - sa.rho_inv).max() < 1e-10
             checked += 1
         assert checked == 8 + len(randoms)
@@ -335,11 +350,13 @@ class TestDriftSpectrum:
         basis = stationary_states(coin).stationary_basis
         v = np.column_stack([vec(b) for b in basis])
         x = 10.0 * v @ np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.linalg.pinv(v)
-        stay, right, left = stationary.symbol_parts(coin)
-        monkeypatch.setattr(stationary, "symbol_parts",
-                            lambda c: (stay, right + x, left - x))
+        stay, right, left = coin.symbol
+        monkeypatch.setattr(model, "symbol_parts", lambda c: (stay, right + x, left - x))
+        # a fresh coin builds its symbol through the patched builder
+        moved = validate_coin(coin.left, coin.right, coin.ham)
+        assert np.abs(moved.symbol[1] - right).max() > 1.0
         with pytest.raises(ArithmeticError, match="imaginary part"):
-            drift_spectrum(coin, basis)
+            drift_spectrum(moved, basis)
 
 
 class TestDriftOperator:

@@ -12,9 +12,9 @@ import numpy as np
 from ctoqw import (
     drift,
     estimate_drift,
+    hvec,
     internal_lindblad_matrix,
     stationary_states,
-    vec,
 )
 from ctoqw.coins import three_level_coin
 
@@ -25,15 +25,16 @@ print(f"three-level coin, c=0: m = {m:+.9f} (= -6/53)\n")
 
 # E[X_T] = int_0^T tr(Q rho_s) ds with Q = A*A - C*C and rho_s the internal
 # state at time s; diagonalizing the internal generator makes the integral a
-# sum of (e^{w T} - 1)/w terms.
+# sum of (e^{w T} - 1)/w terms. In Hermitian coordinates (hvec) the generator
+# is a real matrix and tr(Q rho) is the dot product hvec(Q) . hvec(rho).
 q = coin.right.conj().T @ coin.right - coin.left.conj().T @ coin.left
 sup = internal_lindblad_matrix(coin)
 w, v = np.linalg.eig(sup)
-qv = vec(q).conj() @ v
+qv = hvec(q) @ v
 
 
 def exact_mean(rho0, t):
-    g = np.linalg.solve(v, vec(np.asarray(rho0, dtype=complex)))
+    g = np.linalg.solve(v, hvec(rho0))
     tau = np.where(np.abs(w) > 1e-12, (np.exp(w * t) - 1.0) / np.where(w == 0, 1, w), t)
     return float((qv * g * tau).sum().real)
 

@@ -5,6 +5,7 @@ on-site Hamiltonian acting on a finite internal space. The package computes
 stationary internal states and the net velocity, classifies coins as
 recurrent / transient / partially recurrent, evolves lattice distributions,
 and samples quantum-jump trajectories.
+States are real coordinates in a basis of the Hermitian matrices (``hvec``).
 Lattice evolution is exact in momentum space (one d^2 x d^2 Fourier symbol
 L_k per momentum, on a ring window of sites), with a certified Chernoff bound
 ``leak_bound`` on the mass the infinite-line walk carries outside the window.
@@ -30,7 +31,7 @@ from .lattice import (
     write_profile_csv,
     write_series_csv,
 )
-from .linalg import mat_exp, null_space, superop_matrix, unvec, vec
+from .linalg import hunvec, hvec, mat_exp, null_space, superop_matrix, unvec, vec
 from .model import (
     Coin,
     check_density,
@@ -90,6 +91,8 @@ __all__ = [
     "transition_probability",
     "write_profile_csv",
     "write_series_csv",
+    "hunvec",
+    "hvec",
     "mat_exp",
     "null_space",
     "superop_matrix",

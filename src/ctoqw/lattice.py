@@ -10,38 +10,34 @@ under the d^2 x d^2 Fourier symbol (Carbone & Pautrat, J. Stat. Phys. 160, 2015)
 
 The window -radius..radius is closed into a ring of N = 2 radius + 1 sites,
 where the momenta k = 2 pi q / N are exact: the blocks at time t are the
-inverse DFT of e^{t L_k} vec(rho0). Time grids use powers of e^{dt L_k} and
-the return integral a Van Loan exponential; nothing is integrated numerically.
+inverse DFT of e^{t L_k} hvec(rho0), with S, R, L of the symbol real
+(``Coin.symbol``). Time grids use powers of e^{dt L_k} and the return
+integral a Van Loan exponential; nothing is integrated numerically.
 
-Only the momenta q = 0..radius are exponentiated. The symbol satisfies
-L_k(X)^* = L_{-k}(X^*), and every start state is Hermitian, so
-hat(-k) = hat(k)^* exactly: the state at q = N - q' is the adjoint of the one
-at q', and its trace the conjugate. Profiles are then real inverse DFTs
-(``np.fft.hfft``), and one site j is the projection
+Only the momenta q = 0..radius are exponentiated. The symbol at -k is the
+conjugate of the one at k, and hvec(rho0) is real, so hat(N - q) =
+conj(hat(q)) coordinate by coordinate. Blocks and profiles are then real
+inverse DFTs (``np.fft.hfft``), and one site j is the projection
 p_j = Re sum_q w_q Tr hat(q) with w_q = c_q e^{-2 pi i q (j - i0) / N} / N,
 c_0 = 1 and c_q = 2 for q >= 1, which needs no transform at all.
 
 The ring differs from the infinite line only by mass that wraps around it.
 Since Tr(e^{t L(theta)} rho0) = sum_i e^{theta (i - i0)} p_i(t) for the
 symbol L(theta) at k = -i theta, ``leak_bound`` takes the Chernoff bound
-e^{-theta D} Tr(e^{t L(theta)} rho0) at each window edge. The bound holds for
-every theta >= 0; theta minimises t lambda(theta) - theta D, with lambda the
-spectral abscissa of L(theta) (the large-deviation rate of the walk), found
-from eigenvalues alone. L(theta) maps Hermitian matrices to Hermitian
-matrices, so in an orthonormal basis of them it is a real matrix with the
-same eigenvalues: each search step is one LAPACK dgeev on that real form,
-and the moments of both edges come from one stacked exponential, 1.0-1.4 ms
-per call at d <= 3. The search range grows as t Coin.rate_scale -> 0, so the
-bound vanishes with t. It bounds the mass outside the window at time t,
-hence the wrap-around error of every window value then;
-``BlockState.leaked_mass`` reports it, and the long-horizon routines raise
-when it reaches LEAK_TOL.
+e^{-theta D} Tr(e^{t L(theta)} rho0) at each window edge. The bound holds
+for every theta >= 0; theta minimises t lambda(theta) - theta D, with lambda
+the spectral abscissa of L(theta) (the large-deviation rate of the walk),
+found from eigenvalues alone. L(theta) = S + e^theta R + e^-theta L is real,
+so each search step is one LAPACK dgeev, and the moments of both edges come
+from one stacked exponential, 1.0-1.4 ms per call at d <= 3. The search
+range grows as t Coin.rate_scale -> 0, so the bound vanishes with t. It
+bounds the mass outside the window at time t, hence the wrap-around error of
+every window value then; ``BlockState.leaked_mass`` reports it, and the
+long-horizon routines raise when it reaches LEAK_TOL.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -50,7 +46,7 @@ import numpy as np
 import scipy.optimize
 from scipy.linalg.lapack import dgeev
 
-from .linalg import mat_exp, unvec, vec
+from .linalg import hunvec, hvec, mat_exp
 from .model import Coin, density_for, no_jump_generator
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
@@ -96,17 +92,16 @@ class BlockState:
         return float(self.trace_profile().sum())
 
     def min_eigenvalue(self) -> float:
-        hermitian = (self.blocks + self.blocks.conj().transpose(0, 2, 1)) / 2.0
-        return float(np.linalg.eigvalsh(hermitian).min())
+        return float(np.linalg.eigvalsh(self.blocks).min())
 
 
 class BlockGenerator:
     """The walk generator on the ring of sites -radius..radius and its symbols.
 
     ``symbols[q]`` is L_k at k = 2 pi q / n_sites, the generator restricted
-    to momentum k, for q = 0..radius only. Since L_k(X)^* = L_{-k}(X^*), a
-    Hermitian state at momentum -k is the adjoint of the one at k, so the
-    other radius momenta of the ring are never needed (module docstring).
+    to momentum k in Hermitian coordinates, for q = 0..radius only. The
+    symbol at -k is the conjugate of the one at k, so the other radius
+    momenta of the ring are never needed (module docstring).
     """
 
     def __init__(self, coin: Coin, radius: int):
@@ -135,7 +130,7 @@ class BlockGenerator:
         return out
 
     def dense_matrix(self) -> np.ndarray:
-        """Full ring generator on the site-ordered, column-stacked block vector.
+        """Full ring generator, real, on the site-ordered stack of hvec(block).
 
         A reference for checking the momentum-space propagator; refused when
         the vectorized state exceeds DENSE_STATE_CAP.
@@ -186,7 +181,7 @@ def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
 
     w_q = c_q e^{-2 pi i q m / N} / N, c_0 = 1 and c_q = 2 for q >= 1, folds
     in the conjugate half tr(N - q) = tr(q)^*. Applied to the half stack of
-    vec blocks instead, it gives vec(Y) with rho(j) the Hermitian part of Y.
+    block coordinates instead, it gives hvec(rho(j)) as the real part.
     """
     q = np.arange(gen.radius + 1)
     # q m reduced mod N in integers, so every phase is below 2 pi
@@ -195,29 +190,24 @@ def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
 
 
 def _half_stack(gen: BlockGenerator, state: BlockState, i0: int, t: float):
-    """hat(q) = e^{t L_k} vec(rho0) for q = 0..radius from the initial state (None at t = 0)."""
+    """hat(q) = e^{t L_k} hvec(rho0) for q = 0..radius from the initial state (None at t = 0)."""
     _check_time(t)
     if t == 0:
         return None
-    return mat_exp(gen.symbols, t) @ vec(state.block(i0))
+    return mat_exp(gen.symbols, t) @ hvec(state.block(i0))
 
 
 def _blocks(gen: BlockGenerator, state: BlockState, i0: int, t: float) -> np.ndarray:
     """Ring blocks at time t >= 0 from the initial state at site i0.
 
-    The full momentum array is the half stack followed by its mirror
-    hat(N - q) = vec(X^*) for hat(q) = vec(X): the vec(X^T) permutation,
-    conjugated. One complex FFT then gives every block.
+    hat(N - q) = conj(hat(q)) coordinate by coordinate, so one real inverse
+    DFT of the half stack gives every block's real coordinates.
     """
     hat = _half_stack(gen, state, i0, t)
     if hat is None:
         return state.blocks
-    d = gen.coin.dim
-    mirror = hat[:0:-1].reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d).conj()
-    per_offset = np.fft.fft(np.concatenate([hat, mirror]), axis=0)
-    blocks = np.roll(per_offset, gen.radius + i0, axis=0) / gen.n_sites
-    blocks = blocks.reshape(-1, d, d).transpose(0, 2, 1)
-    return (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+    per_offset = np.fft.hfft(hat, n=gen.n_sites, axis=0)
+    return hunvec(np.roll(per_offset, gen.radius + i0, axis=0) / gen.n_sites)
 
 
 def _site_block(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> np.ndarray:
@@ -227,8 +217,7 @@ def _site_block(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> np.ndar
     hat = _half_stack(gen, state, i0, t)
     if hat is None:
         return state.block(j)
-    block = unvec(_site_weights(gen, j - i0)[0] @ hat, gen.coin.dim)
-    return (block + block.conj().T) / 2.0
+    return hunvec((_site_weights(gen, j - i0)[0] @ hat).real)
 
 
 def _trace_rows(gen: BlockGenerator, rho, steps):
@@ -244,7 +233,7 @@ def _trace_rows(gen: BlockGenerator, rho, steps):
     n * STEP_MERGE_EPS * eps * T.
     """
     d = gen.coin.dim
-    hat = np.broadcast_to(vec(rho), (gen.radius + 1, d * d))
+    hat = np.broadcast_to(hvec(rho), (gen.radius + 1, d * d))
     tol = STEP_MERGE_EPS * np.finfo(float).eps * float(np.sum(steps))
     powers = {}
     for dt in steps:
@@ -253,7 +242,7 @@ def _trace_rows(gen: BlockGenerator, rho, steps):
             if dt not in powers:
                 powers[dt] = mat_exp(gen.symbols, dt)
             hat = np.einsum("kab,kb->ka", powers[dt], hat)
-        yield hat[:, :: d + 1].sum(axis=1)
+        yield hat[:, :d].sum(axis=1)
 
 
 def _site_series(gen: BlockGenerator, rho0, i0: int, sites, steps) -> np.ndarray:
@@ -282,24 +271,6 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Columns vec(B) of an orthonormal basis of the Hermitian d x d matrices.
-
-    The d diagonal units E_ii come first, so Tr X is the sum of the first d
-    coordinates of X; each pair i < j adds (E_ij + E_ji)/sqrt 2 and
-    i (E_ij - E_ji)/sqrt 2.
-    """
-    eye = np.eye(d)
-    units = [np.outer(e, e) for e in eye]
-    for i, j in itertools.combinations(range(d), 2):
-        e = np.outer(eye[i], eye[j])
-        units += [(e + e.T) / np.sqrt(2.0), 1j * (e - e.T) / np.sqrt(2.0)]
-    basis = np.array([vec(b) for b in units]).T
-    basis.setflags(write=False)
-    return basis
-
-
 def _theta_max(dist: int, t_rate: float) -> float:
     """Upper end of the theta search for an edge dist sites away, t_rate = t Coin.rate_scale.
 
@@ -325,8 +296,8 @@ def _abscissa(m: np.ndarray) -> float:
 def _edge_tilt(stay, ahead, behind, dist: int, theta_max: float):
     """(theta, lambda, M(theta) - lambda) at the minimiser of lambda(theta) - theta dist.
 
-    M(theta) = stay + e^theta ahead + e^-theta behind on the real form, and
-    lambda its spectral abscissa; bounded Brent on 0..theta_max.
+    M(theta) = stay + e^theta ahead + e^-theta behind, real, and lambda its
+    spectral abscissa; bounded Brent on 0..theta_max.
     """
     def tilted(theta):
         return stay + math.exp(theta) * ahead + math.exp(-theta) * behind
@@ -343,18 +314,15 @@ def _leak_bound(coin: Coin, rho: np.ndarray, i0: int, radius: int, t: float) -> 
     """leak_bound for a state already checked by density_for, i0 in range and t >= 0 finite."""
     if t == 0:
         return 0.0
-    basis = _hermitian_basis(coin.dim)
-    # Fortran order, which dgeev takes without a copy
-    stay, right, left = (np.asfortranarray((basis.conj().T @ (t * p) @ basis).real)
-                         for p in coin.symbol)
-    v = (basis.conj().T @ vec(rho)).real
+    stay, right, left = (t * p for p in coin.symbol)
+    v = hvec(rho)
     t_rate = t * coin.rate_scale
     edges = [(right, left, radius + 1 - i0), (left, right, radius + 1 + i0)]
     tilts = [_edge_tilt(stay, ahead, behind, dist, _theta_max(dist, t_rate))
              for ahead, behind, dist in edges]
-    # both moments from one stacked exponential; rows 0..d-1 of the real form sum to Tr
+    # both moments from one stacked exponential; rows 0..d-1 sum to Tr
     shifted = mat_exp(np.array([m for _, _, m in tilts]))
-    moments = (shifted[:, : coin.dim].sum(axis=1) @ v).real
+    moments = shifted[:, : coin.dim].sum(axis=1) @ v
     total = 0.0
     for (theta, mu, _), moment, (_, _, dist) in zip(tilts, moments, edges):
         if not np.isfinite(moment) or moment < np.finfo(float).tiny:
@@ -369,10 +337,9 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
 
     The sum over both edges of the Chernoff bound e^{-theta D} Tr(e^{M(theta)}
     rho0), M(theta) = t (S + e^theta R + e^-theta L), with D the distance from
-    i0 to the edge plus one, capped at 1. M(theta) maps Hermitian matrices to
-    Hermitian matrices, so in an orthonormal basis of them (``_hermitian_basis``)
-    it is a real d^2 x d^2 matrix with the same eigenvalues; ``Coin.symbol`` is
-    put in that form once per call. theta minimises lambda(theta) - theta D,
+    i0 to the edge plus one, capped at 1. M(theta) is real, read from
+    ``Coin.symbol`` with no rebuild per call. theta minimises
+    lambda(theta) - theta D,
     lambda the spectral abscissa, by bounded Brent over ``_theta_max`` with
     one LAPACK dgeev (no eigenvectors) per step. That range grows as
     t Coin.rate_scale -> 0, so the bound vanishes with t (about e t from an edge
@@ -443,8 +410,7 @@ def _condition_block(block: np.ndarray, site: int) -> np.ndarray:
             f"site {site} carries probability {p:.3e}; conditioning on a "
             f"negligible-probability site is ill-defined"
         )
-    sigma = (block + block.conj().T) / (2.0 * p)
-    w, v = np.linalg.eigh(sigma)
+    w, v = np.linalg.eigh(block / p)
     if w.min() < -1e-8:
         raise ArithmeticError(
             f"conditioned state at site {site} has eigenvalue {w.min():.3e}"
@@ -483,10 +449,9 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     at_beta = _blocks(gen, state, i0, beta)
     probs = np.einsum("ijj->i", at_beta).real
     occupied = np.flatnonzero(probs > SITE_PROB_FLOOR)
-    launches = np.array([vec(_condition_block(at_beta[q], int(q) - gen.radius))
-                         for q in occupied])
-    d = gen.coin.dim
-    trace_rows = mat_exp(gen.symbols, alpha)[:, :: d + 1].sum(axis=1)
+    launches = hvec(np.array([_condition_block(at_beta[q], int(q) - gen.radius)
+                              for q in occupied]))
+    trace_rows = mat_exp(gen.symbols, alpha)[:, : gen.coin.dim].sum(axis=1)
     hat = trace_rows @ launches.T
     at_j = np.fft.hfft(hat, n=gen.n_sites, axis=0)[(j + gen.radius - occupied) % gen.n_sites,
                                                    np.arange(len(occupied))] / gen.n_sites
@@ -497,8 +462,8 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
                     with_half: bool = False):
     """int_0^T p_{i0 i0; rho}(t) dt in closed form.
 
-    For each momentum, exp([[T L_k, T vec(rho0)], [0, 0]]) (Van Loan) carries
-    int_0^T e^{t L_k} vec(rho0) dt in its last column; the return integral is
+    For each momentum, exp([[T L_k, T hvec(rho0)], [0, 0]]) (Van Loan) carries
+    int_0^T e^{t L_k} hvec(rho0) dt in its last column; the return integral is
     the mean of their traces over the ring's momenta, (tr_0 + 2 sum_{q >= 1}
     Re tr_q) / N from momenta 0..radius. With ``with_half`` it returns the pair
     (value at T, value at T/2) from the one exponential E at T/2: the full
@@ -517,13 +482,13 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
     d2 = gen.coin.dim ** 2
     aug = np.zeros((gen.radius + 1, d2 + 1, d2 + 1), dtype=complex)
     aug[:, :d2, :d2] = gen.symbols
-    aug[:, :d2, d2] = vec(rho)
+    aug[:, :d2, d2] = hvec(rho)
     e = mat_exp(aug, horizon / 2.0 if with_half else horizon)
     column = e[:, :d2, d2]
     at_start = _site_weights(gen, 0)[0]
 
     def value(c):
-        return float((at_start @ c[:, :: gen.coin.dim + 1].sum(axis=1)).real)
+        return float((at_start @ c[:, : gen.coin.dim].sum(axis=1)).real)
 
     if not with_half:
         return value(column)

@@ -1,16 +1,28 @@
-"""Dense complex-matrix kernels shared by the rest of the package.
+"""Dense matrix kernels shared by the rest of the package.
 
 Conventions used everywhere:
 
-* ``vec`` is COLUMN-stacking, so ``vec(L @ rho @ R) = kron(R.T, L) @ vec(rho)``.
-  All superoperator matrices in this package rely on that one identity.
-* Matrices are ``numpy.ndarray`` of ``complex128``; no wrapper classes.
+* States live in the real coordinates :func:`hvec` of an orthonormal basis
+  of the Hermitian matrices (:func:`hermitian_basis`), where Tr X is the sum
+  of the first d coordinates. A map that keeps matrices Hermitian, like every
+  part of the walk's generator, is a real matrix there; its adjoint is the
+  transpose.
+* ``vec`` is COLUMN-stacking, so ``vec(L @ rho @ R) = kron(R.T, L) @ vec(rho)``;
+  :func:`superop_matrix` builds superoperators on it.
+* Matrices are ``numpy.ndarray``, real or complex; no wrapper classes.
 """
 from __future__ import annotations
+
+import functools
+import itertools
+import math
 
 import numpy as np
 
 __all__ = [
+    "hermitian_basis",
+    "hunvec",
+    "hvec",
     "mat_exp",
     "null_space",
     "superop_matrix",
@@ -41,7 +53,7 @@ _PADE13_THETA = 5.371920351148152
 
 
 def _as_square(m, stacked: bool = False) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if (a.ndim < 2 if stacked else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -53,7 +65,8 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     """Matrix exponential e^{t m} by scaling-and-squaring with a Pade-13 core.
 
     ``m`` is one square matrix or a stack of shape ``(..., n, n)``; a stack
-    is exponentiated matrix by matrix in one vectorized pass. Relative
+    is exponentiated matrix by matrix in one vectorized pass, in real
+    arithmetic when ``m`` is real. Relative
     accuracy is at machine-precision level for any square input; the scaling
     power is chosen from the largest 1-norm of ``t*m`` in the stack.
 
@@ -63,7 +76,7 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     [0, 20], and this routine by at most 2.2e-16.
     """
     a = _as_square(m, stacked=True) * t
-    ident = np.eye(a.shape[-1], dtype=complex)
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     norm = float(np.abs(a).sum(axis=-2).max())
     if norm == 0.0:
         return np.broadcast_to(ident, a.shape).copy()
@@ -93,9 +106,9 @@ def null_space(m, rel_tol: float = 1e-10, scale: float | None = None) -> list[np
 
     Kernel directions are the right-singular vectors whose singular value is
     below ``rel_tol * scale``, the scale defaulting to sigma_max. A zero
-    matrix yields the full space.
+    matrix yields the full space. A real matrix has a real kernel basis.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
     if not (0.0 < rel_tol < 1.0):
@@ -147,3 +160,37 @@ def unvec(v, d: int | None = None) -> np.ndarray:
     if d * d != a.size:
         raise ValueError(f"length {a.size} is not a square")
     return a.reshape(d, d, order="F")
+
+
+@functools.lru_cache(maxsize=None)
+def hermitian_basis(d: int) -> np.ndarray:
+    """Columns vec(B) of an orthonormal basis of the Hermitian d x d matrices.
+
+    The d diagonal units E_ii come first, so Tr X is the sum of the first d
+    coordinates of X; each pair i < j adds (E_ij + E_ji)/sqrt 2 and
+    i (E_ij - E_ji)/sqrt 2. The d^2 x d^2 matrix is unitary."""
+    eye = np.eye(d)
+    units = [np.outer(e, e) for e in eye]
+    for i, j in itertools.combinations(range(d), 2):
+        e = np.outer(eye[i], eye[j])
+        units += [(e + e.T) / np.sqrt(2.0), 1j * (e - e.T) / np.sqrt(2.0)]
+    basis = np.array([vec(b) for b in units]).T
+    basis.setflags(write=False)
+    return basis
+
+
+def hvec(m) -> np.ndarray:
+    """Real coordinates in :func:`hermitian_basis` of a Hermitian matrix, or
+    of each matrix of a stack ``(..., d, d)``."""
+    a = np.asarray(m, dtype=complex)
+    d = a.shape[-1]
+    flat = a.swapaxes(-1, -2).reshape(a.shape[:-2] + (d * d,))
+    return (flat @ hermitian_basis(d).conj()).real
+
+
+def hunvec(c) -> np.ndarray:
+    """The d x d matrix with coordinates c (real or complex), or a stack of
+    them for c of shape ``(..., d^2)``; Hermitian for real c."""
+    c = np.asarray(c)
+    d = math.isqrt(c.shape[-1])
+    return (c @ hermitian_basis(d).T).reshape(c.shape[:-1] + (d, d)).swapaxes(-1, -2)

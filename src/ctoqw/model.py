@@ -8,10 +8,11 @@ state evolves by the contraction semigroup generated by
 
     G0 = -i ham - (left* left + right* right) / 2,
 
-which satisfies G0 + G0* = -(left* left + right* right). On vectorized
-states the walk's generator has the Fourier symbol
-L_k = S + e^{ik} R + e^{-ik} L (``symbol_parts``, once per coin as ``Coin.symbol``):
-S is the no-jump flow X -> G0 X + X G0*, R and L the jumps X -> A X A*, C X C*.
+which satisfies G0 + G0* = -(left* left + right* right). On the real
+coordinates hvec(X) the walk's generator has the Fourier symbol
+L_k = S + e^{ik} R + e^{-ik} L, S, R, L real (``symbol_parts``, once per coin
+as ``Coin.symbol``): S is the no-jump flow X -> G0 X + X G0*, R and L the
+jumps X -> A X A*, C X C*.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import superop_matrix
+from .linalg import hermitian_basis, superop_matrix
 
 __all__ = [
     "Coin",
@@ -49,9 +50,10 @@ DENSITY_EIG_FLOOR = -1e-10
 DENSITY_TRACE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coin:
-    """Immutable walk specification (left/right jump operators, Hamiltonian)."""
+    """Immutable walk specification (left/right jump operators, Hamiltonian),
+    equal only to itself: coins compare and hash by identity."""
 
     left: np.ndarray
     right: np.ndarray
@@ -69,7 +71,7 @@ class Coin:
 
     @functools.cached_property
     def symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S, R, L) of :func:`symbol_parts`, built on first use; read-only like the matrices."""
+        """Real (S, R, L) of :func:`symbol_parts`, built once; read-only like the matrices."""
         parts = symbol_parts(self)
         for p in parts:
             p.setflags(write=False)
@@ -131,17 +133,20 @@ def no_jump_generator(coin: Coin) -> np.ndarray:
 
 
 def symbol_parts(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, R, L) with L_k = S + e^{ik} R + e^{-ik} L on column-stacked vec(X).
+    """Real (S, R, L) with L_k = S + e^{ik} R + e^{-ik} L on hvec(X).
 
-    S vec(X) = vec(G0 X + X G0*), R vec(X) = vec(A X A*) and
-    L vec(X) = vec(C X C*); S + R + L is the internal Lindblad generator.
+    S hvec(X) = hvec(G0 X + X G0*), R hvec(X) = hvec(A X A*) and
+    L hvec(X) = hvec(C X C*); S + R + L is the internal Lindblad generator.
+    Each is B* M B, M on vec and B the Hermitian basis, less its round-off
+    imaginary part; Fortran-ordered, as LAPACK takes it without a copy.
     """
     g0 = no_jump_generator(coin)
     eye = np.eye(coin.dim)
     a, c = coin.right, coin.left
-    return (superop_matrix([(g0, eye), (eye, g0.conj().T)]),
-            superop_matrix([(a, a.conj().T)]),
-            superop_matrix([(c, c.conj().T)]))
+    basis = hermitian_basis(coin.dim)
+    return tuple(np.asfortranarray((basis.conj().T @ superop_matrix(pairs) @ basis).real)
+                 for pairs in ([(g0, eye), (eye, g0.conj().T)],
+                               [(a, a.conj().T)], [(c, c.conj().T)]))
 
 
 def density_from_pure(v) -> np.ndarray:

@@ -14,15 +14,15 @@ and the centered observable admits a drift operator J solving
 L*(J) = -(A*A - C*C - m I), unique up to multiples of the identity.
 
 L is the Fourier symbol L_k = S + e^{ik} R + e^{-ik} L at k = 0, whose zero
-eigenvalue is semisimple. With V its right kernel and W its left kernel
-(the conserved quantities), the branches of L_k through 0 leave with slopes
-lambda'(0) / i equal to the eigenvalues of the compression
-(W*V)^{-1} W*(R - L) V: the drift spectrum. A unique stationary state gives
-the single slope m.
+eigenvalue is semisimple; on hvec coordinates it is real, and L* is its
+transpose. With V its right kernel and W its left kernel (the conserved
+quantities), the branches of L_k through 0 leave with slopes lambda'(0) / i
+equal to the eigenvalues of the compression (W^T V)^{-1} W^T (R - L) V: the
+drift spectrum. A unique stationary state gives the single slope m.
 
-:func:`stationary_states` reports V as ``stationary_basis``, an orthonormal
-basis of the complex kernel of L. Its elements need not be Hermitian or
-states; the state of each branch comes from :func:`drift_spectrum`.
+:func:`stationary_states` reports V as ``stationary_basis``, Hermitian
+matrices orthonormal in their real coordinates. They need not be states;
+the state of each branch comes from :func:`drift_spectrum`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 # superop_matrix is unused here but stays bound: bench/tracer.py wraps it.
-from .linalg import null_space, superop_matrix, unvec, vec  # noqa: F401
+from .linalg import hunvec, hvec, null_space, superop_matrix  # noqa: F401
 from .model import Coin
 
 # Singular values below KERNEL_RTOL times the rate scale (Coin.rate_scale)
@@ -58,9 +58,9 @@ _TAUS = (0.6180339887498949, 0.41421356237309515, 1.7320508075688772, 0.31830988
 class StationaryAnalysis:
     """Kernel of the internal generator and, when unique, its stationary state.
 
-    ``stationary_basis`` is an orthonormal basis of the complex kernel of L
-    (d x d matrices, not necessarily Hermitian); the stationary state of each
-    branch through 0 comes from :func:`drift_spectrum` on it.
+    ``stationary_basis`` is an orthonormal basis of the kernel of L made of
+    Hermitian d x d matrices (not necessarily states); the stationary state of
+    each branch through 0 comes from :func:`drift_spectrum` on it.
     """
 
     kernel_dim: int
@@ -86,7 +86,7 @@ def internal_lindblad(coin: Coin, rho) -> np.ndarray:
 
 
 def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
-    """d^2 x d^2 matrix with M @ vec(rho) = vec(L(rho)): the symbol at k = 0."""
+    """Real d^2 x d^2 matrix with M @ hvec(rho) = hvec(L(rho)): the symbol at k = 0."""
     stay, right, left = coin.symbol
     return stay + left + right
 
@@ -94,12 +94,11 @@ def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
 def stationary_states(coin: Coin) -> StationaryAnalysis:
     """Kernel of L, and the stationary density when it is unique.
 
-    ``stationary_basis`` is the orthonormal basis of the complex kernel of
-    the superoperator matrix, as d x d matrices. If the kernel is
-    one-dimensional, its element b is a phase times a Hermitian matrix: the
-    Hermitian part of b conj(Tr b), normalized by its trace, is the
-    stationary density. A near-zero trace is flagged as numerical degeneracy
-    instead of dividing.
+    ``stationary_basis`` is the orthonormal basis of the kernel of the real
+    matrix of L, as Hermitian d x d matrices. If the kernel is
+    one-dimensional, its element b normalized by its trace is the stationary
+    density. A near-zero trace is flagged as numerical degeneracy instead of
+    dividing.
     """
     s = internal_lindblad_matrix(coin)
     kernel = null_space(s, rel_tol=KERNEL_RTOL, scale=coin.rate_scale)
@@ -108,19 +107,17 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
             "empty stationary kernel: a finite-dimensional Lindblad semigroup "
             "always has a stationary state, so this is a numerical failure"
         )
-    basis = [unvec(v, coin.dim) for v in kernel]
+    basis = [hunvec(v) for v in kernel]
     kdim = len(basis)
     if kdim != 1:
         return StationaryAnalysis(kernel_dim=kdim, stationary_basis=basis,
                                   unique_stationary=False,
                                   note=f"{kdim} independent stationary directions")
-    tr = complex(np.trace(basis[0]))
+    tr = float(kernel[0][:coin.dim].sum())
     if abs(tr) < TRACE_FLOOR:
         note = "one-dimensional kernel with near-zero trace; cannot normalize"
     else:
-        x = basis[0] * tr.conjugate()
-        rho = (x + x.conj().T) / 2.0
-        rho /= np.trace(rho).real
+        rho = basis[0] / tr
         lo = float(np.linalg.eigvalsh(rho).min())
         if lo >= PSD_FLOOR:
             return StationaryAnalysis(kernel_dim=1, stationary_basis=basis,
@@ -154,21 +151,20 @@ def drift_spectrum(coin: Coin, kernel_basis: list) -> tuple[np.ndarray, list]:
 
     ``kernel_basis`` spans the stationary kernel (the ``stationary_basis`` of
     :func:`stationary_states`). The slopes are the eigenvalues of
-    (W*V)^{-1} W*(R - L) V in ascending order; an imaginary part above
+    (W^T V)^{-1} W^T (R - L) V in ascending order; an imaginary part above
     ``DRIFT_IMAG_RTOL`` times ``Coin.rate_scale`` raises ``ArithmeticError``.
-    A branch state is V times the slope's eigenvector, divided by its own
-    trace and made Hermitian, or None when that trace is below
+    A branch state is V times the real part of the slope's eigenvector,
+    divided by its own trace, or None when that trace is below
     ``TRACE_FLOOR`` relative to its norm (possible only inside a repeated
     slope, where the eigenvectors are not unique).
     """
     _, right, left = coin.symbol
     scale = coin.rate_scale
-    v = np.column_stack([vec(b) for b in kernel_basis])
-    w = null_space(internal_lindblad_matrix(coin).conj().T, rel_tol=KERNEL_RTOL, scale=scale)
+    v = hvec(np.array(kernel_basis)).T
+    w = np.array(null_space(internal_lindblad_matrix(coin).T, rel_tol=KERNEL_RTOL, scale=scale))
     if len(w) != v.shape[1]:
         raise ArithmeticError(f"left kernel has dimension {len(w)}, "
                               f"right kernel {v.shape[1]}")
-    w = np.column_stack(w).conj().T
     slopes, vecs = np.linalg.eig(np.linalg.solve(w @ v, w @ (right - left) @ v))
     worst = float(np.abs(slopes.imag).max())
     if worst > DRIFT_IMAG_RTOL * scale:
@@ -176,39 +172,30 @@ def drift_spectrum(coin: Coin, kernel_basis: list) -> tuple[np.ndarray, list]:
                               f"at rate scale {scale:.3e}")
     order = np.argsort(slopes.real)
     states = []
-    for col in (v @ vecs[:, order]).T:
-        x = unvec(col, coin.dim)
-        tr = complex(np.trace(x))
-        if abs(tr) <= TRACE_FLOOR * float(np.linalg.norm(x)):
-            states.append(None)
-            continue
-        x = x / tr
-        states.append((x + x.conj().T) / 2.0)
+    for col in (v @ vecs[:, order].real).T:
+        tr = float(col[:coin.dim].sum())
+        small = abs(tr) <= TRACE_FLOOR * float(np.linalg.norm(col))
+        states.append(None if small else hunvec(col / tr))
     return slopes.real[order], states
 
 
 def solve_drift_operator(coin: Coin, m: float) -> tuple[np.ndarray, float]:
     """Least-squares J with L*(J) = -(A*A - C*C - m I), gauge Tr(J) = 0.
 
-    The adjoint acts as the conjugate transpose of the superoperator matrix.
-    Solutions differ by multiples of the identity (which L* annihilates), so
-    the returned J is the trace-free representative. The residual
+    The adjoint acts as the transpose of the real matrix of L, so J is
+    Hermitian. Solutions differ by multiples of the identity (which L*
+    annihilates), so the returned J is the trace-free representative. The residual
     |L*(J) + (A*A - C*C - m I)| is reported always; it is small exactly when
     a true solution exists.
     """
     d = coin.dim
-    s_adj = internal_lindblad_matrix(coin).conj().T
-    rhs = -(
-        coin.right.conj().T @ coin.right
-        - coin.left.conj().T @ coin.left
-        - m * np.eye(d)
-    )
-    x, *_ = np.linalg.lstsq(s_adj, vec(rhs), rcond=None)
-    j = unvec(x, d)
-    j = (j + j.conj().T) / 2.0
-    j = j - (np.trace(j) / d) * np.eye(d)
-    residual = float(np.linalg.norm(unvec(s_adj @ vec(j), d) - rhs))
-    return j, residual
+    s_adj = internal_lindblad_matrix(coin).T
+    a, c = coin.right, coin.left
+    rhs = -hvec(a.conj().T @ a - c.conj().T @ c - m * np.eye(d))
+    x, *_ = np.linalg.lstsq(s_adj, rhs, rcond=None)
+    # The identity has coordinates 1 on the d diagonal units and 0 elsewhere.
+    x[:d] -= x[:d].mean()
+    return hunvec(x), float(np.linalg.norm(s_adj @ x - rhs))
 
 
 def _is_normal(m: np.ndarray) -> bool:

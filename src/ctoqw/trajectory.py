@@ -10,27 +10,28 @@ estimates the net velocity m.
 
 Sampling uses the linear unnormalized evolution rather than the nonlinear
 normalized ODE; the two are equivalent (the normalization cancels in every
-sampled probability). On v = vec(sigma) the flow is e^{tS} with S the
-k-independent part of the walk's Fourier symbol L_k = S + e^{ik} R +
-e^{-ik} L, P(t) = vec(I)^T e^{tS} v, and the jump weights are the traces of
-R v and L v. With the step h = 1/|S|_2, e^{x h S} for 0 <= x <= 1 is its
-Taylor sum up to (hS)^18 / 18!, with remainder at most e/19! < 3e-17 in
-operator norm; e^{hS} is that sum at x = 1, so the sampler needs no general
-matrix exponential. Per coin it caches the grid e^{k h S} for k = 0..K
-(K = 64 steps make a window; both stacks are built by batched doubling) and
-the grid's trace rows, so one product gives P at every grid time of a
-window, and the jump lies in the step that ends at the first grid time where
-P is at most u. If P is still above u at the end of the first window, the
-powers e^{2^j K h S} (extended by squaring) bracket the jump within one
-window first (JumpSampler._bracket, row-wise, so a single draw passes it one
-row): double until P drops to u, then halve; then the grid places it in a
-step of that window. Inside the step P is a polynomial in x that Halley
-steps with bisection invert (Newton's step where Halley's denominator is not
-positive), starting where the chord between the two bracketing grid
-survivals meets u and stopping once a step corrects the time by at most
-REL_TIME_TOL relative or the bracket is within REL_TIME_TOL; the state at
-the jump comes from the same Taylor terms, and the jump weights from real
-trace rows of R and L. Nothing here needs G0 to be diagonalizable.
+sampled probability). On the real coordinates v = hvec(sigma) the flow is
+e^{tS} with S the k-independent part of the walk's real Fourier symbol L_k =
+S + e^{ik} R + e^{-ik} L, P(t) is the trace (the sum of the first d
+coordinates) of e^{tS} v, the jump weights are the traces of R v and L v,
+and a right jump leaves R v divided by its trace. With the step h = 1/|S|_2,
+e^{x h S} for 0 <= x <= 1 is its Taylor sum up to (hS)^18 / 18!, with
+remainder at most e/19! < 3e-17 in operator norm; e^{hS} is that sum at x =
+1, so the sampler needs no general matrix exponential. Per coin it caches
+the grid e^{k h S} for k = 0..K (K = 64 steps make a window; both stacks are
+built by batched doubling) and the grid's trace rows, so one product gives P
+at every grid time of a window, and the jump lies in the step that ends at
+the first grid time where P is at most u. If P is still above u at the end
+of the first window, the powers e^{2^j K h S} (extended by squaring) bracket
+the jump within one window first (JumpSampler._bracket, row-wise, so a
+single draw passes it one row): double until P drops to u, then halve; then
+the grid places it in a step of that window. Inside the step P is a
+polynomial in x that Halley steps with bisection invert (Newton's step where
+Halley's denominator is not positive), starting where the chord between the
+two bracketing grid survivals meets u and stopping once a step corrects the
+time by at most REL_TIME_TOL relative or the bracket is within REL_TIME_TOL;
+the state at the jump comes from the same Taylor terms, and the jump weights
+from the trace rows of R and L. Nothing here needs G0 to be diagonalizable.
 
 Reproducibility: every path k of a run with seed s draws from its own
 counter-based stream keyed by (s, k), so results do not depend on scheduling
@@ -41,18 +42,19 @@ history, one jump at a time (JumpSampler.next_jump). sample_sites returns
 only the end sites and jump counts of many paths, run in lockstep: the live
 states form one (P, d^2) array, one product with the grid's trace rows
 places every row's jump in a step (rows past their first window take the
-window chain, one product per level), the in-step polynomials come from one
-coefficient product, Halley runs vectorised over all rows with the serial
-stopping rule per row (a finished row stays in the batch, frozen; on the
-three-level coin nearly every round takes three passes), both jump weights
-come from one product with the real trace rows, and the post-jump states
-from one product with R and L stacked; estimate_drift is its reduction and
-reports the rounds and passes. Each path reads its own stream in the serial
-order (jump time, then direction). Batched products sum in another order, so jump
-times agree with simulate_path on path_rng(s, k) to REL_TIME_TOL, and the
-end site agrees unless a uniform falls within about 1e-10 of a decision
-boundary. Single paths stay serial: one row of _next_jumps costs 190-250 us
-against 29-40 us for next_jump (three-level coin, README timings).
+window chain, one product per level), the in-step polynomials and their
+first two time derivatives come from one coefficient product, Halley runs
+vectorised over all rows with the serial stopping rule per row (a finished
+row stays in the batch, frozen; on the three-level coin nearly every round
+takes three passes), both jump weights come from one product with the trace
+rows, and the post-jump states from one product with R and L stacked;
+estimate_drift is its reduction and reports the rounds and passes. Each path
+reads its own stream in the serial order (jump time, then direction).
+Batched products sum in another order, so jump times agree with
+simulate_path on path_rng(s, k) to REL_TIME_TOL, and the end site agrees
+unless a uniform falls within about 1e-10 of a decision boundary. Single
+paths stay serial: one row of _next_jumps costs 190-250 us against 29-40 us
+for next_jump (three-level coin, README timings).
 
 With the same caveat, the site at tau < T on stream k is the end site of the
 horizon-tau run on that stream: both read the same uniforms in the same
@@ -67,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import mat_exp, unvec, vec
+from .linalg import hunvec, hvec, mat_exp
 from .model import Coin, density_for, no_jump_generator
 
 REL_TIME_TOL = 1e-10
@@ -121,10 +123,10 @@ class DriftEstimate:
 class JumpSampler:
     """Per-coin cached machinery for drawing jumps from any current state.
 
-    States are handled as v = vec(sigma); S, R, L are the coin's
+    States are handled as v = hvec(sigma); S, R, L are the coin's real
     superoperators, read from ``Coin.symbol``, and survival from v after time
-    t is vec(I)^T e^{tS} v. The step is h = 1/|S|_2 and a window is K steps
-    (module docstring).
+    t is the trace row (ones on the first d coordinates) times e^{tS} v. The
+    step is h = 1/|S|_2 and a window is K steps (module docstring).
     """
 
     def __init__(self, coin: Coin):
@@ -136,22 +138,25 @@ class JumpSampler:
         self.rate_scale = lam
 
         stay, right, left = coin.symbol
-        n = len(stay)
+        n, d = len(stay), coin.dim
         # Both jump superoperators stacked, so one product gives R v and L v.
         self._rl = np.concatenate([right, left])
-        self._h = 1.0 / float(np.linalg.norm(stay, 2))
-        # Trace of an unvectorized state: the entries of vec(X) at stride d + 1.
-        self._diag = slice(None, None, coin.dim + 1)
+        self._h = h = 1.0 / float(np.linalg.norm(stay, 2))
         # (hS)^j / j! for j < _TAYLOR_TERMS; _steps[k] = e^{k h S} for k <= K,
         # e^{hS} being their sum (smallest terms first).
-        self._taylor = _power_stack(self._h * stay, _TAYLOR_TERMS - 1) * _INV_FACTORIALS
+        self._taylor = _power_stack(h * stay, _TAYLOR_TERMS - 1) * _INV_FACTORIALS
         self._steps = _power_stack(self._taylor[::-1].sum(axis=0), K)
-        # The traces of both stacks and of R v and L v, as real rows acting on
-        # v.view(float): survival at every grid time, the in-step polynomial
-        # coefficients, and the right and left jump weights.
-        self._grid_trace = _real_rows(self._steps[:, self._diag, :].sum(axis=1))
-        self._taylor_trace = _real_rows(self._taylor[:, self._diag, :].sum(axis=1))
-        self._rl_trace = _real_rows(self._rl.reshape(2, n, n)[:, self._diag, :].sum(axis=1))
+        # Trace rows (Tr X is the sum of the first d coordinates): survival at
+        # every grid time, the in-step polynomial coefficients, and the right
+        # and left jump weights.
+        self._grid_trace = self._steps[:, :d, :].sum(axis=1)
+        self._taylor_trace = self._taylor[:, :d, :].sum(axis=1)
+        self._rl_trace = self._rl.reshape(2, n, n)[:, :d, :].sum(axis=1)
+        # Rows of survival's in-step coefficients and of its first two time
+        # derivatives', lowest degree first: d/dt x^j = j x^{j-1} / h.
+        up = np.diag(_DEGREES[1:] / h, 1)
+        first = up @ self._taylor_trace
+        self._poly_trace = np.concatenate([self._taylor_trace, first, up @ first])
         # _powers[j] = e^{2^j K h S}, extended on demand by squaring.
         self._powers = [self._steps[K]]
 
@@ -162,7 +167,7 @@ class JumpSampler:
 
     def _traces(self, rows: np.ndarray) -> np.ndarray:
         # The grid's first trace row is that of e^{0 hS} = I.
-        return rows.view(float) @ self._grid_trace[0]
+        return rows @ self._grid_trace[0]
 
     def _bracket(self, v: np.ndarray, u: np.ndarray, cap: np.ndarray):
         """The one window chain, doubling then halving, for rows of both drivers.
@@ -203,7 +208,7 @@ class JumpSampler:
         return live, start, base
 
     def _next_jumps(self, v: np.ndarray, u: np.ndarray, cap: np.ndarray):
-        """Batched :meth:`next_jump` up to the jump, on rows v = vec(sigma).
+        """Batched :meth:`next_jump` up to the jump, on rows v = hvec(sigma).
 
         u[k] is row k's jump-time uniform and cap[k] its time cap. Returns
         (rows, dt, sigma, passes) for the rows that jump before their cap:
@@ -215,23 +220,25 @@ class JumpSampler:
         start = np.zeros(n_rows)
         live = np.ones(n_rows, dtype=bool)
         # grid[k, r]: survival of row r at k h into its window.
-        grid = self._grid_trace @ v.view(float).T
+        grid = self._grid_trace @ v.T
         far = np.flatnonzero(grid[K] > u)
         if far.size:
             v = v.copy()
             live[far], start[far], v[far] = self._bracket(v[far], u[far], cap[far])
-            grid[:, far] = self._grid_trace @ v[far].view(float).T
+            grid[:, far] = self._grid_trace @ v[far].T
         k = np.minimum(np.count_nonzero(grid[1:] > u, axis=0), K - 1)
         start += k * h
         cols = np.arange(n_rows)
         s_lo, s_hi = grid[k, cols], grid[k + 1, cols]
         base = (self._steps[k] @ v[:, :, None])[:, :, 0]
-        coef = self._taylor_trace @ base.view(float).T
+        # poly[i]: the i-th time derivative's coefficients, one column per row.
+        poly = (self._poly_trace @ base.T).reshape(3, _TAYLOR_TERMS, n_rows)
         hi = start + h
         capped = np.flatnonzero(live & (hi > cap))
         if capped.size:
             end, begin = cap[capped], start[capped]
-            s = (coef[:, capped] * _power_stack((end - begin) / h, _TAYLOR_TERMS - 1)).sum(axis=0)
+            powers = _power_stack((end - begin) / h, _TAYLOR_TERMS - 1)
+            s = (poly[0][:, capped] * powers).sum(axis=0)
             stop = (end <= begin) | (s > u[capped])
             live[capped[stop]] = False
             hi[capped[~stop]] = end[~stop]
@@ -243,11 +250,11 @@ class JumpSampler:
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(s_lo > s_hi, start + h * (s_lo - u) / (s_lo - s_hi), np.nan)
         x = np.where((start < x) & (x < hi), x, 0.5 * (start + hi))
-        dt, passes = _invert_survival(coef[:, rows], start, hi, u, h, x)
+        dt, passes = _invert_survival(poly[:, :, rows], start, hi, u, h, x)
 
         # sigma = (sum_j x^j (hS)^j / j!) base, the Taylor sum of next_jump.
         powers = _power_stack((dt - start) / h, _TAYLOR_TERMS - 1)
-        flow = (powers.T @ self._taylor.reshape(_TAYLOR_TERMS, -1).view(float)).view(complex)
+        flow = powers.T @ self._taylor.reshape(_TAYLOR_TERMS, -1)
         sigma = (flow.reshape(-1, n, n) @ base[:, :, None])[:, :, 0]
         return rows, dt, sigma, passes
 
@@ -257,7 +264,7 @@ class JumpSampler:
         Uniform variates are consumed in a fixed order: first the jump time,
         then (when a jump happens) the direction.
         """
-        v = np.ascontiguousarray(vec(rho))
+        v = hvec(rho)
         u = rng.random()
         if t_cap <= 0.0:
             return None
@@ -267,23 +274,23 @@ class JumpSampler:
         # state is `base`: the jump lies in the first step that ends at or
         # below u. If the first window ends above u, _bracket finds the window.
         start, base = 0.0, v
-        grid = self._grid_trace @ v.view(float)
+        grid = self._grid_trace @ v
         if grid[K] > u:
             live, start, base = self._bracket(v[None], np.array([u]), np.array([t_cap]))
             if not live[0]:
                 return None
             start, base = float(start[0]), base[0]
-            grid = self._grid_trace @ base.view(float)
+            grid = self._grid_trace @ base
         k = min(int(np.count_nonzero(grid[1:] > u)), K - 1)
         start += k * h
         s_lo, s_hi = grid[k:k + 2].tolist()
 
         # Within the step, survival is the polynomial in x = (t - start) / h
-        # with coefficients vec(I)^T (hS)^j base / j!, exact up to e/19!;
+        # with coefficients Tr of (hS)^j base / j!, exact up to e/19!;
         # coef lists them highest degree first for Horner's rule.
         base = self._steps[k] @ base
         terms = self._taylor @ base
-        coef = (self._taylor_trace @ base.view(float)).tolist()[::-1]
+        coef = (self._taylor_trace @ base).tolist()[::-1]
 
         def surv(t):
             # Survival and its first two time derivatives at t.
@@ -321,7 +328,7 @@ class JumpSampler:
         dt = 0.5 * (lo + hi)
 
         sigma = ((dt - start) / h) ** _DEGREES @ terms
-        w_right, w_left = (self._rl_trace @ sigma.view(float)).tolist()
+        w_right, w_left = (self._rl_trace @ sigma).tolist()
         total = w_right + w_left
         if not (total > 0.0):
             raise ArithmeticError("zero total jump weight at the sampled time")
@@ -331,8 +338,7 @@ class JumpSampler:
         weight, jump = (w_right, self._rl[:n]) if direction == 1 else (w_left, self._rl[n:])
         if weight <= 0.0:
             raise ArithmeticError("post-jump state has nonpositive trace")
-        post = unvec(jump @ sigma, self.coin.dim)
-        return dt, direction, (post + post.conj().T) / (2.0 * weight)
+        return dt, direction, hunvec(jump @ sigma / weight)
 
 
 def _root_step(x, f, ds, dds):
@@ -365,27 +371,17 @@ def _power_stack(b: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-def _real_rows(rows: np.ndarray) -> np.ndarray:
-    """Real rows r' with r'.dot(v.view(float)) = Re(r.dot(v)) for complex v."""
-    return np.stack([rows.real, -rows.imag], axis=-1).reshape(len(rows), -1)
-
-
-def _invert_survival(coef, start, hi, u, h, x):
+def _invert_survival(poly, start, hi, u, h, x):
     """Row-wise Halley with bisection of :meth:`JumpSampler.next_jump`.
 
     Row k solves survival = u[k] for t in (start[k], hi[k]] from x[k],
-    survival being the polynomial with coefficients coef[:, k] in
-    (t - start[k]) / h; each row takes the serial step (:func:`_root_step`)
-    and stops by the serial rule (a step that corrects the time by at most
+    survival and its first two time derivatives being the polynomials with
+    coefficients poly[:, :, k], lowest degree first, in (t - start[k]) / h
+    (``JumpSampler._poly_trace``); each row takes the serial step
+    (:func:`_root_step`) and stops by the serial rule (a step that corrects the time by at most
     REL_TIME_TOL relative, a bracket within REL_TIME_TOL, or 200 passes).
     Returns the times and the number of passes.
     """
-    # poly[i]: coefficients of the i-th time derivative of survival, lowest
-    # degree first, one column per row.
-    poly = np.zeros((3,) + coef.shape)
-    poly[0] = coef
-    for i in (1, 2):
-        poly[i, :-1] = poly[i - 1, 1:] * (_DEGREES[1:, None] / h)
     lo = start
     for passes in range(1, 201):
         s, ds, dds = np.einsum("ijk,jk->ik", poly, _power_stack((x - start) / h, _TAYLOR_TERMS - 1))
@@ -481,7 +477,7 @@ def _lockstep(coin: Coin, rho0, horizon: float, n_paths: int, seed: int, i0: int
     paths = np.arange(n_paths)
     sites = np.full(n_paths, int(i0))
     jumps = np.zeros(n_paths, dtype=int)
-    v = np.tile(vec(rho), (n_paths, 1))
+    v = np.tile(hvec(rho), (n_paths, 1))
     t = np.zeros(n_paths)
     r = passes = 0
     while paths.size:
@@ -495,7 +491,7 @@ def _lockstep(coin: Coin, rho0, horizon: float, n_paths: int, seed: int, i0: int
         paths = paths[rows]
         if not paths.size:
             break
-        w_right, w_left = (sigma.view(float) @ sampler._rl_trace.T).T
+        w_right, w_left = (sigma @ sampler._rl_trace.T).T
         total = w_right + w_left
         if not np.all(total > 0.0):
             raise ArithmeticError("zero total jump weight at the sampled time")
@@ -504,12 +500,8 @@ def _lockstep(coin: Coin, rho0, horizon: float, n_paths: int, seed: int, i0: int
         weight = np.where(right, w_right, w_left)
         if np.any(weight <= 0.0):
             raise ArithmeticError("post-jump state has nonpositive trace")
-        # Rows reshaped C-order are the transposed states; hermitising does
-        # not care.
         both = (sigma @ sampler._rl.T).reshape(len(paths), 2, -1)
-        post = both[np.arange(len(paths)), (~right).astype(int)].reshape(-1, coin.dim, coin.dim)
-        post = (post + post.conj().swapaxes(1, 2)) / (2.0 * weight[:, None, None])
-        v = post.reshape(len(paths), -1)
+        v = both[np.arange(len(paths)), (~right).astype(int)] / weight[:, None]
         t = t[rows] + dt
         sites[paths] += np.where(right, 1, -1)
         jumps[paths] += 1

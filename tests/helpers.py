@@ -3,9 +3,8 @@
 import numpy as np
 import scipy.optimize
 
-from ctoqw import Coin, mat_exp, validate_coin, vec
+from ctoqw import Coin, mat_exp, no_jump_generator, superop_matrix, validate_coin, vec
 from ctoqw.lattice import _theta_max
-from ctoqw.model import symbol_parts
 
 
 def random_hermitian(rng, d: int, scale: float = 1.0) -> np.ndarray:
@@ -61,12 +60,24 @@ def same_projector(p, q, tol: float = 1e-8) -> bool:
     return np.max(np.abs(np.asarray(p) - np.asarray(q))) < tol
 
 
+def vec_symbol(coin: Coin):
+    """(S, R, L) of the walk's symbol on column-stacked vec(X), complex: an
+    independent reference for the real Hermitian-coordinate ``Coin.symbol``."""
+    g0 = no_jump_generator(coin)
+    eye = np.eye(coin.dim)
+    a, c = coin.right, coin.left
+    return (superop_matrix([(g0, eye), (eye, g0.conj().T)]),
+            superop_matrix([(a, a.conj().T)]),
+            superop_matrix([(c, c.conj().T)]))
+
+
 def complex_chernoff_tail(stay, ahead, behind, v, dist: int, theta_max: float) -> float:
     """The Chernoff tail of one edge on the complex d^2 x d^2 tilted symbol.
 
     Bounded Brent over 0..theta_max with ``np.linalg.eigvals`` at every step,
-    then one exponential of M(theta) shifted by its abscissa: the form
-    ``lattice.leak_bound`` had before it moved to the real form.
+    then one exponential of M(theta) shifted by its abscissa, all in the
+    column-stacking vec basis: the form ``lattice.leak_bound`` had before it
+    moved to the real form.
     """
     def tilted(theta):
         return stay + np.exp(theta) * ahead + np.exp(-theta) * behind
@@ -88,7 +99,7 @@ def complex_chernoff_tail(stay, ahead, behind, v, dist: int, theta_max: float) -
 
 def complex_leak_bound(coin: Coin, rho, i0: int, radius: int, t: float) -> float:
     """``lattice.leak_bound`` (t > 0) from :func:`complex_chernoff_tail`, same theta range."""
-    stay, right, left = (t * m for m in symbol_parts(coin))
+    stay, right, left = (t * m for m in vec_symbol(coin))
     t_rate = t * coin.rate_scale
     total = sum(complex_chernoff_tail(stay, ahead, behind, vec(rho), dist,
                                       _theta_max(dist, t_rate))

@@ -15,11 +15,13 @@ import scipy.optimize
 import scipy.special
 
 from ctoqw import (
+    Coin,
     build_block_generator,
     initial_block_state,
     evolve,
     leak_bound,
     probability_series,
+    trace_profile_series,
     transition_probability,
     conditioned_state,
     chapman_kolmogorov_residual,
@@ -30,12 +32,14 @@ from ctoqw import (
     load_coin,
     write_series_csv,
     write_profile_csv,
+    hunvec,
+    hvec,
     mat_exp,
     vec,
     validate_coin,
 )
 import ctoqw.lattice as lattice_mod
-from ctoqw.model import symbol_parts
+from ctoqw.linalg import hermitian_basis
 from ctoqw.coins import (
     diagonal_jumps_coin,
     scalar_coin,
@@ -44,7 +48,7 @@ from ctoqw.coins import (
     three_level_coin,
 )
 
-from helpers import complex_leak_bound, random_coin, random_density
+from helpers import complex_leak_bound, random_coin, random_density, random_unitary, vec_symbol
 
 COINS = Path(__file__).resolve().parents[1] / "coins"
 
@@ -84,7 +88,7 @@ def exact_theta_leak_bound(coin, rho, i0, radius, t):
             method="bounded")
         return float(np.exp(min(best.fun, 0.0)))
 
-    stay, right, left = (t * m for m in symbol_parts(coin))
+    stay, right, left = (t * m for m in vec_symbol(coin))
     return min(1.0, tail(stay, right, left, radius + 1 - i0)
                + tail(stay, left, right, radius + 1 + i0))
 
@@ -150,18 +154,17 @@ class TestBlockGenerator:
         k = gen.dense_matrix()
         blocks = np.array([random_density(rng, 2) * 0.2 for _ in range(5)])
         direct = gen.apply(blocks)
-        stacked = np.concatenate([vec(b) for b in blocks])
+        stacked = hvec(blocks).ravel()
         via_dense = k @ stacked
-        expect = np.concatenate([vec(b) for b in direct])
+        expect = hvec(direct).ravel()
         assert np.linalg.norm(via_dense - expect) < 1e-12
 
 
 def dense_blocks(gen, rho, i0, t):
     """Ring blocks at time t from scipy's expm of the dense ring generator."""
-    d = gen.coin.dim
-    start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+    start = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
     y = scipy.linalg.expm(t * gen.dense_matrix()) @ start
-    return y.reshape(gen.n_sites, d, d).transpose(0, 2, 1)
+    return hunvec(y.reshape(gen.n_sites, -1))
 
 
 def dense_traces(blocks):
@@ -216,10 +219,10 @@ class TestHalfSpectrum:
         gen, rho, i0 = case
         delta, n_steps = 0.2, 6
         step = scipy.linalg.expm(delta * gen.dense_matrix())
-        y = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+        y = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
         terms = []
         for _ in range(n_steps + 1):
-            terms.append(dense_traces(y.reshape(gen.n_sites, gen.coin.dim, -1)))
+            terms.append(dense_traces(hunvec(y.reshape(gen.n_sites, -1))))
             y = step @ y
         ref = np.cumsum(terms, axis=0)
         for q in range(gen.n_sites):
@@ -243,14 +246,14 @@ class TestHalfSpectrum:
         gen, rho, i0 = case
         horizon = self.T
         n = gen.vec_dim
-        start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+        start = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
 
         def ref(t):
             aug = np.zeros((n + 1, n + 1), dtype=complex)
             aug[:n, :n] = t * gen.dense_matrix()
             aug[:n, n] = t * start
             column = scipy.linalg.expm(aug)[:n, n]
-            return dense_traces(column.reshape(gen.n_sites, gen.coin.dim, -1))[i0 + gen.radius]
+            return dense_traces(hunvec(column.reshape(gen.n_sites, -1)))[i0 + gen.radius]
 
         plain = return_integral(gen, rho, i0, horizon)
         full, half = return_integral(gen, rho, i0, horizon, with_half=True)
@@ -293,9 +296,9 @@ class TestTraceRowSteps:
         assert len(calls) == 1
         monkeypatch.undo()
         a = gen.dense_matrix()
-        start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, 0).blocks])
+        start = hvec(initial_block_state(gen, rho, 0).blocks).ravel()
         for t, row in zip(times[::20], series[::20]):
-            ref = dense_traces((scipy.linalg.expm(t * a) @ start).reshape(gen.n_sites, 2, 2))
+            ref = dense_traces(hunvec((scipy.linalg.expm(t * a) @ start).reshape(gen.n_sites, -1)))
             assert np.abs(row - ref).max() <= 1e-12
 
 
@@ -323,9 +326,9 @@ class TestEvolve:
         rho = random_density(rng, d)
         for i0, t in ((0, 0.7), (-3, 1.9)):
             st = evolve(gen, rho, i0, t)
-            start = np.concatenate([vec(b) for b in initial_block_state(gen, rho, i0).blocks])
+            start = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
             expect = mat_exp(gen.dense_matrix(), t) @ start
-            got = np.concatenate([vec(b) for b in st.blocks])
+            got = hvec(st.blocks).ravel()
             assert np.abs(got - expect).max() <= 1e-12
 
     def test_time_zero_is_initial_state(self):
@@ -376,9 +379,9 @@ class TestEvolve:
         direct = evolve(gen, rho, 0, t + s)
         k = gen.dense_matrix()
         mid = evolve(gen, rho, 0, t)
-        stacked = np.concatenate([vec(b) for b in mid.blocks])
+        stacked = hvec(mid.blocks).ravel()
         final = mat_exp(k, s) @ stacked
-        expect = np.concatenate([vec(b) for b in direct.blocks])
+        expect = hvec(direct.blocks).ravel()
         assert np.linalg.norm(final - expect) < 1e-8
 
     def test_rejects_out_of_range_start(self):
@@ -558,11 +561,11 @@ class TestSkeleton:
         rho = np.diag([0.5, 0.5])
         partials = skeleton_partials(gen, rho, 0, 1, 0.5, 8)
         step = mat_exp(gen.dense_matrix(), 0.5)
-        y = np.concatenate([vec(b) for b in initial_block_state(gen, rho, 0).blocks])
+        y = hvec(initial_block_state(gen, rho, 0).blocks).ravel()
         lo = (1 + gen.radius) * 4
         terms = []
         for _ in range(9):
-            terms.append(y[lo] + y[lo + 3])
+            terms.append(y[lo] + y[lo + 1])
             y = step @ y
         assert np.max(np.abs(partials - np.cumsum(np.real(terms)))) < 1e-12
 
@@ -593,6 +596,29 @@ class TestScaleCovariance:
         a = skeleton_partials(gen, rho, 0, 1, 0.5, 10)
         b = skeleton_partials(gen_fast, rho, 0, 1, 0.5 / s2, 10)
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+class TestSymmetryCovariance:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_profile_mirrors_under_swap_and_ignores_basis_change(self, d):
+        # C <-> A mirrors the walk, p_j <-> p_{-j}, from I/d at i0 = 0; a
+        # unitary change of internal basis, applied to the coin and to rho0,
+        # leaves the profile as it was
+        rng = np.random.default_rng(200 + d)
+        coin = random_coin(rng, d)
+        radius, times = 6, [0.0, 0.3, 1.2]
+        mixed = np.eye(d) / d
+        profile = trace_profile_series(build_block_generator(coin, radius), mixed, 0, times)
+        mirror = validate_coin(coin.right, coin.left, coin.ham)
+        flipped = trace_profile_series(build_block_generator(mirror, radius), mixed, 0, times)
+        assert np.abs(flipped - profile[:, ::-1]).max() <= 1e-13
+        u = random_unitary(rng, d)
+        turned = validate_coin(*(u @ m @ u.conj().T for m in (coin.left, coin.right, coin.ham)))
+        rho = random_density(rng, d)
+        plain = trace_profile_series(build_block_generator(coin, radius), rho, 0, times)
+        rotated = trace_profile_series(build_block_generator(turned, radius),
+                                       u @ rho @ u.conj().T, 0, times)
+        assert np.abs(rotated - plain).max() <= 1e-13
 
 
 class TestLeakBound:
@@ -676,22 +702,25 @@ class TestLeakBound:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_real_form_has_the_complex_abscissa(self, d):
-        # ||M|| is taken as ||S|| + e^theta ||R|| + e^-theta ||L||: at d = 1
-        # and theta = 0 the symbol cancels to round-off, M = 0.
+        # Coin.symbol is the vec-basis symbol rotated into the Hermitian
+        # basis, whose imaginary part is round-off. ||M|| is taken as
+        # ||S|| + e^theta ||R|| + e^-theta ||L||: at d = 1 and theta = 0 the
+        # symbol cancels to round-off, M = 0.
         rng = np.random.default_rng(100 + d)
-        basis = lattice_mod._hermitian_basis(d)
+        basis = hermitian_basis(d)
         assert np.abs(basis.conj().T @ basis - np.eye(d * d)).max() <= 1e-15
         for _ in range(4):
-            parts = symbol_parts(random_coin(rng, d))
+            coin = random_coin(rng, d)
+            parts = vec_symbol(coin)
             real = [basis.conj().T @ p @ basis for p in parts]
-            assert max(np.abs(r.imag).max() / np.linalg.norm(p, 2)
-                       for r, p in zip(real, parts)) <= 1e-15
+            for r, p, q in zip(real, parts, coin.symbol):
+                assert np.abs(r.imag).max() <= 1e-15 * np.linalg.norm(p, 2)
+                assert q.dtype == np.float64 and np.array_equal(q, r.real)
             for theta in np.linspace(-5.0, 5.0, 21):
                 weights = (1.0, np.exp(theta), np.exp(-theta))
                 m = sum(w * p for w, p in zip(weights, parts))
                 scale = sum(w * np.linalg.norm(p, 2) for w, p in zip(weights, parts))
-                got = lattice_mod._abscissa(
-                    np.asfortranarray(sum(w * r.real for w, r in zip(weights, real))))
+                got = lattice_mod._abscissa(sum(w * q for w, q in zip(weights, coin.symbol)))
                 assert abs(got - np.linalg.eigvals(m).real.max()) <= 1e-12 * scale
 
     @pytest.mark.parametrize("t", [1e-4, 1e-8])
@@ -722,6 +751,27 @@ class TestLeakBound:
         assert leak_bound(coin, np.eye(1), 0, 3, 0.0) == 0.0
         with pytest.raises(ValueError):
             leak_bound(coin, np.eye(1), 5, 3, 1.0)
+
+    def test_reads_the_cached_real_symbol_with_no_products(self):
+        # A coin whose matrices are NaN but whose cached symbol and rate scale
+        # are three_level_c0's gives that coin's bounds: the bound reads
+        # Coin.symbol alone. The symbol arrays refuse every matrix product,
+        # so no basis product (or rebuild) touches them within a call.
+        class NoProducts(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                assert ufunc is not np.matmul, "matrix product with the symbol"
+                plain = [np.asarray(x) if isinstance(x, NoProducts) else x for x in inputs]
+                return np.asarray(getattr(ufunc, method)(*plain, **kwargs)).view(NoProducts)
+
+        coin = load_coin(COINS / "three_level_c0.json")
+        rho = np.eye(3) / 3.0
+        cases = [(radius, i0, t) for radius in (8, 32) for i0 in (0, 3) for t in (0.5, 10.0)]
+        expect = [leak_bound(coin, rho, i0, radius, t) for radius, i0, t in cases]
+        nan = np.full((3, 3), np.nan)
+        ghost = Coin(left=nan, right=nan, ham=nan, dim=3)
+        ghost.__dict__.update(symbol=tuple(p.view(NoProducts) for p in coin.symbol),
+                              rate_scale=coin.rate_scale)
+        assert [leak_bound(ghost, rho, i0, radius, t) for radius, i0, t in cases] == expect
 
     def test_rejects_state_of_wrong_dimension(self):
         coin = three_level_coin(0.0)

@@ -1,11 +1,13 @@
 """Numerical kernel tests: matrix exponential (single and stacked), null spaces,
-superoperator assembly, and the column-stacking vec convention."""
+superoperator assembly, the column-stacking vec convention and the Hermitian
+coordinates hvec/hunvec."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ctoqw import mat_exp, null_space, superop_matrix, vec, unvec
+from ctoqw import hunvec, hvec, mat_exp, null_space, superop_matrix, vec, unvec
+from ctoqw.linalg import hermitian_basis
 from ctoqw import internal_lindblad_matrix
 from ctoqw.coins import scalar_coin
 
@@ -80,6 +82,13 @@ class TestMatExp:
             ref = scipy.linalg.expm(0.7 * stack[idx])
             assert np.linalg.norm(out[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(6)
+        m = rng.normal(size=(2, 3, 3))
+        out = mat_exp(m, 0.8)
+        assert out.dtype == np.float64
+        assert np.abs(out - mat_exp(m.astype(complex), 0.8)).max() <= 1e-14
+
     def test_zero_stack_is_identity_stack(self):
         out = mat_exp(np.zeros((3, 2, 2)))
         assert np.array_equal(out, np.broadcast_to(np.eye(2), (3, 2, 2)))
@@ -112,6 +121,13 @@ class TestNullSpace:
         smax = np.linalg.svd(m, compute_uv=False)[0]
         for vker in basis:
             assert np.linalg.norm(m @ vker) <= 1e-10 * smax * 2.0
+
+
+    def test_real_input_has_a_real_kernel(self):
+        rng = np.random.default_rng(12)
+        u = rng.normal(size=(4, 4))
+        basis = null_space(u @ np.diag([1.0, 2.0, 0.0, 0.0]) @ np.linalg.inv(u))
+        assert len(basis) == 2 and all(b.dtype == np.float64 for b in basis)
 
 
 class TestSuperoperator:
@@ -163,3 +179,40 @@ class TestVec:
         lhs = vec(left @ rho @ right)
         rhs = np.kron(right.T, left) @ vec(rho)
         assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_basis_is_unitary_with_the_diagonal_first(self, d):
+        basis = hermitian_basis(d)
+        assert np.abs(basis.conj().T @ basis - np.eye(d * d)).max() <= 1e-15
+        for col in basis.T:
+            b = unvec(col)
+            assert np.array_equal(b, b.conj().T)
+        # Tr X is the sum of the first d coordinates
+        rng = np.random.default_rng(d)
+        x = random_hermitian(rng, d)
+        assert abs(hvec(x)[:d].sum() - np.trace(x).real) <= 1e-14
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_round_trip_and_hermitian_output(self, d):
+        rng = np.random.default_rng(20 + d)
+        x = np.array([random_hermitian(rng, d) for _ in range(4)])
+        c = hvec(x)
+        assert c.dtype == np.float64 and c.shape == (4, d * d)
+        assert np.abs(hunvec(c) - x).max() <= 1e-15 * np.abs(x).max() * 4
+        # real coordinates give exactly Hermitian matrices
+        y = hunvec(rng.normal(size=(5, d * d)))
+        assert np.array_equal(y, y.conj().swapaxes(-1, -2))
+        # the Hilbert-Schmidt inner product is the dot product of coordinates
+        assert abs(np.trace(x[0] @ x[1]).real - c[0] @ c[1]) <= 1e-12
+
+    def test_complex_coordinates_span_every_matrix(self):
+        rng = np.random.default_rng(30)
+        m = random_matrix(rng, 3)
+        c = hermitian_basis(3).conj().T @ vec(m)
+        assert np.abs(hunvec(c) - m).max() <= 1e-14
+
+    def test_rejects_a_length_that_is_not_square(self):
+        with pytest.raises(ValueError):
+            hunvec(np.zeros(3))

@@ -30,7 +30,7 @@ from ctoqw import (
     load_coin,
     save_coin,
 )
-from ctoqw.coins import diagonal_jumps_coin, scalar_coin
+from ctoqw.coins import diagonal_jumps_coin, scalar_coin, three_level_coin
 from ctoqw.model import density_for
 
 from helpers import random_coin
@@ -143,6 +143,18 @@ class TestSymbol:
         again = validate_coin(coin.left, coin.right, coin.ham)
         assert all(p is not q and np.array_equal(p, q)
                    for p, q in zip(again.symbol, coin.symbol))
+
+    def test_coins_compare_and_hash_by_identity(self):
+        # array fields would make the generated __eq__ ambiguous and the
+        # generated __hash__ fail; a coin is equal only to itself
+        coin, twin = three_level_coin(0.0), three_level_coin(0.0)
+        assert coin == coin and coin != twin
+        assert len({coin, twin, coin}) == 2
+        assert {coin: "c0"}[coin] == "c0"
+        # the cached symbol still works on a hashable coin
+        assert coin.symbol is coin.symbol
+        assert all(p.dtype == np.float64 and np.array_equal(p, q)
+                   for p, q in zip(coin.symbol, twin.symbol))
 
     def test_rate_scale(self):
         coin = diagonal_jumps_coin()

@@ -32,7 +32,7 @@ from ctoqw.coins import (
     verify_cases,
 )
 from ctoqw.lattice import BlockGenerator, choose_radius, probability_series
-from ctoqw.linalg import vec
+from ctoqw.linalg import hvec
 import ctoqw.trajectory as trajectory
 from ctoqw.model import symbol_parts
 
@@ -467,7 +467,7 @@ class TestFarWindow:
         gammas = np.array([5.0, 0.05])
         rng = np.random.default_rng(74)
         p = rng.uniform(0.0, 1.0, 400)
-        v = np.array([vec(np.diag([q, 1.0 - q]).astype(complex)) for q in p])
+        v = hvec(np.array([np.diag([q, 1.0 - q]) for q in p]))
         u = rng.random(400)
         rows, dt, _, _ = sampler._next_jumps(v, u, np.full(400, math.inf))
         assert rows.tolist() == list(range(400))
@@ -506,7 +506,7 @@ class TestRootFinder:
         cap = np.choose(np.arange(n) % 3, [rng.uniform(0.0, 2.0 / sampler.rate_scale, n),
                                            rng.uniform(0.0, 4.0 * window, n),
                                            np.full(n, math.inf)])
-        v = np.array([vec(rho) for rho in rhos], dtype=complex)
+        v = hvec(np.array(rhos))
         rows, dt, _, _ = sampler._next_jumps(v, u, cap)
         serial = [sampler.next_jump(rho, FixedRng([u[k], 0.5]), t_cap=cap[k])
                   for k, rho in enumerate(rhos)]
@@ -531,13 +531,33 @@ class TestRootFinder:
         assert ds < 0 and 2 * ds * ds - (s - 0.5) * dds <= 0
         assert poly.polyval(x0[1], poly.polyder(coef[:, 1])) == 0
         start, hi, u = np.zeros(2), np.ones(2), np.full(2, 0.5)
+        # the derivative table of JumpSampler._poly_trace, at step h = 1
+        table = np.zeros((3,) + coef.shape)
+        for m in range(3):
+            for k in range(2):
+                der = poly.polyder(coef[:, k], m)
+                table[m, :len(der), k] = der
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dt, passes = trajectory._invert_survival(coef, start, hi, u, 1.0, x0)
+            dt, passes = trajectory._invert_survival(table, start, hi, u, 1.0, x0)
         assert passes < 200
         assert np.all((start < dt) & (dt <= hi))
         values = [poly.polyval(dt[k], coef[:, k]) for k in range(2)]
         assert np.abs(np.array(values) - 0.5).max() < 1e-10
+
+    @pytest.mark.parametrize("label,coin", SOLVER_COINS, ids=[c[0] for c in SOLVER_COINS])
+    def test_derivative_rows_are_built_with_the_sampler(self, label, coin):
+        # the trace rows of survival's first two time derivatives sit beside
+        # the Taylor trace rows, so one product per lockstep round gives all
+        # three in-step polynomials
+        sampler = JumpSampler(coin)
+        n_terms = trajectory._TAYLOR_TERMS
+        table = sampler._poly_trace.reshape(3, n_terms, -1)
+        assert np.array_equal(table[0], sampler._taylor_trace)
+        for m in (1, 2):
+            ref = np.polynomial.polynomial.polyder(sampler._taylor_trace, m, scl=1.0 / sampler._h)
+            assert np.allclose(table[m, :n_terms - m], ref, rtol=1e-15, atol=0.0)
+            assert not table[m, n_terms - m:].any()
 
     def test_serial_step_guards(self):
         # Halley where its denominator is positive, Newton where it is not

@@ -1,8 +1,12 @@
 """Trajectory sampling: jump-time laws, path invariants, drift estimates."""
 
+import gc
 import io
 import math
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from ctoqw.coins import (
     verify_cases,
 )
 from ctoqw.lattice import BlockGenerator, choose_radius, probability_series
-from ctoqw.linalg import hvec
+from ctoqw.linalg import hunvec, hvec
 import ctoqw.trajectory as trajectory
 from ctoqw.model import symbol_parts
 
@@ -40,11 +44,13 @@ from helpers import random_coin, random_density
 
 
 def draw_jumps(coin, rho, rng, n):
-    """n jumps from the same state and one sampler; the first goes through
-    the one-shot sample_next_jump, which builds its own sampler."""
+    """n jumps from the same state, post-jump states as matrices; the first
+    goes through sample_next_jump, the rest through a sampler's next_jump on
+    coordinates."""
     sampler = JumpSampler(coin)
     first = sample_next_jump(coin, rho, rng)
-    return [first] + [sampler.next_jump(rho, rng) for _ in range(n - 1)]
+    rest = (sampler.next_jump(hvec(rho), rng) for _ in range(n - 1))
+    return [first] + [(dt, direction, hunvec(v)) for dt, direction, v in rest]
 
 
 class TestSampleNextJump:
@@ -231,7 +237,8 @@ class TestEdgeCoins:
         rho = random_density(np.random.default_rng(62), 2)
         for _ in range(300):
             rng.draws.clear()
-            dt, direction, rho_after = sampler.next_jump(rho, rng)
+            dt, direction, v_after = sampler.next_jump(hvec(rho), rng)
+            rho_after = hunvec(v_after)
             e = nilpotent_flow(coin, dt)
             sigma = e @ rho @ e.conj().T
             assert abs(np.trace(sigma).real - rng.draws[0]) < 1e-10
@@ -282,6 +289,7 @@ class TestSimulatePath:
         path = simulate_path(coin, 0, [[1.0]], 1e-12, np.random.default_rng(9))
         assert path.jump_times.size == 0
         assert list(path.sites) == [0]
+        assert path.states.shape == (1, 1, 1) and path.states[0, 0, 0] == 1.0
 
     def test_jump_count_scalar(self):
         # total jumps over [0, T] is Poisson with mean (|a|^2+|c|^2) T
@@ -419,6 +427,120 @@ class TestLockstepMatchesSerial:
             estimate_drift(TRAP, held, 1e10, 100, 3)
 
 
+class TestSamplerCache:
+    def test_dropped_coins_leave_no_sampler(self):
+        # the cache holds coins weakly and its samplers hold no coin, so once
+        # the coins are gone so are their samplers
+        rng = np.random.default_rng(81)
+        coins = [random_coin(rng, 2) for _ in range(50)]
+        refs = []
+        for coin in coins:
+            sample_next_jump(coin, np.eye(2) / 2, rng)
+            refs.append(weakref.ref(trajectory._SAMPLERS[coin]))
+        del coin, coins
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 50
+
+    def test_one_sampler_per_coin(self, monkeypatch):
+        # every entry point reads the coin's one sampler
+        built = []
+        init = trajectory.JumpSampler.__init__
+
+        def counting(self, coin):
+            built.append(coin)
+            init(self, coin)
+
+        monkeypatch.setattr(trajectory.JumpSampler, "__init__", counting)
+        coin, rho = three_level_coin(0.0), np.eye(3) / 3
+        for _ in range(2):
+            simulate_path(coin, 0, rho, 5.0, path_rng(0, 0))
+            sample_sites(coin, rho, 5.0, 10, 0)
+            sample_next_jump(coin, rho, np.random.default_rng(0))
+            survival_probability(coin, rho, 0.5)
+        assert built == [coin]
+
+    def test_threads_extending_one_chain_agree(self):
+        # threads sharing a coin's sampler extend its window chain at once;
+        # each value must equal that of a sampler of its own (a lost or doubled
+        # link of the chain would shift every later power). Rates 5 and 5e-4:
+        # survival from the slow level is still 5e-12 after 4096 windows.
+        def make():
+            return validate_coin(np.diag([2.0, 0.02]), np.diag([1.0, 0.01]), np.zeros((2, 2)))
+
+        rho = np.diag([0.25, 0.75])
+        window = trajectory.K * JumpSampler(make())._h
+        times = [window * (2 ** j + 0.5) for j in range(13)]
+        expected = [survival_probability(make(), rho, t) for t in times]
+        shared, results = make(), {}
+
+        def work(k):
+            order = times[k % 2::2] + times[1 - k % 2::2]
+            results[k] = {t: survival_probability(shared, rho, t) for t in reversed(order)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all([results[k][t] for t in times] == expected for k in range(8))
+
+
+# The edge coins, the three-level coin, and SLOW, whose survival from its
+# slow level is still e^{-0.05 * 64} = 0.04 after five windows.
+SURVIVAL_COINS = [("three-level", three_level_coin(0.0)), ("jordan", JORDAN),
+                  ("near-ep", NEAR_EP), ("slow-level", SLOW)]
+
+
+class TestSurvivalGrid:
+    @pytest.mark.parametrize("label,coin", SURVIVAL_COINS, ids=[c[0] for c in SURVIVAL_COINS])
+    def test_matches_matrix_exponential_across_windows(self, label, coin):
+        # t = 0, inside the first window, at whole windows (where the grid
+        # meets the window chain) and past 5 and 40 windows (the chain's
+        # powers 1, 4 and 8, 32); mat_exp, not scipy's expm, which is off by
+        # 1e-2 on the Jordan coin past t = 3.3
+        window = trajectory.K * JumpSampler(coin)._h
+        g0 = no_jump_generator(coin)
+        rho = random_density(np.random.default_rng(83), coin.dim)
+        times = [0.0, 0.37 * window, window, 2 * window, 3 * window,
+                 5 * window, 5.61 * window, 40 * window, 40.25 * window]
+        for t in times:
+            e = mat_exp(g0, t)
+            expected = np.trace(e @ rho @ e.conj().T).real
+            assert abs(survival_probability(coin, rho, t) - expected) <= 1e-14, t
+
+    def test_slow_level_closed_form(self):
+        # from a diagonal state survival is sum_i p_i e^{-gamma_i t}: the
+        # chain keeps its relative accuracy over 40 windows
+        window = trajectory.K * JumpSampler(SLOW)._h
+        for t in [0.5 * window, 5 * window, 40 * window]:
+            expected = 0.25 * math.exp(-5.0 * t) + 0.75 * math.exp(-0.05 * t)
+            value = survival_probability(SLOW, np.diag([0.25, 0.75]), t)
+            assert value == pytest.approx(expected, rel=1e-13)
+
+
+class TestScaleCovariance:
+    # (C, A, H) -> (sC, sA, s^2 H) multiplies the generator by s^2, so it only
+    # rescales time; for s a power of two every product is scaled exactly
+
+    @pytest.mark.parametrize("s", [2.0, 0.5])
+    @pytest.mark.parametrize("label,coin,rho0,i0,seed", LOCKSTEP_CASES,
+                             ids=[c[0] for c in LOCKSTEP_CASES])
+    def test_scaled_coin_rescales_time_exactly(self, label, coin, rho0, i0, seed, s):
+        scaled = validate_coin(s * coin.left, s * coin.right, s * s * coin.ham)
+        sites, jumps = sample_sites(coin, rho0, 100.0, 200, seed, i0=i0)
+        scaled_sites, scaled_jumps = sample_sites(scaled, rho0, 100.0 / s ** 2, 200, seed, i0=i0)
+        assert np.array_equal(scaled_sites, sites) and np.array_equal(scaled_jumps, jumps)
+        for t in [0.0, 0.7, 13.0, 90.0, 900.0]:
+            value = survival_probability(coin, rho0, t)
+            assert survival_probability(scaled, rho0, t / s ** 2) == value
+
+
 class TestFarWindow:
     def test_jump_inverts_survival(self):
         # the states stay diagonal, so survival is sum_i rho_ii e^{-gamma_i t}
@@ -430,7 +552,8 @@ class TestFarWindow:
         far = 0
         for _ in range(400):
             rng.draws.clear()
-            dt, _, rho_after = sampler.next_jump(rho, rng)
+            dt, _, v_after = sampler.next_jump(hvec(rho), rng)
+            rho_after = hunvec(v_after)
             survival = float(np.diag(rho).real @ np.exp(-gammas * dt))
             assert abs(survival - rng.draws[0]) < 1e-10
             far += dt > trajectory.K * sampler._h
@@ -443,13 +566,13 @@ class TestFarWindow:
         # solves it; most caps lie past the first window
         sampler = JumpSampler(SLOW)
         window = trajectory.K * sampler._h
-        rho = np.diag([0.0, 1.0]).astype(complex)
+        v = hvec(np.diag([0.0, 1.0]))
         caps = np.random.default_rng(72).uniform(0.5, 80.0, 600)
         rng = RecordingRng(73)
         far = none = 0
         for t_cap in caps:
             rng.draws.clear()
-            drawn = sampler.next_jump(rho, rng, t_cap=t_cap)
+            drawn = sampler.next_jump(v, rng, t_cap=t_cap)
             u = rng.draws[0]
             assert (drawn is None) == (math.exp(-0.05 * t_cap) > u)
             if drawn is None:
@@ -508,8 +631,8 @@ class TestRootFinder:
                                            np.full(n, math.inf)])
         v = hvec(np.array(rhos))
         rows, dt, _, _ = sampler._next_jumps(v, u, cap)
-        serial = [sampler.next_jump(rho, FixedRng([u[k], 0.5]), t_cap=cap[k])
-                  for k, rho in enumerate(rhos)]
+        serial = [sampler.next_jump(v[k], FixedRng([u[k], 0.5]), t_cap=cap[k])
+                  for k in range(n)]
         assert rows.tolist() == [k for k, drawn in enumerate(serial) if drawn is not None]
         expected = np.array([serial[k][0] for k in rows])
         assert np.all(np.abs(dt - expected) <= trajectory.REL_TIME_TOL * expected)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ive
 
 from ctoqw import (
-    build_block_generator,
+    BlockGenerator,
     choose_radius,
     evolve,
     leak_bound,
@@ -29,7 +29,7 @@ from ctoqw.coins import scalar_coin
 coin = scalar_coin(1.0, 1.0)
 one = np.array([[1.0 + 0j]])
 radius = choose_radius(coin, 0, 5.0)
-gen = build_block_generator(coin, radius)
+gen = BlockGenerator(coin, radius)
 
 print(f"symmetric scalar walk, ring radius {radius}, "
       f"leak bound at t=5: {leak_bound(coin, one, 0, radius, 5.0):.1e}")
@@ -52,7 +52,7 @@ print()
 # unit time while spreading diffusively
 coin = scalar_coin(2.0, 1.0)
 radius = choose_radius(coin, 0, 4.0)
-gen = build_block_generator(coin, radius)
+gen = BlockGenerator(coin, radius)
 print(f"biased scalar walk (a=2, c=1), ring radius {radius}")
 print(f"{'t':>5} {'mean':>10} {'3t':>8} {'std':>8} {'leak bound':>11}")
 for t in (1.0, 2.0, 4.0):

@@ -9,7 +9,7 @@ shows the same dichotomy in discrete time.
 
 import numpy as np
 
-from ctoqw import build_block_generator, classify, return_integral, skeleton_partials
+from ctoqw import BlockGenerator, classify, return_integral, skeleton_partials
 from ctoqw.coins import scalar_coin, three_level_coin
 
 RADIUS = 128
@@ -19,7 +19,7 @@ for label, coin, rho0 in [
     ("three-level c=0", three_level_coin(0.0), np.eye(3, dtype=complex) / 3.0),
 ]:
     verdict = classify(coin).verdict.value
-    gen = build_block_generator(coin, RADIUS)
+    gen = BlockGenerator(coin, RADIUS)
     print(f"{label}: classified {verdict}")
 
     horizons = (25.0, 50.0, 100.0)

@@ -15,7 +15,6 @@ from .classify import ClassificationResult, Verdict, classify
 from .lattice import (
     BlockGenerator,
     BlockState,
-    build_block_generator,
     chapman_kolmogorov_residual,
     choose_radius,
     conditioned_state,
@@ -25,7 +24,6 @@ from .lattice import (
     probability_series,
     return_integral,
     skeleton_partials,
-    skeleton_sum,
     trace_profile_series,
     transition_probability,
     write_profile_csv,
@@ -76,7 +74,6 @@ __all__ = [
     "classify",
     "BlockGenerator",
     "BlockState",
-    "build_block_generator",
     "chapman_kolmogorov_residual",
     "choose_radius",
     "conditioned_state",
@@ -86,7 +83,6 @@ __all__ = [
     "probability_series",
     "return_integral",
     "skeleton_partials",
-    "skeleton_sum",
     "trace_profile_series",
     "transition_probability",
     "write_profile_csv",

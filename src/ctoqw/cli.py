@@ -25,7 +25,7 @@ from .classify import classify
 from .lattice import (
     LEAK_TOL,
     MAX_RADIUS,
-    build_block_generator,
+    BlockGenerator,
     choose_radius,
     leak_bound,
     probability_series,
@@ -90,7 +90,7 @@ def _ring(args, coin: Coin, horizon: float):
     if args.trunc is not None and args.trunc > MAX_RADIUS:
         raise ValueError(f"--trunc must be at most {MAX_RADIUS}")
     radius = choose_radius(coin, 0, horizon) if args.trunc is None else args.trunc
-    return build_block_generator(coin, radius), np.eye(coin.dim) / coin.dim
+    return BlockGenerator(coin, radius), np.eye(coin.dim) / coin.dim
 
 
 def _cmd_stationary(coin: Coin, args) -> int:

@@ -146,17 +146,16 @@ class BlockGenerator:
                 + np.kron(shift.T, left))
 
 
-def build_block_generator(coin: Coin, radius: int) -> BlockGenerator:
-    return BlockGenerator(coin, radius)
+def _start(gen: BlockGenerator, rho0, i0: int) -> np.ndarray:
+    """Coordinates hvec(rho0) of the checked start state, i0 inside the ring."""
+    if abs(i0) > gen.radius:
+        raise ValueError(f"start site {i0} outside truncation radius {gen.radius}")
+    return density_for(gen.coin, rho0)
 
 
 def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
-    if abs(i0) > gen.radius:
-        raise ValueError(f"start site {i0} outside truncation radius {gen.radius}")
-    rho = density_for(gen.coin, rho0)
-    blocks = np.zeros((gen.n_sites, gen.coin.dim, gen.coin.dim), dtype=complex)
-    blocks[i0 + gen.radius] = rho
-    return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=0.0)
+    return BlockState(radius=gen.radius, blocks=_blocks(gen, _start(gen, rho0, i0), i0, 0.0),
+                      leaked_mass=0.0)
 
 
 def _integer(value, name: str) -> int:
@@ -189,23 +188,26 @@ def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
     return np.where(q == 0, 1.0, 2.0) * np.exp(-2j * np.pi * turns / gen.n_sites) / gen.n_sites
 
 
-def _half_stack(gen: BlockGenerator, state: BlockState, i0: int, t: float):
-    """hat(q) = e^{t L_k} hvec(rho0) for q = 0..radius from the initial state (None at t = 0)."""
+def _half_stack(gen: BlockGenerator, v: np.ndarray, t: float):
+    """hat(q) = e^{t L_k} v for q = 0..radius from the start coordinates v (None at t = 0)."""
     _check_time(t)
     if t == 0:
         return None
-    return mat_exp(gen.symbols, t) @ hvec(state.block(i0))
+    return mat_exp(gen.symbols, t) @ v
 
 
-def _blocks(gen: BlockGenerator, state: BlockState, i0: int, t: float) -> np.ndarray:
-    """Ring blocks at time t >= 0 from the initial state at site i0.
+def _blocks(gen: BlockGenerator, v: np.ndarray, i0: int, t: float) -> np.ndarray:
+    """Ring blocks at time t >= 0 from the start coordinates v at site i0.
 
-    hat(N - q) = conj(hat(q)) coordinate by coordinate, so one real inverse
-    DFT of the half stack gives every block's real coordinates.
+    At t = 0 the one start block is the matrix of v. Later, hat(N - q) =
+    conj(hat(q)) coordinate by coordinate, so one real inverse DFT of the
+    half stack gives every block's real coordinates.
     """
-    hat = _half_stack(gen, state, i0, t)
+    hat = _half_stack(gen, v, t)
     if hat is None:
-        return state.blocks
+        blocks = np.zeros((gen.n_sites, gen.coin.dim, gen.coin.dim), dtype=complex)
+        blocks[i0 + gen.radius] = hunvec(v)
+        return blocks
     per_offset = np.fft.hfft(hat, n=gen.n_sites, axis=0)
     return hunvec(np.roll(per_offset, gen.radius + i0, axis=0) / gen.n_sites)
 
@@ -213,14 +215,14 @@ def _blocks(gen: BlockGenerator, state: BlockState, i0: int, t: float) -> np.nda
 def _site_block(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> np.ndarray:
     """Block rho_t(j), projected from the half stack with the weights of site j."""
     _check_site(gen, j)
-    state = initial_block_state(gen, rho0, i0)
-    hat = _half_stack(gen, state, i0, t)
+    v = _start(gen, rho0, i0)
+    hat = _half_stack(gen, v, t)
     if hat is None:
-        return state.block(j)
+        return _blocks(gen, v, i0, t)[j + gen.radius]
     return hunvec((_site_weights(gen, j - i0)[0] @ hat).real)
 
 
-def _trace_rows(gen: BlockGenerator, rho, steps):
+def _trace_rows(gen: BlockGenerator, v: np.ndarray, steps):
     """Yield the half traces Tr hat(q), q = 0..radius, after each of consecutive time steps.
 
     Only momenta 0..radius are stepped; the traces of the others are the
@@ -233,7 +235,7 @@ def _trace_rows(gen: BlockGenerator, rho, steps):
     n * STEP_MERGE_EPS * eps * T.
     """
     d = gen.coin.dim
-    hat = np.broadcast_to(hvec(rho), (gen.radius + 1, d * d))
+    hat = np.broadcast_to(v, (gen.radius + 1, d * d))
     tol = STEP_MERGE_EPS * np.finfo(float).eps * float(np.sum(steps))
     powers = {}
     for dt in steps:
@@ -254,12 +256,12 @@ def _site_series(gen: BlockGenerator, rho0, i0: int, sites, steps) -> np.ndarray
     sites = np.array([int(s) for s in np.atleast_1d(sites)], dtype=int)
     for s in sites:
         _check_site(gen, s)
-    state = initial_block_state(gen, rho0, i0)
+    v = _start(gen, rho0, i0)
     weights = _site_weights(gen, sites - i0)
-    rows = np.array([(weights @ tr).real for tr in _trace_rows(gen, state.block(i0), steps)])
+    rows = np.array([(weights @ tr).real for tr in _trace_rows(gen, v, steps)])
     rows = rows.reshape(len(steps), len(sites))
     if len(steps) and steps[0] == 0:
-        rows[0] = state.trace_profile()[sites + gen.radius]
+        rows[0] = np.where(sites == i0, v[:gen.coin.dim].sum(), 0.0)
     return rows
 
 
@@ -310,12 +312,11 @@ def _edge_tilt(stay, ahead, behind, dist: int, theta_max: float):
     return theta, mu, m - mu * np.eye(len(m))
 
 
-def _leak_bound(coin: Coin, rho: np.ndarray, i0: int, radius: int, t: float) -> float:
-    """leak_bound for a state already checked by density_for, i0 in range and t >= 0 finite."""
+def _leak_bound(coin: Coin, v: np.ndarray, i0: int, radius: int, t: float) -> float:
+    """leak_bound for coordinates v from density_for, i0 in range and t >= 0 finite."""
     if t == 0:
         return 0.0
     stay, right, left = (t * p for p in coin.symbol)
-    v = hvec(rho)
     t_rate = t * coin.rate_scale
     edges = [(right, left, radius + 1 - i0), (left, right, radius + 1 + i0)]
     tilts = [_edge_tilt(stay, ahead, behind, dist, _theta_max(dist, t_rate))
@@ -362,9 +363,9 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
 
 def evolve(gen: BlockGenerator, rho0, i0: int, t: float) -> BlockState:
     """State at time t >= 0 from rho0 concentrated at site i0."""
-    state = initial_block_state(gen, rho0, i0)
-    blocks = _blocks(gen, state, i0, t)
-    leak = _leak_bound(gen.coin, state.block(i0), i0, gen.radius, t)
+    v = _start(gen, rho0, i0)
+    blocks = _blocks(gen, v, i0, t)
+    leak = _leak_bound(gen.coin, v, i0, gen.radius, t)
     return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=leak)
 
 
@@ -384,12 +385,13 @@ def trace_profile_series(gen: BlockGenerator, rho0, i0: int, times) -> np.ndarra
     One real inverse DFT (``np.fft.hfft``) over the half traces of all rows.
     """
     times = _time_grid(times)
-    state = initial_block_state(gen, rho0, i0)
-    rows = np.array(list(_trace_rows(gen, state.block(i0), np.diff(times, prepend=0.0))))
+    v = _start(gen, rho0, i0)
+    rows = np.array(list(_trace_rows(gen, v, np.diff(times, prepend=0.0))))
     per_offset = np.fft.hfft(rows.reshape(len(times), gen.radius + 1), n=gen.n_sites, axis=1)
     profiles = np.roll(per_offset, gen.radius + i0, axis=1) / gen.n_sites
     if times.size and times[0] == 0:
-        profiles[0] = state.trace_profile()
+        profiles[0] = 0.0
+        profiles[0, i0 + gen.radius] = v[:gen.coin.dim].sum()
     return profiles
 
 
@@ -436,9 +438,9 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     """
     if not (np.isfinite([alpha, beta]).all() and min(alpha, beta) >= 0):
         raise ValueError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
-    state = initial_block_state(gen, rho0, i0)
-    direct = BlockState(gen.radius, _blocks(gen, state, i0, alpha + beta),
-                        _leak_bound(gen.coin, state.block(i0), i0, gen.radius, alpha + beta))
+    v = _start(gen, rho0, i0)
+    direct = BlockState(gen.radius, _blocks(gen, v, i0, alpha + beta),
+                        _leak_bound(gen.coin, v, i0, gen.radius, alpha + beta))
     if direct.leaked_mass >= LEAK_TOL:
         raise RuntimeError(
             f"truncation leak bound {direct.leaked_mass:.3e} at time alpha+beta; "
@@ -446,7 +448,7 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
         )
     lhs = float(np.trace(direct.block(j)).real)
 
-    at_beta = _blocks(gen, state, i0, beta)
+    at_beta = _blocks(gen, v, i0, beta)
     probs = np.einsum("ijj->i", at_beta).real
     occupied = np.flatnonzero(probs > SITE_PROB_FLOOR)
     launches = hvec(np.array([_condition_block(at_beta[q], int(q) - gen.radius)
@@ -472,9 +474,9 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    rho = initial_block_state(gen, rho0, i0).block(i0)
+    v = _start(gen, rho0, i0)
     for t in (horizon, horizon / 2.0) if with_half else (horizon,):
-        leak = _leak_bound(gen.coin, rho, i0, gen.radius, t)
+        leak = _leak_bound(gen.coin, v, i0, gen.radius, t)
         if leak >= LEAK_TOL:
             raise RuntimeError(
                 f"truncation leak bound {leak:.3e} at time {t:g}; enlarge the radius"
@@ -482,7 +484,7 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
     d2 = gen.coin.dim ** 2
     aug = np.zeros((gen.radius + 1, d2 + 1, d2 + 1), dtype=complex)
     aug[:, :d2, :d2] = gen.symbols
-    aug[:, :d2, d2] = hvec(rho)
+    aug[:, :d2, d2] = v
     e = mat_exp(aug, horizon / 2.0 if with_half else horizon)
     column = e[:, :d2, d2]
     at_start = _site_weights(gen, 0)[0]
@@ -513,15 +515,8 @@ def skeleton_partials(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
     return np.cumsum(_site_series(gen, rho0, i0, j, steps)[:, 0])
 
 
-def skeleton_sum(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
-                 n_steps: int) -> float:
-    """sum_{n=0}^{n_steps} p_{j i0; rho}(n delta)."""
-    return float(skeleton_partials(gen, rho0, i0, j, delta, n_steps)[-1])
-
-
-def choose_radius(coin: Coin, i0: int, t: float, rho0=None, *,
-                  leak_tol: float = LEAK_TOL) -> int:
-    """Smallest doubling radius whose leak bound at time t is below leak_tol.
+def choose_radius(coin: Coin, i0: int, t: float, rho0=None) -> int:
+    """Smallest doubling radius whose leak bound at time t is below LEAK_TOL.
 
     Doubles from max(RADIUS_START, 2|i0|) up to MAX_RADIUS and evaluates
     ``leak_bound`` for each candidate; nothing is evolved, and rho0 is
@@ -529,14 +524,14 @@ def choose_radius(coin: Coin, i0: int, t: float, rho0=None, *,
     state when rho0 is omitted.
     """
     _check_time(t)
-    rho = np.eye(coin.dim) / coin.dim if rho0 is None else density_for(coin, rho0)
+    v = density_for(coin, np.eye(coin.dim) / coin.dim if rho0 is None else rho0)
     radius = max(RADIUS_START, 2 * abs(i0))
     while radius <= MAX_RADIUS:
-        if _leak_bound(coin, rho, i0, radius, t) < leak_tol:
+        if _leak_bound(coin, v, i0, radius, t) < LEAK_TOL:
             return radius
         radius *= 2
     raise RuntimeError(
-        f"no radius up to {MAX_RADIUS} keeps the leak bound below {leak_tol:.1e} at t={t}"
+        f"no radius up to {MAX_RADIUS} keeps the leak bound below {LEAK_TOL:.1e} at t={t}"
     )
 
 

@@ -12,7 +12,8 @@ which satisfies G0 + G0* = -(left* left + right* right). On the real
 coordinates hvec(X) the walk's generator has the Fourier symbol
 L_k = S + e^{ik} R + e^{-ik} L, S, R, L real (``symbol_parts``, once per coin
 as ``Coin.symbol``): S is the no-jump flow X -> G0 X + X G0*, R and L the
-jumps X -> A X A*, C X C*.
+jumps X -> A X A*, C X C*. A state enters every layer once, through
+``density_for``, which checks it and returns its coordinates hvec(rho).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_basis, superop_matrix
+from .linalg import hermitian_basis, hvec, superop_matrix
 
 __all__ = [
     "Coin",
@@ -163,7 +164,11 @@ def check_density(rho) -> np.ndarray:
 
     Returns the Hermitian-projected matrix; raises ``ValueError`` on violation.
     """
-    m = _square(rho, "rho", None)
+    return _checked_density(_square(rho, "rho", None))
+
+
+def _checked_density(m: np.ndarray) -> np.ndarray:
+    """:func:`check_density` on a matrix :func:`_square` has already checked."""
     scale = max(1.0, float(np.abs(m).max()))
     defect = float(np.abs(m - m.conj().T).max())
     if defect > DENSITY_HERM_TOL * scale:
@@ -179,8 +184,8 @@ def check_density(rho) -> np.ndarray:
 
 
 def density_for(coin: Coin, rho) -> np.ndarray:
-    """:func:`check_density` for an internal state of the coin (d x d)."""
-    return check_density(_square(rho, "state", coin.dim))
+    """hvec(rho) for an internal state of the coin (d x d), checked as by :func:`check_density`."""
+    return hvec(_checked_density(_square(rho, "state", coin.dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ drift spectrum. A unique stationary state gives the single slope m.
 :func:`stationary_states` reports V as ``stationary_basis``, Hermitian
 matrices orthonormal in their real coordinates. They need not be states;
 the state of each branch comes from :func:`drift_spectrum`.
+
+The coin is read only through ``Coin.symbol``, ``Coin.rate_scale`` and its
+dimension; states enter as coordinates through ``density_for``.
+:func:`internal_lindblad` applies L to a matrix directly, as a reference.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import scipy.linalg
 
 # superop_matrix is unused here but stays bound: bench/tracer.py wraps it.
 from .linalg import hunvec, hvec, null_space, superop_matrix  # noqa: F401
-from .model import Coin
+from .model import Coin, density_for
 
 # Singular values below KERNEL_RTOL times the rate scale (Coin.rate_scale)
 # count as kernel directions.
@@ -46,7 +50,7 @@ TRACE_FLOOR = 1e-10
 # Relative Frobenius tolerances for common_eigenstructure.
 NORMALITY_RTOL = 1e-10
 COMMUTE_RTOL = 1e-10
-# drift() bounds on |L(rho)| and on |Im m|, relative to the coin's rate scale.
+# Bounds on |L(rho)| in drift() and on |Im slope| in drift_spectrum, relative to the rate scale.
 STATIONARY_RTOL = 1e-8
 DRIFT_IMAG_RTOL = 1e-12
 
@@ -72,7 +76,7 @@ class StationaryAnalysis:
 
 
 def internal_lindblad(coin: Coin, rho) -> np.ndarray:
-    """Apply L to a Hermitian matrix directly (no superoperator)."""
+    """Apply L to a Hermitian matrix directly: a reference to check ``Coin.symbol`` against."""
     r = np.asarray(rho, dtype=complex)
     if r.shape != (coin.dim, coin.dim):
         raise ValueError(f"state shape {r.shape} does not match coin dimension {coin.dim}")
@@ -130,20 +134,17 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
 def drift(coin: Coin, rho_inv) -> float:
     """Net velocity m = Tr(A rho A*) - Tr(C rho C*) at a stationary state.
 
-    The checks are relative to ``Coin.rate_scale``.
+    rho_inv must be a state (``density_for``) with |L v| at most STATIONARY_RTOL
+    times ``Coin.rate_scale``, v its coordinates; m is the trace row of R - L times v.
     """
-    rho = np.asarray(rho_inv, dtype=complex)
+    v = density_for(coin, rho_inv)
+    _, right, left = coin.symbol
     scale = coin.rate_scale
-    resid = float(np.linalg.norm(internal_lindblad(coin, rho)))
+    resid = float(np.linalg.norm(internal_lindblad_matrix(coin) @ v))
     if resid > STATIONARY_RTOL * scale:
         raise ValueError(f"state is not stationary: |L(rho)| = {resid:.3e} "
                          f"at rate scale {scale:.3e}")
-    a, c = coin.right, coin.left
-    m = np.trace(a @ rho @ a.conj().T) - np.trace(c @ rho @ c.conj().T)
-    if abs(m.imag) > DRIFT_IMAG_RTOL * scale:
-        raise ArithmeticError(f"drift has imaginary part {m.imag:.3e} "
-                              f"at rate scale {scale:.3e}")
-    return float(m.real)
+    return float((right[:coin.dim] - left[:coin.dim]).sum(axis=0) @ v)
 
 
 def drift_spectrum(coin: Coin, kernel_basis: list) -> tuple[np.ndarray, list]:
@@ -183,17 +184,18 @@ def solve_drift_operator(coin: Coin, m: float) -> tuple[np.ndarray, float]:
     """Least-squares J with L*(J) = -(A*A - C*C - m I), gauge Tr(J) = 0.
 
     The adjoint acts as the transpose of the real matrix of L, so J is
-    Hermitian. Solutions differ by multiples of the identity (which L*
-    annihilates), so the returned J is the trace-free representative. The residual
-    |L*(J) + (A*A - C*C - m I)| is reported always; it is small exactly when
-    a true solution exists.
+    Hermitian; hvec(A*A - C*C) is the trace row of R - L. Solutions differ
+    by multiples of the identity (which L* annihilates), so the returned J
+    is the trace-free representative. The residual |L*(J) + (A*A - C*C - m I)|
+    is reported always; it is small exactly when a true solution exists.
     """
     d = coin.dim
+    _, right, left = coin.symbol
     s_adj = internal_lindblad_matrix(coin).T
-    a, c = coin.right, coin.left
-    rhs = -hvec(a.conj().T @ a - c.conj().T @ c - m * np.eye(d))
-    x, *_ = np.linalg.lstsq(s_adj, rhs, rcond=None)
     # The identity has coordinates 1 on the d diagonal units and 0 elsewhere.
+    rhs = (left[:d] - right[:d]).sum(axis=0)
+    rhs[:d] += m
+    x, *_ = np.linalg.lstsq(s_adj, rhs, rcond=None)
     x[:d] -= x[:d].mean()
     return hunvec(x), float(np.linalg.norm(s_adj @ x - rhs))
 

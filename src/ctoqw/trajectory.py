@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hunvec, hvec
+from .linalg import hunvec
 # Unused here, but bench/tracer.py wraps this binding.
 from .linalg import mat_exp  # noqa: F401
 from .model import Coin, density_for
@@ -145,11 +145,10 @@ class JumpSampler:
     """
 
     def __init__(self, coin: Coin):
-        rate = coin.rate_operator()
-        lam = float(np.linalg.eigvalsh(rate).max())
-        if lam <= 0.0:
+        # lambda_max(C*C + A*A), the fastest jump rate: the unit of the bracket guard.
+        self.top_rate = float(np.linalg.eigvalsh(coin.rate_operator()).max())
+        if self.top_rate <= 0.0:
             raise ValueError("total jump rate vanishes; the coin never jumps")
-        self.rate_scale = lam
 
         stay, right, left = coin.symbol
         d = coin.dim
@@ -206,7 +205,7 @@ class JumpSampler:
         level = np.zeros(len(v), dtype=int)
         live = window < cap
         todo = live.nonzero()[0]
-        if todo.size and window > _GUARD_FACTOR / self.rate_scale:
+        if todo.size and window > _GUARD_FACTOR / self.top_rate:
             raise RuntimeError(_GUARD_ERROR)
         j = 1
         while todo.size:
@@ -217,7 +216,7 @@ class JumpSampler:
             live[todo[above & (span >= cap[todo])]] = False
             go = above & (span < cap[todo])
             todo, ahead = todo[go], ahead[go]
-            if todo.size and span > _GUARD_FACTOR / self.rate_scale:
+            if todo.size and span > _GUARD_FACTOR / self.top_rate:
                 raise RuntimeError(_GUARD_ERROR)
             start[todo], base[todo] = span, ahead
             j += 1
@@ -487,14 +486,14 @@ def _sampler(coin: Coin) -> JumpSampler:
 
 def sample_next_jump(coin: Coin, rho, rng):
     """One jump from rho with the coin's sampler: (dt, direction, rho_after)."""
-    dt, direction, v = _sampler(coin).next_jump(hvec(density_for(coin, rho)), rng)
+    dt, direction, v = _sampler(coin).next_jump(density_for(coin, rho), rng)
     return dt, direction, hunvec(v)
 
 
 def simulate_path(coin: Coin, i0: int, rho0, horizon: float, rng) -> TrajectoryPath:
     """Sample one trajectory up to the horizon, recording every jump."""
     _check_horizon(horizon)
-    v = hvec(density_for(coin, rho0))
+    v = density_for(coin, rho0)
     sampler = _sampler(coin)
     t = 0.0
     site = int(i0)
@@ -542,7 +541,7 @@ def _lockstep(coin: Coin, rho0, horizon: float, n_paths: int, seed: int, i0: int
     """:func:`sample_sites` plus its cost: (sites, jumps, rounds, passes),
     with the root finder's passes summed over the rounds."""
     _check_horizon(horizon)
-    v = hvec(density_for(coin, rho0))
+    v = density_for(coin, rho0)
     sampler = _sampler(coin)
     rngs = [path_rng(seed, k) for k in range(n_paths)]
     block = 2 * _PREFETCH_ROUNDS
@@ -625,7 +624,7 @@ def survival_probability(coin: Coin, rho, t: float) -> float:
     read off the coin's sampler grid (:meth:`JumpSampler.survival`)."""
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"survival time must be finite and nonnegative, got {t}")
-    return _sampler(coin).survival(hvec(density_for(coin, rho)), float(t))
+    return _sampler(coin).survival(density_for(coin, rho), float(t))
 
 
 def write_path_csv(f, path: TrajectoryPath) -> None:

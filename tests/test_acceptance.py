@@ -32,7 +32,7 @@ from ctoqw.coins import (
     tilted_pair_coin,
 )
 from ctoqw.lattice import (
-    build_block_generator,
+    BlockGenerator,
     chapman_kolmogorov_residual,
     choose_radius,
     evolve,
@@ -148,7 +148,7 @@ def test_acceptance_5_composition_identity():
     worst = 0.0
     for coin in (three_level_coin(0.0), shared_eigenbasis_coin(1.0, 2.0)):
         radius = choose_radius(coin, 0, 2.0)
-        gen = build_block_generator(coin, radius)
+        gen = BlockGenerator(coin, radius)
         rho0 = np.eye(coin.dim, dtype=complex) / coin.dim
         for _ in range(10):
             alpha, beta = 1.0 - rng.random(), 1.0 - rng.random()
@@ -163,7 +163,7 @@ def test_acceptance_5_composition_identity():
 def test_acceptance_6_divergence_character():
     t0 = time.perf_counter()
     scalar = scalar_coin(1.0, 1.0)
-    gen_s = build_block_generator(scalar, 256)
+    gen_s = BlockGenerator(scalar, 256)
     one = np.array([[1.0 + 0j]])
     i_100 = return_integral(gen_s, one, 0, 100.0)
     i_400 = return_integral(gen_s, one, 0, 400.0)
@@ -173,7 +173,7 @@ def test_acceptance_6_divergence_character():
     recurrent_ok = 1.8 <= ratio_i <= 2.2 and 1.8 <= ratio_s <= 2.2
 
     c0 = three_level_coin(0.0)
-    gen_t = build_block_generator(c0, 256)
+    gen_t = BlockGenerator(c0, 256)
     mixed = np.eye(3, dtype=complex) / 3.0
     j_200 = return_integral(gen_t, mixed, 0, 200.0)
     j_400 = return_integral(gen_t, mixed, 0, 400.0)
@@ -193,7 +193,7 @@ def test_acceptance_7_classical_reduction():
     t0 = time.perf_counter()
     coin = scalar_coin(1.0, 1.0)
     radius = choose_radius(coin, 0, 5.0)
-    gen = build_block_generator(coin, radius)
+    gen = BlockGenerator(coin, radius)
     one = np.array([[1.0 + 0j]])
     bessel_err = max(
         abs(transition_probability(gen, one, 0, 0, t) - ive(0, 2.0 * t))
@@ -258,7 +258,7 @@ def test_acceptance_8_invariant_suites():
             worst["covariance"] = max(worst["covariance"], cov)
 
         radius = choose_radius(coin, 0, 1.0)
-        gen = build_block_generator(coin, radius)
+        gen = BlockGenerator(coin, radius)
         rho0 = (np.diag(rng.dirichlet(np.ones(d))).astype(complex) if diagonal
                 else np.eye(d, dtype=complex) / d)
         state = evolve(gen, rho0, 0, 1.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ctoqw import (
-    build_block_generator,
+    BlockGenerator,
     choose_radius,
     cli,
     load_coin,
@@ -216,7 +216,7 @@ class TestIntegralCommand:
         code, doc = run_json(capsys, ["integral", str(COINS / name), "--horizon", "50"])
         assert code == 0
         coin = load_coin(COINS / name)
-        gen = build_block_generator(coin, choose_radius(coin, 0, 50.0))
+        gen = BlockGenerator(coin, choose_radius(coin, 0, 50.0))
         rho = np.eye(coin.dim) / coin.dim
         assert doc["value"] == pytest.approx(return_integral(gen, rho, 0, 50.0), rel=1e-12)
         assert doc["value_half_horizon"] == pytest.approx(
@@ -331,7 +331,7 @@ class TestErrorHandling:
         def unreachable(coin, radius):
             raise AssertionError(f"ring of radius {radius} built")
 
-        monkeypatch.setattr(cli, "build_block_generator", unreachable)
+        monkeypatch.setattr(cli, "BlockGenerator", unreachable)
         trunc = str(cli.MAX_RADIUS + 1)
         code = main([command[0], str(COINS / "scalar_symmetric.json")] + command[1:]
                     + ["--trunc", trunc])

@@ -16,7 +16,7 @@ import scipy.special
 
 from ctoqw import (
     Coin,
-    build_block_generator,
+    BlockGenerator,
     initial_block_state,
     evolve,
     leak_bound,
@@ -27,7 +27,6 @@ from ctoqw import (
     chapman_kolmogorov_residual,
     return_integral,
     skeleton_partials,
-    skeleton_sum,
     choose_radius,
     load_coin,
     write_series_csv,
@@ -60,7 +59,7 @@ def bessel_p00(t):
 
 def outside_mass(coin, rho, i0, radius, t, scale):
     """Mass beyond -radius..radius at time t, evolved on a ring `scale` times wider."""
-    big = evolve(build_block_generator(coin, scale * radius), rho, i0, t)
+    big = evolve(BlockGenerator(coin, scale * radius), rho, i0, t)
     return big.trace_profile()[np.abs(big.sites) > radius].sum()
 
 
@@ -108,7 +107,7 @@ def per_launch_residual(gen, rho, i0, j, alpha, beta):
 class TestBlockGenerator:
     def test_scalar_dense_matrix_is_birth_death(self):
         # the window closes into a ring: the corner entries are the wrap terms
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 2)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 2)
         q = np.array([
             [-2.0, 1.0, 0.0, 0.0, 1.0],
             [1.0, -2.0, 1.0, 0.0, 0.0],
@@ -119,7 +118,7 @@ class TestBlockGenerator:
         assert np.allclose(gen.dense_matrix(), q, atol=1e-14)
 
     def test_dense_matrix_refused_past_cap(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 2048)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 2048)
         assert gen.vec_dim > lattice_mod.DENSE_STATE_CAP
         with pytest.raises(ValueError):
             gen.dense_matrix()
@@ -127,7 +126,7 @@ class TestBlockGenerator:
     def test_first_derivative_of_neighbor_trace(self):
         rng = np.random.default_rng(50)
         coin = random_coin(rng, 2)
-        gen = build_block_generator(coin, 3)
+        gen = BlockGenerator(coin, 3)
         rho = random_density(rng, 2)
         blocks = initial_block_state(gen, rho, 0).blocks
         deriv = gen.apply(blocks)
@@ -139,7 +138,7 @@ class TestBlockGenerator:
     def test_interior_trace_derivative_telescopes(self):
         rng = np.random.default_rng(51)
         coin = random_coin(rng, 3)
-        gen = build_block_generator(coin, 5)
+        gen = BlockGenerator(coin, 5)
         blocks = np.zeros((11, 3, 3), dtype=complex)
         blocks[4] = random_density(rng, 3) * 0.3
         blocks[5] = random_density(rng, 3) * 0.7
@@ -150,7 +149,7 @@ class TestBlockGenerator:
     def test_dense_matrix_matches_apply(self):
         rng = np.random.default_rng(52)
         coin = random_coin(rng, 2)
-        gen = build_block_generator(coin, 2)
+        gen = BlockGenerator(coin, 2)
         k = gen.dense_matrix()
         blocks = np.array([random_density(rng, 2) * 0.2 for _ in range(5)])
         direct = gen.apply(blocks)
@@ -186,7 +185,7 @@ class TestHalfSpectrum:
     def case(self, request):
         d, radius, i0 = request.param
         rng = np.random.default_rng([d, radius, i0 + radius])
-        return build_block_generator(random_coin(rng, d), radius), random_density(rng, d), i0
+        return BlockGenerator(random_coin(rng, d), radius), random_density(rng, d), i0
 
     def test_blocks_profiles_and_sites(self, case):
         gen, rho, i0 = case
@@ -282,7 +281,7 @@ class TestTraceRowSteps:
         times = np.linspace(0.0, 10.0, 401)
         assert len(set(np.diff(times))) > 1
         rng = np.random.default_rng(11)
-        gen = build_block_generator(random_coin(rng, 2), 8)
+        gen = BlockGenerator(random_coin(rng, 2), 8)
         rho = random_density(rng, 2)
         calls = []
 
@@ -305,7 +304,7 @@ class TestTraceRowSteps:
 class TestProbabilitySeriesMemory:
     def test_one_site_builds_no_profile(self):
         # the (401, 8193) float profile of the whole ring alone is 26 MB
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 4096)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 4096)
         times = np.linspace(0.0, 10.0, 401)
         tracemalloc.start()
         try:
@@ -322,7 +321,7 @@ class TestEvolve:
     def test_matches_dense_ring_exponential(self, d):
         rng = np.random.default_rng(60 + d)
         coin = random_coin(rng, d)
-        gen = build_block_generator(coin, 4)
+        gen = BlockGenerator(coin, 4)
         rho = random_density(rng, d)
         for i0, t in ((0, 0.7), (-3, 1.9)):
             st = evolve(gen, rho, i0, t)
@@ -333,21 +332,21 @@ class TestEvolve:
 
     def test_time_zero_is_initial_state(self):
         coin = diagonal_jumps_coin()
-        gen = build_block_generator(coin, 4)
+        gen = BlockGenerator(coin, 4)
         rho = np.diag([0.3, 0.7])
         st = evolve(gen, rho, 1, 0.0)
         assert np.allclose(st.block(1), rho, atol=1e-14)
         assert st.total_trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_bessel_oracle(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 32)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 32)
         times = np.linspace(0.0, 5.0, 26)
         series = probability_series(gen, np.eye(1), 0, [0], times)[:, 0]
         for t, p in zip(times, series):
             assert abs(p - bessel_p00(t)) < 1e-6
 
     def test_three_level_trace_retention(self):
-        gen = build_block_generator(three_level_coin(1.0), 20)
+        gen = BlockGenerator(three_level_coin(1.0), 20)
         st = evolve(gen, np.eye(3) / 3.0, 0, 1.0)
         assert st.total_trace() >= 1.0 - 1e-6
 
@@ -356,7 +355,7 @@ class TestEvolve:
         for d in (2, 3):
             coin = random_coin(rng, d)
             radius = choose_radius(coin, 0, 1.0)
-            gen = build_block_generator(coin, radius)
+            gen = BlockGenerator(coin, radius)
             st = evolve(gen, random_density(rng, d), 0, 1.0)
             assert st.total_trace() + st.leaked_mass == pytest.approx(1.0, abs=1e-8)
             assert st.min_eigenvalue() >= -1e-9
@@ -365,7 +364,7 @@ class TestEvolve:
 
     def test_blocks_stay_hermitian(self):
         coin = three_level_coin(0.0)
-        gen = build_block_generator(coin, 12)
+        gen = BlockGenerator(coin, 12)
         st = evolve(gen, np.eye(3) / 3.0, 0, 2.0)
         for b in st.blocks:
             assert np.linalg.norm(b - b.conj().T) < 1e-12
@@ -373,7 +372,7 @@ class TestEvolve:
     def test_semigroup_composition(self):
         # one integration to t+s equals integrating to t, then restarting
         coin = shared_eigenbasis_coin(1.5, 1.0)
-        gen = build_block_generator(coin, 14)
+        gen = BlockGenerator(coin, 14)
         rho = np.diag([0.5, 0.5])
         t, s = 0.8, 0.6
         direct = evolve(gen, rho, 0, t + s)
@@ -385,7 +384,7 @@ class TestEvolve:
         assert np.linalg.norm(final - expect) < 1e-8
 
     def test_rejects_out_of_range_start(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 3)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 3)
         with pytest.raises(ValueError):
             evolve(gen, np.eye(1), 7, 1.0)
 
@@ -395,7 +394,7 @@ class TestEvolve:
             (scalar_coin(1.0, 1.0), np.eye(1)),
             (three_level_coin(0.0), np.eye(3) / 3.0),
         ):
-            gen = build_block_generator(coin, 24)
+            gen = BlockGenerator(coin, 24)
             times = np.linspace(0.0, 5.0, 51)
             series = probability_series(gen, rho, 0, [0, 1, -2], times)
             for col in series.T:
@@ -413,7 +412,7 @@ class TestEvolve:
             np.diag([-np.sqrt(5.0), 2.0 * np.sqrt(2.0)]),
             np.diag([0.7, -0.3]).astype(complex),
         )
-        gen = build_block_generator(coin, 16)
+        gen = BlockGenerator(coin, 16)
         st = evolve(gen, np.diag([0.5, 0.5]), 0, 2.0)
         for b in st.blocks:
             off = abs(b[0, 1]) + abs(b[1, 0])
@@ -422,18 +421,18 @@ class TestEvolve:
 
 class TestTransitionProbability:
     def test_time_zero_indicator(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 8)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 8)
         assert transition_probability(gen, np.eye(1), 0, 0, 0.0) == pytest.approx(1.0)
         assert transition_probability(gen, np.eye(1), 0, 3, 0.0) == pytest.approx(0.0)
 
     def test_scalar_value_at_t1(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 24)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 24)
         p = transition_probability(gen, np.eye(1), 0, 0, 1.0)
         assert abs(p - bessel_p00(1.0)) < 1e-9
         assert abs(p - 0.3085) < 5e-4
 
     def test_return_probability_strictly_positive(self):
-        gen = build_block_generator(three_level_coin(0.0), 16)
+        gen = BlockGenerator(three_level_coin(0.0), 16)
         rho = np.eye(3) / 3.0
         for t in (0.1, 0.5, 1.0, 3.0):
             assert transition_probability(gen, rho, 0, 0, t) > 0.0
@@ -442,13 +441,13 @@ class TestTransitionProbability:
 class TestConditionedState:
     def test_beta_zero_returns_initial(self):
         coin = diagonal_jumps_coin()
-        gen = build_block_generator(coin, 6)
+        gen = BlockGenerator(coin, 6)
         rho = np.diag([0.25, 0.75])
         out = conditioned_state(gen, rho, 0, 0, 0.0)
         assert np.allclose(out, rho, atol=1e-12)
 
     def test_scalar_conditioning_is_trivial(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 12)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 12)
         out = conditioned_state(gen, np.eye(1), 0, 1, 0.7)
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -457,20 +456,20 @@ class TestConditionedState:
         coin = validate_coin(
             np.diag([1.0, 2.0]), np.diag([1.5, 0.5]), np.diag([0.4, 0.1]).astype(complex)
         )
-        gen = build_block_generator(coin, 10)
+        gen = BlockGenerator(coin, 10)
         out = conditioned_state(gen, np.diag([0.5, 0.5]), 0, 1, 0.9)
         assert abs(out[0, 1]) < 1e-12
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_negligible_site(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 30)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 30)
         with pytest.raises(ValueError):
             conditioned_state(gen, np.eye(1), 0, 29, 0.01)
 
 
 class TestChapmanKolmogorov:
     def test_zero_time_identities(self):
-        gen = build_block_generator(three_level_coin(0.0), 10)
+        gen = BlockGenerator(three_level_coin(0.0), 10)
         rho = np.eye(3) / 3.0
         assert chapman_kolmogorov_residual(gen, rho, 0, 1, 0.0, 0.5) <= 1e-12
         assert chapman_kolmogorov_residual(gen, rho, 0, 1, 0.5, 0.0) <= 1e-12
@@ -478,7 +477,7 @@ class TestChapmanKolmogorov:
     def test_diagonal_fixture_composition(self):
         coin = diagonal_jumps_coin(3.0)
         radius = choose_radius(coin, 0, 1.4)
-        gen = build_block_generator(coin, radius)
+        gen = BlockGenerator(coin, radius)
         rho = np.diag([0.5, 0.5])
         res = chapman_kolmogorov_residual(gen, rho, 0, 1, 0.7, 0.7)
         assert res <= 1e-7
@@ -486,7 +485,7 @@ class TestChapmanKolmogorov:
     def test_random_split_times(self):
         coin = shared_eigenbasis_coin(1.0, 2.0)
         radius = choose_radius(coin, 0, 2.0)
-        gen = build_block_generator(coin, radius)
+        gen = BlockGenerator(coin, radius)
         rho = random_density(np.random.default_rng(54), 2)
         rng = np.random.default_rng(55)
         for _ in range(3):
@@ -499,14 +498,14 @@ class TestChapmanKolmogorov:
     def test_batched_launches_match_per_launch_sum(self, coin):
         rho = random_density(np.random.default_rng(64), coin.dim)
         for alpha, beta, j in ((0.1, 0.1, 1), (0.7, 0.7, 0), (0.3, 1.2, -1)):
-            gen = build_block_generator(coin, choose_radius(coin, 0, alpha + beta, rho))
+            gen = BlockGenerator(coin, choose_radius(coin, 0, alpha + beta, rho))
             batched = chapman_kolmogorov_residual(gen, rho, 0, j, alpha, beta)
             assert abs(batched - per_launch_residual(gen, rho, 0, j, alpha, beta)) <= 1e-15
 
 
 class TestReturnIntegral:
     def test_matches_bessel_integral(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 256)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 256)
         val = return_integral(gen, np.eye(1), 0, 100.0)
         ref, err = scipy.integrate.quad(bessel_p00, 0.0, 100.0, limit=400)
         assert err < 1e-8
@@ -515,14 +514,14 @@ class TestReturnIntegral:
         assert abs(val - np.sqrt(100.0 / np.pi)) / val < 0.02
 
     def test_short_horizon_slope(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 8)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 8)
         eps = 0.01
         val = return_integral(gen, np.eye(1), 0, eps)
         assert abs(val / eps - 1.0) < 2.5 * eps
 
     def test_quadrature_consistency(self):
         # the closed form agrees with adaptive quadrature of e^{-2t} I0(2t)
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 64)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 64)
         for horizon in (0.5, 10.0):
             val = return_integral(gen, np.eye(1), 0, horizon)
             ref, _ = scipy.integrate.quad(bessel_p00, 0.0, horizon, limit=200,
@@ -532,32 +531,32 @@ class TestReturnIntegral:
     def test_short_horizon_on_a_small_ring(self):
         # the leak bound at T = 0.01 on the radius-3 ring is about 4e-9, so
         # the value is certified instead of refused
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 3)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 3)
         ref, _ = scipy.integrate.quad(bessel_p00, 0.0, 0.01, epsabs=0.0, epsrel=1e-12)
         assert abs(ref - 0.00990099172) <= 1e-9 * ref
         assert abs(return_integral(gen, np.eye(1), 0, 0.01) - ref) <= 1e-9 * ref
 
     def test_leak_breach_raises(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 4)
         with pytest.raises(RuntimeError):
             return_integral(gen, np.eye(1), 0, 50.0)
 
 
 class TestSkeleton:
     def test_n_zero_is_indicator(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 8)
-        assert skeleton_sum(gen, np.eye(1), 0, 0, 1.0, 0) == pytest.approx(1.0)
-        assert skeleton_sum(gen, np.eye(1), 0, 2, 1.0, 0) == pytest.approx(0.0)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 8)
+        assert skeleton_partials(gen, np.eye(1), 0, 0, 1.0, 0)[-1] == pytest.approx(1.0)
+        assert skeleton_partials(gen, np.eye(1), 0, 2, 1.0, 0)[-1] == pytest.approx(0.0)
 
     def test_partials_match_bessel_sums(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 128)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 128)
         partials = skeleton_partials(gen, np.eye(1), 0, 0, 1.0, 50)
         ref = np.cumsum([bessel_p00(float(n)) for n in range(51)])
         assert np.max(np.abs(partials - ref)) < 1e-6
 
     def test_matches_dense_ring_powers(self):
         coin = shared_eigenbasis_coin(1.5, 1.0)
-        gen = build_block_generator(coin, 20)
+        gen = BlockGenerator(coin, 20)
         rho = np.diag([0.5, 0.5])
         partials = skeleton_partials(gen, rho, 0, 1, 0.5, 8)
         step = mat_exp(gen.dense_matrix(), 0.5)
@@ -570,15 +569,15 @@ class TestSkeleton:
         assert np.max(np.abs(partials - np.cumsum(np.real(terms)))) < 1e-12
 
     def test_recurrent_growth_character(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 256)
-        s100 = skeleton_sum(gen, np.eye(1), 0, 0, 1.0, 100)
-        s400 = skeleton_sum(gen, np.eye(1), 0, 0, 1.0, 400)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 256)
+        s100 = skeleton_partials(gen, np.eye(1), 0, 0, 1.0, 100)[-1]
+        s400 = skeleton_partials(gen, np.eye(1), 0, 0, 1.0, 400)[-1]
         assert 1.8 <= s400 / s100 <= 2.2
 
     def test_rejects_bad_delta(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 8)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 8)
         with pytest.raises(ValueError):
-            skeleton_sum(gen, np.eye(1), 0, 0, -1.0, 5)
+            skeleton_partials(gen, np.eye(1), 0, 0, -1.0, 5)
 
 
 class TestScaleCovariance:
@@ -588,7 +587,7 @@ class TestScaleCovariance:
         coin = three_level_coin(0.0)
         fast = validate_coin(s * coin.left, s * coin.right, s * s * coin.ham)
         rho = np.eye(3) / 3.0
-        gen, gen_fast = build_block_generator(coin, 32), build_block_generator(fast, 32)
+        gen, gen_fast = BlockGenerator(coin, 32), BlockGenerator(fast, 32)
         s2 = s * s
         plain = return_integral(gen, rho, 0, 5.0)
         scaled = s2 * return_integral(gen_fast, rho, 0, 5.0 / s2)
@@ -608,15 +607,15 @@ class TestSymmetryCovariance:
         coin = random_coin(rng, d)
         radius, times = 6, [0.0, 0.3, 1.2]
         mixed = np.eye(d) / d
-        profile = trace_profile_series(build_block_generator(coin, radius), mixed, 0, times)
+        profile = trace_profile_series(BlockGenerator(coin, radius), mixed, 0, times)
         mirror = validate_coin(coin.right, coin.left, coin.ham)
-        flipped = trace_profile_series(build_block_generator(mirror, radius), mixed, 0, times)
+        flipped = trace_profile_series(BlockGenerator(mirror, radius), mixed, 0, times)
         assert np.abs(flipped - profile[:, ::-1]).max() <= 1e-13
         u = random_unitary(rng, d)
         turned = validate_coin(*(u @ m @ u.conj().T for m in (coin.left, coin.right, coin.ham)))
         rho = random_density(rng, d)
-        plain = trace_profile_series(build_block_generator(coin, radius), rho, 0, times)
-        rotated = trace_profile_series(build_block_generator(turned, radius),
+        plain = trace_profile_series(BlockGenerator(coin, radius), rho, 0, times)
+        rotated = trace_profile_series(BlockGenerator(turned, radius),
                                        u @ rho @ u.conj().T, 0, times)
         assert np.abs(rotated - plain).max() <= 1e-13
 
@@ -630,7 +629,7 @@ class TestLeakBound:
         for radius, i0, t in ((6, 0, 1.0), (8, 3, 2.0), (12, -2, 4.0), (16, 1, 1.0)):
             outside = outside_mass(coin, rho, i0, radius, t, 4)
             bound = leak_bound(coin, rho, i0, radius, t)
-            assert evolve(build_block_generator(coin, radius), rho, i0, t).leaked_mass == bound
+            assert evolve(BlockGenerator(coin, radius), rho, i0, t).leaked_mass == bound
             assert outside <= bound
             assert bound < 1.0 or outside > 1e-3
 
@@ -778,13 +777,13 @@ class TestLeakBound:
         with pytest.raises(ValueError, match="1x1, expected d=3"):
             leak_bound(coin, np.eye(1), 0, 3, 1.0)
         with pytest.raises(ValueError, match="1x1, expected d=3"):
-            evolve(build_block_generator(coin, 3), np.eye(1), 0, 1.0)
+            evolve(BlockGenerator(coin, 3), np.eye(1), 0, 1.0)
 
 
 class TestChooseRadius:
     def test_scalar_radius_controls_leak(self):
         radius = choose_radius(scalar_coin(1.0, 1.0), 0, 5.0)
-        gen = build_block_generator(scalar_coin(1.0, 1.0), radius)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), radius)
         st = evolve(gen, np.eye(1), 0, 5.0)
         assert st.leaked_mass < 1e-8
 
@@ -792,10 +791,12 @@ class TestChooseRadius:
         radius = choose_radius(scalar_coin(1.0, 1.0), 20, 1.0)
         assert radius >= 40
 
-    def test_respects_custom_tolerance(self):
-        r_loose = choose_radius(scalar_coin(1.0, 1.0), 0, 5.0, leak_tol=1e-3)
-        r_tight = choose_radius(scalar_coin(1.0, 1.0), 0, 5.0, leak_tol=1e-10)
-        assert r_loose <= r_tight
+    def test_respects_custom_tolerance(self, monkeypatch):
+        radii = []
+        for tol in (1e-3, 1e-10):
+            monkeypatch.setattr(lattice_mod, "LEAK_TOL", tol)
+            radii.append(choose_radius(scalar_coin(1.0, 1.0), 0, 5.0))
+        assert radii[0] < radii[1]
 
 
 class TestArgumentChecks:
@@ -818,7 +819,7 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", sorted(CALLS))
     def test_rejects_non_finite_time(self, entry, value):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 4)
         with pytest.raises(ValueError, match="finite"):
             self.CALLS[entry](gen, value)
 
@@ -827,18 +828,18 @@ class TestArgumentChecks:
     def test_off_ring_site_is_a_value_error(self, call):
         # the same error as probability_series and skeleton_partials, so the
         # CLI reports it as a validation failure
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 4)
         with pytest.raises(ValueError, match="site 5 outside truncation radius 4"):
             call(gen, np.eye(1), 0, 5, 1.0)
 
     def test_radius_must_be_an_integer(self):
         # a fractional radius is refused, not truncated to the radius below
         with pytest.raises(TypeError, match="radius must be an integer, got 2.7"):
-            build_block_generator(scalar_coin(1.0, 1.0), 2.7)
-        assert build_block_generator(scalar_coin(1.0, 1.0), np.int64(2)).radius == 2
+            BlockGenerator(scalar_coin(1.0, 1.0), 2.7)
+        assert BlockGenerator(scalar_coin(1.0, 1.0), np.int64(2)).radius == 2
 
     def test_n_steps_must_be_an_integer(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 4)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 4)
         with pytest.raises(TypeError, match="n_steps must be an integer, got 2.5"):
             skeleton_partials(gen, np.eye(1), 0, 0, 1.0, 2.5)
         assert len(skeleton_partials(gen, np.eye(1), 0, 0, 1.0, np.int64(2))) == 3
@@ -872,7 +873,7 @@ class TestCsvExport:
 
 class TestAbsorbingBoundary:
     def test_leak_is_monotone_in_time(self):
-        gen = build_block_generator(scalar_coin(1.0, 1.0), 6)
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 6)
         leaks = [evolve(gen, np.eye(1), 0, t).leaked_mass for t in (1.0, 2.0, 4.0)]
         assert leaks[0] < leaks[1] < leaks[2]
         assert leaks[2] > 1e-4
@@ -880,7 +881,7 @@ class TestAbsorbingBoundary:
     def test_biased_walk_drifts(self):
         coin = scalar_coin(2.0, 1.0)
         radius = choose_radius(coin, 0, 2.0)
-        gen = build_block_generator(coin, radius)
+        gen = BlockGenerator(coin, radius)
         st = evolve(gen, np.eye(1), 0, 2.0)
         mean = float((st.sites * st.trace_profile()).sum())
         # net velocity |a|^2 - |c|^2 = 3

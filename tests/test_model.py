@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ctoqw import (
-    build_block_generator,
+    BlockGenerator,
     choose_radius,
     classify,
     estimate_drift,
@@ -23,6 +23,7 @@ from ctoqw import (
     no_jump_generator,
     density_from_pure,
     check_density,
+    hvec,
     unvec,
     vec,
     coin_to_dict,
@@ -127,7 +128,7 @@ class TestSymbol:
         assert classify(coin).unique_stationary
         rho = stationary_states(coin).rho_inv
         radius = choose_radius(coin, 0, 50.0, rho)
-        gen = build_block_generator(coin, radius)
+        gen = BlockGenerator(coin, radius)
         evolve(gen, rho, 0, 50.0)
         return_integral(gen, rho, 0, 50.0, with_half=True)
         simulate_path(coin, 0, rho, 5.0, path_rng(1, 0))
@@ -217,7 +218,7 @@ class TestDensityFor:
     def test_accepts_fortran_ordered(self):
         # unvec returns a Fortran-ordered reshape
         rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
-        assert np.array_equal(density_for(diagonal_jumps_coin(), unvec(vec(rho))), rho)
+        assert np.array_equal(density_for(diagonal_jumps_coin(), unvec(vec(rho))), hvec(rho))
 
 
 class TestJsonFormat:

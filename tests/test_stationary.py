@@ -249,8 +249,18 @@ class TestDrift:
 
     def test_rejects_non_stationary_state(self):
         coin = three_level_coin(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not stationary"):
             drift(coin, np.eye(3) / 3.0)
+
+    def test_rejects_non_states(self):
+        # drift takes states only: a complex or scaled multiple of rho_inv is
+        # refused by the density check, not read as a multiple of m
+        coin = three_level_coin(0.0)
+        rho = stationary_states(coin).rho_inv
+        with pytest.raises(ValueError, match="not Hermitian"):
+            drift(coin, 1j * rho)
+        with pytest.raises(ValueError, match="trace"):
+            drift(coin, 2.0 * rho)
 
     def test_bounded_by_total_rate(self):
         rng = np.random.default_rng(36)
@@ -299,6 +309,9 @@ class TestDriftSpectrum:
                 continue
             slopes, states = drift_spectrum(coin, sa.stationary_basis)
             m = drift(coin, sa.rho_inv)
+            a, c = coin.right, coin.left
+            direct = np.trace(a @ sa.rho_inv @ a.conj().T - c @ sa.rho_inv @ c.conj().T)
+            assert abs(direct - m) <= 1e-12 * coin.rate_scale
             assert slopes.shape == (1,)
             assert abs(slopes[0] - m) <= 1e-12 * coin.rate_scale
             assert np.abs(states[0] - sa.rho_inv).max() < 1e-10

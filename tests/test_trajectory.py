@@ -626,7 +626,7 @@ class TestRootFinder:
         rhos = [random_density(rng, coin.dim) for _ in range(n)]
         u = rng.random(n)
         window = trajectory.K * sampler._h
-        cap = np.choose(np.arange(n) % 3, [rng.uniform(0.0, 2.0 / sampler.rate_scale, n),
+        cap = np.choose(np.arange(n) % 3, [rng.uniform(0.0, 2.0 / sampler.top_rate, n),
                                            rng.uniform(0.0, 4.0 * window, n),
                                            np.full(n, math.inf)])
         v = hvec(np.array(rhos))

@@ -2,7 +2,8 @@
 
 Both tractable regimes are read from the drift spectrum
 (:func:`ctoqw.stationary.drift_spectrum`), the slopes at k = 0 of the
-branches of the walk's symbol L_k through 0:
+branches of the walk's symbol L_k through 0. It and the stationary analysis
+read the kernels of L_0 from one SVD per coin (``Coin.lindblad_svd``):
 
 * a unique stationary internal state exists: the one slope is the net
   velocity m, and the walk is recurrent exactly when it vanishes;
@@ -31,9 +32,9 @@ from enum import Enum
 import numpy as np
 
 from .model import Coin
-# common_eigenstructure is unused here but stays bound: bench/tracer.py wraps it.
-from .stationary import common_eigenstructure  # noqa: F401
-from .stationary import drift, drift_spectrum, stationary_states
+# common_eigenstructure and drift are unused here but stay bound: bench/tracer.py wraps them.
+from .stationary import common_eigenstructure, drift  # noqa: F401
+from .stationary import drift_spectrum, stationary_states
 
 # Tolerance for a zero slope (m = 0), relative to |C|_F^2 + |A|_F^2.
 BOUNDARY_TOL = 1e-9
@@ -69,32 +70,23 @@ def classify(coin: Coin) -> ClassificationResult:
     tol = BOUNDARY_TOL * (float(np.linalg.norm(coin.left)) ** 2
                           + float(np.linalg.norm(coin.right)) ** 2)
     sa = stationary_states(coin)
-
-    if sa.unique_stationary:
-        m = drift(coin, sa.rho_inv)
-        if abs(m) <= tol:
-            verdict, rule = Verdict.RECURRENT, "unique-stationary-zero-drift"
-        else:
-            verdict, rule = Verdict.TRANSIENT, "unique-stationary-nonzero-drift"
-        return ClassificationResult(
-            verdict=verdict,
-            rule=rule,
-            unique_stationary=True,
-            m=m,
-            diagnostics={"kernel_dim": 1},
-        )
-
     diagnostics = {"kernel_dim": sa.kernel_dim}
     if sa.degenerate:
         verdict, rule = Verdict.UNDETERMINED, "degenerate-stationary-kernel"
         diagnostics["degenerate"] = sa.note
         return ClassificationResult(verdict, rule, False, diagnostics=diagnostics)
 
-    slopes, states = drift_spectrum(coin, sa.stationary_basis)
-    diagnostics["drift_slopes"] = [float(x) for x in slopes]
+    slopes, states = drift_spectrum(coin)
     zero = np.abs(slopes) <= tol
+    unique = sa.unique_stationary
+    if not unique:
+        diagnostics["drift_slopes"] = [float(x) for x in slopes]
     transient_state = None
-    if coin.dim != 2:
+    if unique and zero[0]:
+        verdict, rule = Verdict.RECURRENT, "unique-stationary-zero-drift"
+    elif unique:
+        verdict, rule = Verdict.TRANSIENT, "unique-stationary-nonzero-drift"
+    elif coin.dim != 2:
         verdict, rule = Verdict.UNDETERMINED, "multiple-stationary-no-criterion"
     elif zero.all():
         verdict, rule = Verdict.RECURRENT, "shared-basis-both-equal"
@@ -103,5 +95,5 @@ def classify(coin: Coin) -> ClassificationResult:
     else:
         verdict, rule = Verdict.PARTIALLY_RECURRENT, "shared-basis-one-unequal"
         transient_state = states[int(np.flatnonzero(~zero)[0])]
-    return ClassificationResult(verdict, rule, False, transient_state=transient_state,
-                                diagnostics=diagnostics)
+    return ClassificationResult(verdict, rule, unique, m=float(slopes[0]) if unique else None,
+                                transient_state=transient_state, diagnostics=diagnostics)

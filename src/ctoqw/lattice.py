@@ -39,7 +39,6 @@ long-horizon routines raise when it reaches LEAK_TOL.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ import scipy.optimize
 from scipy.linalg.lapack import dgeev
 
 from .linalg import hunvec, hvec, mat_exp
-from .model import Coin, density_for, no_jump_generator
+from .model import Coin, _integer, density_for, no_jump_generator
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
 LEAK_TOL = 1e-8
@@ -147,8 +146,8 @@ class BlockGenerator:
 
 
 def _start(gen: BlockGenerator, rho0, i0: int) -> np.ndarray:
-    """Coordinates hvec(rho0) of the checked start state, i0 inside the ring."""
-    if abs(i0) > gen.radius:
+    """Coordinates hvec(rho0) of the checked start state, i0 an integer inside the ring."""
+    if abs(_integer(i0, "i0")) > gen.radius:
         raise ValueError(f"start site {i0} outside truncation radius {gen.radius}")
     return density_for(gen.coin, rho0)
 
@@ -158,21 +157,16 @@ def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
                       leaked_mass=0.0)
 
 
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_time(t: float) -> None:
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
-def _check_site(gen: BlockGenerator, j: int) -> None:
+def _check_site(gen: BlockGenerator, j, name: str) -> int:
+    j = _integer(j, name)
     if abs(j) > gen.radius:
         raise ValueError(f"site {j} outside truncation radius {gen.radius}")
+    return j
 
 
 def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
@@ -214,7 +208,7 @@ def _blocks(gen: BlockGenerator, v: np.ndarray, i0: int, t: float) -> np.ndarray
 
 def _site_block(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> np.ndarray:
     """Block rho_t(j), projected from the half stack with the weights of site j."""
-    _check_site(gen, j)
+    _check_site(gen, j, "j")
     v = _start(gen, rho0, i0)
     hat = _half_stack(gen, v, t)
     if hat is None:
@@ -253,9 +247,8 @@ def _site_series(gen: BlockGenerator, rho0, i0: int, sites, steps) -> np.ndarray
     Every step projects its half traces onto the sites; no profile and no
     FFT is formed. A leading step of 0 gives the initial occupation exactly.
     """
-    sites = np.array([int(s) for s in np.atleast_1d(sites)], dtype=int)
-    for s in sites:
-        _check_site(gen, s)
+    sites = np.array([_check_site(gen, s, "sites") for s in np.atleast_1d(sites).tolist()],
+                     dtype=int)
     v = _start(gen, rho0, i0)
     weights = _site_weights(gen, sites - i0)
     rows = np.array([(weights @ tr).real for tr in _trace_rows(gen, v, steps)])
@@ -356,7 +349,7 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     inverse of rho's weight on that level.
     """
     _check_time(t)
-    if abs(i0) > radius:
+    if abs(_integer(i0, "i0")) > _integer(radius, "radius"):
         raise ValueError(f"start site {i0} outside truncation radius {radius}")
     return _leak_bound(coin, density_for(coin, rho0), i0, radius, t)
 
@@ -402,7 +395,7 @@ def transition_probability(gen: BlockGenerator, rho0, i0: int, j: int, t: float)
 
 def conditioned_state(gen: BlockGenerator, rho0, i0: int, k: int, beta: float) -> np.ndarray:
     """Internal state at site k given the walker is observed there at time beta."""
-    return _condition_block(_site_block(gen, rho0, i0, k, beta), k)
+    return _condition_block(_site_block(gen, rho0, i0, _integer(k, "k"), beta), k)
 
 
 def _condition_block(block: np.ndarray, site: int) -> np.ndarray:
@@ -438,6 +431,7 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     """
     if not (np.isfinite([alpha, beta]).all() and min(alpha, beta) >= 0):
         raise ValueError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
+    j = _integer(j, "j")
     v = _start(gen, rho0, i0)
     direct = BlockState(gen.radius, _blocks(gen, v, i0, alpha + beta),
                         _leak_bound(gen.coin, v, i0, gen.radius, alpha + beta))
@@ -512,7 +506,7 @@ def skeleton_partials(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,
         raise ValueError("n_steps must be nonnegative")
     steps = np.full(n_steps + 1, float(delta))
     steps[0] = 0.0
-    return np.cumsum(_site_series(gen, rho0, i0, j, steps)[:, 0])
+    return np.cumsum(_site_series(gen, rho0, i0, _integer(j, "j"), steps)[:, 0])
 
 
 def choose_radius(coin: Coin, i0: int, t: float, rho0=None) -> int:
@@ -524,6 +518,7 @@ def choose_radius(coin: Coin, i0: int, t: float, rho0=None) -> int:
     state when rho0 is omitted.
     """
     _check_time(t)
+    i0 = _integer(i0, "i0")
     v = density_for(coin, np.eye(coin.dim) / coin.dim if rho0 is None else rho0)
     radius = max(RADIUS_START, 2 * abs(i0))
     while radius <= MAX_RADIUS:

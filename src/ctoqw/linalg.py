@@ -114,17 +114,12 @@ def null_space(m, rel_tol: float = 1e-10, scale: float | None = None) -> list[np
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
     _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return [vh[i].conj() for i in range(a.shape[1])]
+    # a wide matrix has fewer singular values than rows of vh; the rest are 0
+    sigma = np.zeros(a.shape[1])
+    sigma[:s.size] = s
+    smax = sigma[0] if sigma.size else 0.0
     tol = rel_tol * (smax if scale is None else scale)
-    cols = a.shape[1]
-    out = []
-    for i in range(cols):
-        sigma = s[i] if i < s.size else 0.0
-        if sigma < tol:
-            out.append(vh[i].conj())
-    return out
+    return [v.conj() for v in vh[(sigma < tol) | (smax == 0.0)]]
 
 
 def superop_matrix(left_right_pairs) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -63,8 +64,7 @@ class Coin:
     ham_defect: float = 0.0
 
     def __post_init__(self):
-        for a in (self.left, self.right, self.ham):
-            a.setflags(write=False)
+        _read_only((self.left, self.right, self.ham))
 
     def rate_operator(self) -> np.ndarray:
         """left*left + right*right, the total jump-rate operator."""
@@ -73,16 +73,33 @@ class Coin:
     @functools.cached_property
     def symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real (S, R, L) of :func:`symbol_parts`, built once; read-only like the matrices."""
-        parts = symbol_parts(self)
-        for p in parts:
-            p.setflags(write=False)
-        return parts
+        return _read_only(symbol_parts(self))
+
+    @functools.cached_property
+    def lindblad_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, s, V^T) of np.linalg.svd(S + L + R), the symbol at k = 0, built once and
+        read-only; its small singular values pair the right and left kernels of L_0."""
+        stay, right, left = self.symbol
+        return _read_only(tuple(np.linalg.svd(stay + left + right)))
 
     @functools.cached_property
     def rate_scale(self) -> float:
         """|C*C + A*A| + |H|: (C, A, H) -> (sC, sA, s^2 H) multiplies it by s^2,
         like L and m, so tolerances relative to it are scale-covariant."""
         return float(np.linalg.norm(self.rate_operator()) + np.linalg.norm(self.ham))
+
+
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _square(a, name: str, d: int | None) -> np.ndarray:

@@ -20,12 +20,14 @@ quantities), the branches of L_k through 0 leave with slopes lambda'(0) / i
 equal to the eigenvalues of the compression (W^T V)^{-1} W^T (R - L) V: the
 drift spectrum. A unique stationary state gives the single slope m.
 
-:func:`stationary_states` reports V as ``stationary_basis``, Hermitian
-matrices orthonormal in their real coordinates. They need not be states;
-the state of each branch comes from :func:`drift_spectrum`.
+V and W come from one SVD of L per coin (``Coin.lindblad_svd``), so they
+share one dimension. :func:`stationary_states` reports V as
+``stationary_basis``, Hermitian matrices orthonormal in their real
+coordinates. They need not be states; the state of each branch comes from
+:func:`drift_spectrum`. :func:`drift` checks a caller's state.
 
-The coin is read only through ``Coin.symbol``, ``Coin.rate_scale`` and its
-dimension; states enter as coordinates through ``density_for``.
+The coin is read only through ``Coin.symbol``, its SVD, ``Coin.rate_scale``
+and its dimension; states enter as coordinates through ``density_for``.
 :func:`internal_lindblad` applies L to a matrix directly, as a reference.
 """
 
@@ -36,12 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-# superop_matrix is unused here but stays bound: bench/tracer.py wraps it.
-from .linalg import hunvec, hvec, null_space, superop_matrix  # noqa: F401
+# null_space and superop_matrix are unused here but stay bound: bench/tracer.py wraps them.
+from .linalg import hunvec, null_space, superop_matrix  # noqa: F401
 from .model import Coin, density_for
 
-# Singular values below KERNEL_RTOL times the rate scale (Coin.rate_scale)
-# count as kernel directions.
+# Singular values of L below KERNEL_RTOL * Coin.rate_scale count as kernel directions.
 KERNEL_RTOL = 1e-10
 # A candidate stationary state may not dip below this eigenvalue.
 PSD_FLOOR = -1e-10
@@ -60,12 +61,8 @@ _TAUS = (0.6180339887498949, 0.41421356237309515, 1.7320508075688772, 0.31830988
 
 @dataclass(frozen=True)
 class StationaryAnalysis:
-    """Kernel of the internal generator and, when unique, its stationary state.
-
-    ``stationary_basis`` is an orthonormal basis of the kernel of L made of
-    Hermitian d x d matrices (not necessarily states); the stationary state of
-    each branch through 0 comes from :func:`drift_spectrum` on it.
-    """
+    """Kernel of the internal generator and, when unique, its stationary state;
+    ``stationary_basis`` is V as Hermitian d x d matrices, not necessarily states."""
 
     kernel_dim: int
     stationary_basis: list
@@ -95,29 +92,35 @@ def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
     return stay + left + right
 
 
-def stationary_states(coin: Coin) -> StationaryAnalysis:
-    """Kernel of L, and the stationary density when it is unique.
-
-    ``stationary_basis`` is the orthonormal basis of the kernel of the real
-    matrix of L, as Hermitian d x d matrices. If the kernel is
-    one-dimensional, its element b normalized by its trace is the stationary
-    density. A near-zero trace is flagged as numerical degeneracy instead of
-    dividing.
-    """
-    s = internal_lindblad_matrix(coin)
-    kernel = null_space(s, rel_tol=KERNEL_RTOL, scale=coin.rate_scale)
-    if not kernel:
+def _kernels(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left kernels (V, W) of L as columns: the singular vectors of
+    ``Coin.lindblad_svd`` whose singular value is below KERNEL_RTOL * rate_scale."""
+    u, s, vt = coin.lindblad_svd
+    small = s < KERNEL_RTOL * coin.rate_scale
+    if not small.any():
         raise ArithmeticError(
             "empty stationary kernel: a finite-dimensional Lindblad semigroup "
             "always has a stationary state, so this is a numerical failure"
         )
-    basis = [hunvec(v) for v in kernel]
+    return vt[small].T, u[:, small]
+
+
+def stationary_states(coin: Coin) -> StationaryAnalysis:
+    """Kernel of L, and the stationary density when it is unique.
+
+    ``stationary_basis`` is the orthonormal right kernel V of the real matrix
+    of L, as Hermitian d x d matrices. If the kernel is one-dimensional, its
+    element b normalized by its trace is the stationary density. A near-zero
+    trace is flagged as numerical degeneracy instead of dividing.
+    """
+    kernel, _ = _kernels(coin)
+    basis = [hunvec(v) for v in kernel.T]
     kdim = len(basis)
     if kdim != 1:
         return StationaryAnalysis(kernel_dim=kdim, stationary_basis=basis,
                                   unique_stationary=False,
                                   note=f"{kdim} independent stationary directions")
-    tr = float(kernel[0][:coin.dim].sum())
+    tr = float(kernel[:coin.dim, 0].sum())
     if abs(tr) < TRACE_FLOOR:
         note = "one-dimensional kernel with near-zero trace; cannot normalize"
     else:
@@ -147,26 +150,22 @@ def drift(coin: Coin, rho_inv) -> float:
     return float((right[:coin.dim] - left[:coin.dim]).sum(axis=0) @ v)
 
 
-def drift_spectrum(coin: Coin, kernel_basis: list) -> tuple[np.ndarray, list]:
+def drift_spectrum(coin: Coin) -> tuple[np.ndarray, list]:
     """Slopes of the branches of L_k through 0, and the state of each branch.
 
-    ``kernel_basis`` spans the stationary kernel (the ``stationary_basis`` of
-    :func:`stationary_states`). The slopes are the eigenvalues of
-    (W^T V)^{-1} W^T (R - L) V in ascending order; an imaginary part above
-    ``DRIFT_IMAG_RTOL`` times ``Coin.rate_scale`` raises ``ArithmeticError``.
-    A branch state is V times the real part of the slope's eigenvector,
-    divided by its own trace, or None when that trace is below
-    ``TRACE_FLOOR`` relative to its norm (possible only inside a repeated
-    slope, where the eigenvectors are not unique).
+    The slopes are the eigenvalues of (W^T V)^{-1} W^T (R - L) V in ascending
+    order, V and W the kernels of L (:func:`_kernels`); a unique stationary
+    state gives the one slope m. An imaginary part above ``DRIFT_IMAG_RTOL``
+    times ``Coin.rate_scale`` raises ``ArithmeticError``. A branch state is V
+    times the real part of the slope's eigenvector, divided by its own trace,
+    or None when that trace is below ``TRACE_FLOOR`` relative to its norm
+    (possible only inside a repeated slope, where the eigenvectors are not
+    unique).
     """
     _, right, left = coin.symbol
     scale = coin.rate_scale
-    v = hvec(np.array(kernel_basis)).T
-    w = np.array(null_space(internal_lindblad_matrix(coin).T, rel_tol=KERNEL_RTOL, scale=scale))
-    if len(w) != v.shape[1]:
-        raise ArithmeticError(f"left kernel has dimension {len(w)}, "
-                              f"right kernel {v.shape[1]}")
-    slopes, vecs = np.linalg.eig(np.linalg.solve(w @ v, w @ (right - left) @ v))
+    v, w = _kernels(coin)
+    slopes, vecs = np.linalg.eig(np.linalg.solve(w.T @ v, w.T @ (right - left) @ v))
     worst = float(np.abs(slopes.imag).max())
     if worst > DRIFT_IMAG_RTOL * scale:
         raise ArithmeticError(f"drift slope has imaginary part {worst:.3e} "

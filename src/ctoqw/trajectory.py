@@ -81,7 +81,7 @@ import numpy as np
 from .linalg import hunvec
 # Unused here, but bench/tracer.py wraps this binding.
 from .linalg import mat_exp  # noqa: F401
-from .model import Coin, density_for
+from .model import Coin, _integer, density_for
 
 REL_TIME_TOL = 1e-10
 MAX_JUMPS = 10 ** 6
@@ -496,7 +496,7 @@ def simulate_path(coin: Coin, i0: int, rho0, horizon: float, rng) -> TrajectoryP
     v = density_for(coin, rho0)
     sampler = _sampler(coin)
     t = 0.0
-    site = int(i0)
+    site = _integer(i0, "i0")
     jump_times: list[float] = []
     sites = [site]
     coords = [v]
@@ -541,6 +541,8 @@ def _lockstep(coin: Coin, rho0, horizon: float, n_paths: int, seed: int, i0: int
     """:func:`sample_sites` plus its cost: (sites, jumps, rounds, passes),
     with the root finder's passes summed over the rounds."""
     _check_horizon(horizon)
+    if _integer(n_paths, "n_paths") < 0:
+        raise ValueError(f"n_paths must be nonnegative, got {n_paths}")
     v = density_for(coin, rho0)
     sampler = _sampler(coin)
     rngs = [path_rng(seed, k) for k in range(n_paths)]
@@ -553,7 +555,7 @@ def _lockstep(coin: Coin, rho0, horizon: float, n_paths: int, seed: int, i0: int
     n = len(v)
     v = np.tile(v, (n_paths, 1))
     t = np.zeros(n_paths)
-    sites = np.full(n_paths, int(i0))
+    sites = np.full(n_paths, _integer(i0, "i0"))
     jumps = np.zeros(n_paths, dtype=int)
     r = passes = 0
     while paths.size:

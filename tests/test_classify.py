@@ -13,7 +13,6 @@ from ctoqw import (
     classify,
     drift_spectrum,
     load_coin,
-    stationary_states,
     validate_coin,
 )
 from ctoqw.coins import (
@@ -284,7 +283,7 @@ class TestClassifyDiagonal:
 
 
 def spectrum(coin):
-    return drift_spectrum(coin, stationary_states(coin).stationary_basis)[0]
+    return drift_spectrum(coin)[0]
 
 
 def covariance_coins():

@@ -29,6 +29,9 @@ from ctoqw import (
     skeleton_partials,
     choose_radius,
     load_coin,
+    path_rng,
+    sample_sites,
+    simulate_path,
     write_series_csv,
     write_profile_csv,
     hunvec,
@@ -832,11 +835,51 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="site 5 outside truncation radius 4"):
             call(gen, np.eye(1), 0, 5, 1.0)
 
+    # Each site and start site of the lattice and sampler entry points, as
+    # (entry, argument, call with that argument set to x).
+    SITE_CALLS = [
+        ("evolve", "i0", lambda g, r, x: evolve(g, r, x, 1.0)),
+        ("initial_block_state", "i0", lambda g, r, x: initial_block_state(g, r, x)),
+        ("probability_series", "i0", lambda g, r, x: probability_series(g, r, x, [0], [1.0])),
+        ("probability_series", "sites", lambda g, r, x: probability_series(g, r, 0, [x], [1.0])),
+        ("trace_profile_series", "i0", lambda g, r, x: trace_profile_series(g, r, x, [1.0])),
+        ("transition_probability", "i0", lambda g, r, x: transition_probability(g, r, x, 0, 1.0)),
+        ("transition_probability", "j", lambda g, r, x: transition_probability(g, r, 0, x, 1.0)),
+        ("conditioned_state", "i0", lambda g, r, x: conditioned_state(g, r, x, 0, 1.0)),
+        ("conditioned_state", "k", lambda g, r, x: conditioned_state(g, r, 0, x, 1.0)),
+        ("chapman_kolmogorov_residual", "i0",
+         lambda g, r, x: chapman_kolmogorov_residual(g, r, x, 0, 0.5, 0.5)),
+        ("chapman_kolmogorov_residual", "j",
+         lambda g, r, x: chapman_kolmogorov_residual(g, r, 0, x, 0.5, 0.5)),
+        ("return_integral", "i0", lambda g, r, x: return_integral(g, r, x, 1.0)),
+        ("skeleton_partials", "i0", lambda g, r, x: skeleton_partials(g, r, x, 0, 0.5, 2)),
+        ("skeleton_partials", "j", lambda g, r, x: skeleton_partials(g, r, 0, x, 0.5, 2)),
+        ("leak_bound", "i0", lambda g, r, x: leak_bound(g.coin, r, x, g.radius, 1.0)),
+        ("choose_radius", "i0", lambda g, r, x: choose_radius(g.coin, x, 1.0, r)),
+        ("simulate_path", "i0", lambda g, r, x: simulate_path(g.coin, x, r, 1.0, path_rng(0, 0))),
+        ("sample_sites", "i0", lambda g, r, x: sample_sites(g.coin, r, 1.0, 2, 0, i0=x)),
+        ("sample_sites", "n_paths", lambda g, r, x: sample_sites(g.coin, r, 1.0, x, 0)),
+    ]
+
+    @pytest.mark.parametrize("entry,arg,call", SITE_CALLS,
+                             ids=[f"{e}-{a}" for e, a, _ in SITE_CALLS])
+    def test_sites_must_be_integers(self, entry, arg, call):
+        # a fractional site is refused, not truncated or rounded to a site
+        gen = BlockGenerator(three_level_coin(0.0), 16)
+        rho = np.eye(3) / 3.0
+        with pytest.raises(TypeError, match=f"{arg} must be an integer, got 0.5"):
+            call(gen, rho, 0.5)
+        call(gen, rho, np.int64(1))
+
     def test_radius_must_be_an_integer(self):
         # a fractional radius is refused, not truncated to the radius below
         with pytest.raises(TypeError, match="radius must be an integer, got 2.7"):
             BlockGenerator(scalar_coin(1.0, 1.0), 2.7)
         assert BlockGenerator(scalar_coin(1.0, 1.0), np.int64(2)).radius == 2
+        # nor is it read as a fractional edge distance by the leak bound
+        with pytest.raises(TypeError, match="radius must be an integer, got 8.5"):
+            leak_bound(scalar_coin(1.0, 1.0), np.eye(1), 0, 8.5, 1.0)
+        assert leak_bound(scalar_coin(1.0, 1.0), np.eye(1), 0, np.int64(8), 1.0) < 1e-3
 
     def test_n_steps_must_be_an_integer(self):
         gen = BlockGenerator(scalar_coin(1.0, 1.0), 4)

@@ -12,6 +12,7 @@ from ctoqw import (
     BlockGenerator,
     choose_radius,
     classify,
+    drift_spectrum,
     estimate_drift,
     evolve,
     model,
@@ -144,6 +145,36 @@ class TestSymbol:
         again = validate_coin(coin.left, coin.right, coin.ham)
         assert all(p is not q and np.array_equal(p, q)
                    for p, q in zip(again.symbol, coin.symbol))
+
+    def test_one_svd_of_the_lindblad_matrix_per_coin(self, monkeypatch):
+        # stationary_states, classify and drift_spectrum read both kernels of
+        # L_0 from the coin's one cached SVD, whatever the verdict branch
+        shapes = []
+
+        def counting(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        fresh = [load_coin(path) for path in sorted(COINS.glob("*.json"))]
+        for coin in fresh + [diagonal_jumps_coin(), scalar_coin(2.0, 1.0)]:
+            shapes.clear()
+            stationary_states(coin)
+            classify(coin)
+            drift_spectrum(coin)
+            assert shapes == [(coin.dim ** 2, coin.dim ** 2)]
+
+    def test_lindblad_svd_read_only(self):
+        coin = three_level_coin(0.0)
+        u, s, vt = coin.lindblad_svd
+        assert coin.lindblad_svd is coin.lindblad_svd
+        for part in (u, s, vt):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+        stay, right, left = coin.symbol
+        assert np.allclose((u * s) @ vt, stay + left + right, atol=1e-13)
 
     def test_coins_compare_and_hash_by_identity(self):
         # array fields would make the generated __eq__ ambiguous and the

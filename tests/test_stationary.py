@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ctoqw import (
+    classify,
     drift_spectrum,
     internal_lindblad,
     internal_lindblad_matrix,
@@ -30,7 +31,7 @@ from ctoqw.coins import (
     three_level_stationary,
 )
 
-from ctoqw import model, stationary
+from ctoqw import model
 
 from helpers import random_coin, random_hermitian, random_shared_basis_coin, random_unitary
 
@@ -170,24 +171,19 @@ class TestStationaryStates:
         # coin calls once, so the perturbed coins are fresh: R is off by 1e-15
         # of the rate scale, more than the round-off of S + L + R, so the
         # generator cannot cancel to 0.
-        exact, kernel_of = model.symbol_parts, stationary.null_space
-        generators = []
+        exact = model.symbol_parts
 
         def perturbed(coin):
             stay, right, left = exact(coin)
             return stay, right + 1e-15 * coin.rate_scale, left
 
-        def recording(m, **kw):
-            generators.append(m)
-            return kernel_of(m, **kw)
-
         monkeypatch.setattr(model, "symbol_parts", perturbed)
-        monkeypatch.setattr(stationary, "null_space", recording)
         for old in coins[:5] + [scalar_coin(2.0, 1.0)]:
             coin = validate_coin(old.left, old.right, old.ham)
             sa = stationary_states(coin)
-            # the generator stationary_states saw is round-off, not 0
-            assert 0.0 < abs(generators[-1][0, 0]) < 1e-14 * coin.rate_scale
+            # the one singular value of the 1x1 generator stationary_states
+            # read is its size: round-off, not 0
+            assert 0.0 < coin.lindblad_svd[1][0] < 1e-14 * coin.rate_scale
             assert sa.unique_stationary
             assert np.array_equal(sa.rho_inv, [[1.0]])
 
@@ -195,12 +191,14 @@ class TestStationaryStates:
         (np.diag([1.0, -1.0]), "near-zero trace"),
         (np.diag([2.0, -1.0]), "eigenvalue -1.000e+00"),
     ], ids=["traceless", "not-psd"])
-    def test_one_dimensional_kernel_degeneracy(self, monkeypatch, b, note):
+    def test_one_dimensional_kernel_degeneracy(self, b, note):
         # a kernel element with no trace, or whose normalization is not PSD,
         # is flagged rather than reported as the stationary state
+        # injected through a fresh coin's cached SVD: I - v v^T has kernel v
         v = hvec(b) / np.linalg.norm(b)
-        monkeypatch.setattr(stationary, "null_space", lambda *a, **k: [v])
-        sa = stationary_states(diagonal_jumps_coin())
+        coin = diagonal_jumps_coin()
+        coin.__dict__["lindblad_svd"] = np.linalg.svd(np.eye(4) - np.outer(v, v))
+        sa = stationary_states(coin)
         assert sa.degenerate and not sa.unique_stationary and sa.rho_inv is None
         assert sa.kernel_dim == 1 and note in sa.note
 
@@ -307,13 +305,15 @@ class TestDriftSpectrum:
             sa = stationary_states(coin)
             if not sa.unique_stationary:
                 continue
-            slopes, states = drift_spectrum(coin, sa.stationary_basis)
+            slopes, states = drift_spectrum(coin)
             m = drift(coin, sa.rho_inv)
             a, c = coin.right, coin.left
             direct = np.trace(a @ sa.rho_inv @ a.conj().T - c @ sa.rho_inv @ c.conj().T)
             assert abs(direct - m) <= 1e-12 * coin.rate_scale
             assert slopes.shape == (1,)
             assert abs(slopes[0] - m) <= 1e-12 * coin.rate_scale
+            # classify reads m off the spectrum; drift checks a caller's state
+            assert abs(classify(coin).m - m) <= 1e-12 * coin.rate_scale
             assert np.abs(states[0] - sa.rho_inv).max() < 1e-10
             checked += 1
         assert checked == 8 + len(randoms)
@@ -323,7 +323,7 @@ class TestDriftSpectrum:
         u = shared_basis_vectors()
         for a, c in ((1.5, 1.0), (1.0, 2.0), (1.7, 2.0), (1.0, 2.6), (1j, -2.0)):
             coin = shared_eigenbasis_coin(a, c)
-            slopes, states = drift_spectrum(coin, stationary_states(coin).stationary_basis)
+            slopes, states = drift_spectrum(coin)
             expected = {0: abs(a) ** 2 - 1.0, 1: 4.0 - abs(c) ** 2}
             order = sorted(expected, key=expected.get)
             assert np.allclose(slopes, [expected[k] for k in order], atol=1e-12)
@@ -335,7 +335,7 @@ class TestDriftSpectrum:
         rng = np.random.default_rng(61)
         for k in range(20):
             coin = random_shared_basis_coin(rng, 2 + k % 2)
-            slopes, states = drift_spectrum(coin, stationary_states(coin).stationary_basis)
+            slopes, states = drift_spectrum(coin)
             assert np.all(np.diff(slopes) >= 0)
             for state in states:
                 assert np.abs(state - state.conj().T).max() == 0.0
@@ -343,7 +343,7 @@ class TestDriftSpectrum:
 
     def test_repeated_zero_slopes_of_full_kernel(self):
         coin = validate_coin(np.eye(3), np.eye(3), np.zeros((3, 3)))
-        slopes, states = drift_spectrum(coin, stationary_states(coin).stationary_basis)
+        slopes, states = drift_spectrum(coin)
         assert slopes.shape == (9,)
         assert np.abs(slopes).max() < 1e-15
         # eigenvectors of a repeated slope are arbitrary; traceless ones give None
@@ -364,7 +364,7 @@ class TestDriftSpectrum:
         moved = validate_coin(coin.left, coin.right, coin.ham)
         assert np.abs(moved.symbol[1] - right).max() > 1.0
         with pytest.raises(ArithmeticError, match="imaginary part"):
-            drift_spectrum(moved, basis)
+            drift_spectrum(moved)
 
 
 class TestDriftOperator:

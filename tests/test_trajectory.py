@@ -137,6 +137,11 @@ def test_rejects_state_of_wrong_dimension(label, call):
         call(three_level_coin(0.0), [[1.0]])
 
 
+def test_rejects_negative_path_count():
+    with pytest.raises(ValueError, match="n_paths must be nonnegative, got -3"):
+        sample_sites(three_level_coin(0.0), np.eye(3) / 3.0, 1.0, -3, 0)
+
+
 # Each horizon-taking entry point on a horizon that caps nothing.
 HORIZON_CALLS = [
     ("simulate_path", lambda c, x: simulate_path(c, 0, [[1.0]], x, path_rng(0, 0))),

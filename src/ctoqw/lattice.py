@@ -26,24 +26,29 @@ Since Tr(e^{t L(theta)} rho0) = sum_i e^{theta (i - i0)} p_i(t) for the
 symbol L(theta) at k = -i theta, ``leak_bound`` takes the Chernoff bound
 e^{-theta D} Tr(e^{t L(theta)} rho0) at each window edge. The bound holds
 for every theta >= 0; theta minimises t lambda(theta) - theta D, with lambda
-the spectral abscissa of L(theta) (the large-deviation rate of the walk),
-found from eigenvalues alone. L(theta) = S + e^theta R + e^-theta L is real,
-so each search step is one LAPACK dgeev, and the moments of both edges come
-from one stacked exponential, 1.0-1.4 ms per call at d <= 3. The search
-range grows as t Coin.rate_scale -> 0, so the bound vanishes with t. It
-bounds the mass outside the window at time t, hence the wrap-around error of
-every window value then; ``BlockState.leaked_mass`` reports it, and the
-long-horizon routines raise when it reaches LEAK_TOL.
+the Perron root of L(theta) = S + e^theta R + e^-theta L (the large-deviation
+rate of the walk), which is convex in theta. The search follows its slope
+from the left and right Perron vectors, one LAPACK dgeev per evaluation
+(2.4 per search on the lattice benchmark's inputs), and lands on the
+crossing where two eigenvalues trade places at a kink. The moments of both edges come from one
+stacked exponential, and each coin keeps its last windows, so a repeated
+(t, radius, i0) costs one product. The search range grows as
+t Coin.rate_scale -> 0, so the bound vanishes with t. It bounds the mass
+outside the window at time t, hence the wrap-around error of every window
+value then; ``BlockState.leaked_mass`` reports it, and the long-horizon
+routines raise when it reaches LEAK_TOL.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-from scipy.linalg.lapack import dgeev
+# Only bound here: bench/tracer.py wraps lattice.scipy.integrate.solve_ivp.
+import scipy  # noqa: F401  (stays bound)
+from scipy.linalg.lapack import dgeev, dgesv
 
 from .linalg import hunvec, hvec, mat_exp
 from .model import Coin, _integer, density_for, no_jump_generator
@@ -64,6 +69,21 @@ STEP_MERGE_EPS = 16
 # on a lighter site that round-off approaches the 1e-8 eigenvalue check of
 # the conditioned state.
 SITE_PROB_FLOOR = 1e-8
+# Windows (t, right distance, left distance) that leak_bound keeps per coin.
+LEAK_MEMO_WINDOWS = 8
+# The theta search of one edge (_edge_tilt). A step s from theta ends it with
+# no further evaluation when s^2 <= THETA_ERR times the step before it (1 at
+# the first point): s^2 over that step estimates the error left after s. A
+# bracket narrower than BRACKET_TOL (1 + its upper end) is closed, and a model
+# step that close to one of its ends counts as outside. dgeev's eigenvectors
+# have unit norm: a Perron root with |l.r| <= DEGENERATE_OVERLAP gives no
+# slope, and eigenvalues within DEGENERATE_GAP of the spectrum's width of it
+# share the abscissa. At most MAX_TILT_STEPS evaluations.
+THETA_ERR = 1e-10
+BRACKET_TOL = 1e-12
+DEGENERATE_OVERLAP = 1e-8
+DEGENERATE_GAP = 1e-12
+MAX_TILT_STEPS = 60
 
 
 @dataclass
@@ -280,45 +300,236 @@ def _theta_max(dist: int, t_rate: float) -> float:
     return min(max(2.0 * np.log(2.0 + dist), grown), 0.5 * np.log(np.finfo(float).max))
 
 
-def _abscissa(m: np.ndarray) -> float:
-    """Largest real part of the eigenvalues of a real square matrix (LAPACK dgeev)."""
-    wr, _, _, _, info = dgeev(m, compute_vl=0, compute_vr=0)
+class _LeakMemo:
+    """What ``_leak_bound`` keeps per coin: the real symbol stacked once, the
+    spectral radii of R and L, and the last LEAK_MEMO_WINDOWS windows.
+
+    A window (t, right distance, left distance) holds both edges' (theta, mu)
+    and the trace rows of their shifted exponentials, so a repeated window
+    costs one product with the state. The stack is a plain copy of
+    ``Coin.symbol``; ``trio`` is (I, R, L), whose product with a vector r
+    gives r, Rr and Lr at once.
+    """
+
+    def __init__(self, coin: Coin):
+        parts = np.array(coin.symbol)
+        self.n = parts.shape[-1]
+        self.flat = parts.reshape(3, -1)
+        self.jumps = parts[1:]
+        self.trio = np.concatenate((np.eye(self.n)[None], self.jumps))
+        self.radii = np.abs(np.linalg.eigvals(self.jumps)).max(axis=1).tolist()
+        self.windows: dict = {}
+
+
+_LEAK_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _leak_memo(coin: Coin) -> _LeakMemo:
+    memo = _LEAK_MEMOS.get(coin)
+    if memo is None:
+        memo = _LEAK_MEMOS[coin] = _LeakMemo(coin)
+    return memo
+
+
+def _exp_root(a: float, b: float, dist: float):
+    """theta with a e^theta - b e^-theta = dist, or None when a <= 0 or no root is real."""
+    disc = dist * dist + 4.0 * a * b
+    if not (a > 0.0 and disc >= 0.0):
+        return None
+    return math.log((dist + math.sqrt(disc)) / (2.0 * a))
+
+
+def _tilted(memo: _LeakMemo, t: float, sign: int, theta: float):
+    """(M, wR, wL): M = t S + wR R + wL L, wR = t e^{sign theta}, wL = t e^{-sign theta}."""
+    w_r, w_l = t * math.exp(sign * theta), t * math.exp(-sign * theta)
+    return (np.array((t, w_r, w_l)) @ memo.flat).reshape(memo.n, memo.n), w_r, w_l
+
+
+def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float,
+            dist: int, curvature: bool):
+    """(lambda, lambda', lambda'') in theta of M = t S + wR R + wL L (``_tilted``).
+
+    lambda is the spectral abscissa, the Perron root: one LAPACK dgeev with
+    both eigenvectors. lambda' = l.M'r / l.r from its left and right vectors,
+    with M' = sign (wR R - wL L): one product of (I, R, L) with r, one with
+    l. With ``curvature``, lambda'' = (l.M''r + 2 l.M'x) / l.r, M'' = wR R + wL L,
+    where x solves (M - lambda + r l') x = (lambda' - M') r, which forces
+    l.x = 0. Where other eigenvalues share the abscissa, the branches through
+    it have the slopes of the eigenvalues of (W'V)^-1 W'M'V over their right
+    and left vectors V, W; lambda' is then the subgradient nearest to dist,
+    dist itself where branches with slopes on both sides of it cross.
+    lambda' is None where the vectors do not determine it (l.r or W'V
+    vanishes), lambda'' None where it is not asked for or not defined.
+    """
+    wr, _, vl, vr, info = dgeev(m, compute_vl=1, compute_vr=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dgeev failed with info {info}")
-    return float(wr.max())
+    k = int(wr.argmax())
+    spectrum = sorted(wr.tolist())
+    lam = spectrum[-1]
+    near = DEGENERATE_GAP * (lam - spectrum[0])
+    if len(spectrum) > 1 and lam - spectrum[-2] <= near:
+        top = wr >= lam - near
+        v, w = vr[:, top], vl[:, top]
+        jv = memo.jumps @ v
+        try:
+            mixed = np.linalg.solve(w.T @ v, w.T @ (w_r * jv[0] - w_l * jv[1]))
+        except np.linalg.LinAlgError:
+            return lam, None, None
+        slopes = sign * np.linalg.eigvals(mixed).real
+        return lam, min(max(float(dist), float(slopes.min())), float(slopes.max())), None
+    l, r = vl[:, k], vr[:, k]
+    rj = memo.trio @ r
+    lr, lj_r, lj_l = (rj @ l).tolist()
+    if abs(lr) <= DEGENERATE_OVERLAP:
+        return lam, None, None
+    slope = sign * (w_r * lj_r - w_l * lj_l) / lr
+    if not curvature:
+        return lam, slope, None
+    a = m + r[:, None] * l
+    a.flat[:: memo.n + 1] -= lam
+    x, info = dgesv(a, np.array((slope, -sign * w_r, sign * w_l)) @ rj,
+                    overwrite_a=1, overwrite_b=1)[2:]
+    if info != 0:
+        return lam, slope, None
+    lx_r, lx_l = ((memo.jumps @ x) @ l).tolist()
+    second = (w_r * lj_r + w_l * lj_l + 2.0 * sign * (w_r * lx_r - w_l * lx_l)) / lr
+    return lam, slope, second if math.isfinite(second) else None
 
 
-def _edge_tilt(stay, ahead, behind, dist: int, theta_max: float):
-    """(theta, lambda, M(theta) - lambda) at the minimiser of lambda(theta) - theta dist.
+def _slope_model(fits, ahead: float, behind: float):
+    """(k, a, b) of the model slope k + a x - b / x, x = e^theta, from the fits so far.
 
-    M(theta) = stay + e^theta ahead + e^-theta behind, real, and lambda its
-    spectral abscissa; bounded Brent on 0..theta_max.
+    ``fits`` holds (x, lambda', lambda'' or None) per evaluation. At the first
+    point a and b match lambda' and lambda'' = a x + b / x, with k = 0; with no
+    lambda'' there, a = ahead and b = behind (the spectral radii's model) and
+    k matches lambda'. Later, a and b go through the slopes of the last two
+    points, with k = 0. Exact for scalar coins; None when two points coincide.
     """
-    def tilted(theta):
-        return stay + math.exp(theta) * ahead + math.exp(-theta) * behind
+    (x1, s1, c1) = fits[-1]
+    if len(fits) == 1:
+        if c1 is None:
+            return s1 - ahead * x1 + behind / x1, ahead, behind
+        return 0.0, (s1 + c1) / (2.0 * x1), (c1 - s1) * x1 / 2.0
+    (x0, s0, _) = fits[-2]
+    if x0 == x1:
+        return None
+    a = (s1 * x1 - s0 * x0) / (x1 * x1 - x0 * x0)
+    return 0.0, a, a * x0 * x0 - s0 * x0
 
-    theta = scipy.optimize.minimize_scalar(
-        lambda th: _abscissa(tilted(th)) - th * dist,
-        bounds=(0.0, theta_max), method="bounded").x
-    m = tilted(theta)
-    mu = _abscissa(m)
-    return theta, mu, m - mu * np.eye(len(m))
+
+def _edge_tilt(memo: _LeakMemo, t: float, sign: int, dist: int, theta_max: float):
+    """(theta, mu, M(theta) - mu) with theta minimising f = lambda(theta) - theta dist.
+
+    M(theta) = t (S + e^theta R + e^-theta L) for the right edge (sign 1) and
+    t (S + e^-theta R + e^theta L) for the left (sign -1), and lambda its
+    Perron root (``_perron``), convex in theta (Evans & Hoegh-Krohn, 1978).
+    The search starts at the root of t (rho(R) e^theta - rho(L) e^-theta) =
+    dist and steps to the root of the model slope (``_slope_model``) inside
+    the bracket lo..hi, 0..theta_max at first, that the signs of f' narrow.
+    Where two eigenvalues cross, lambda has a kink; once both ends of the
+    bracket are known, a step goes to the cut of their tangents instead when
+    |f'| did not halve since the last point or the last on its side, or when
+    the model step lies past the cut, where the other branch is on top. A
+    point on the crossing itself gives no slope: the search probes as close
+    on the far side and ends at the next such point. The last step is taken
+    with no evaluation (THETA_ERR), and mu, extrapolated along lambda', only
+    shifts the exponential: the bound holds at every theta.
+    """
+    ahead, behind = (t * x for x in memo.radii[:: sign])
+    start = _exp_root(ahead, behind, dist)
+    theta = theta_max if start is None else min(max(start, 0.0), theta_max)
+    lo, hi = 0.0, theta_max
+    below = above = None  # tangents (theta, f, f') at lo and hi, once evaluated
+    fits: list = []
+    previous = None
+    last = {True: math.inf, False: math.inf}  # |f'| last seen above and below
+    latest = math.inf
+    probed = False
+    new = theta
+    for _ in range(MAX_TILT_STEPS):
+        theta = new
+        m, w_r, w_l = _tilted(memo, t, sign, theta)
+        lam, slope, curv = _perron(memo, m, sign, w_r, w_l, dist, curvature=not fits)
+        if slope is None:
+            if below is None or above is None:
+                # halfway to the farther end of the bracket
+                new = 0.5 * (theta + (hi if 2.0 * theta < lo + hi else lo))
+                continue
+            if probed:
+                break
+            # on the crossing: a tangent as close to it on the far side
+            probed = True
+            new = 2.0 * theta - (hi if hi - theta < theta - lo else lo)
+            continue
+        g = slope - dist
+        if g == 0.0:
+            break
+        if g > 0.0:
+            hi, above = theta, (theta, lam - theta * dist, g)
+            if theta == 0.0:
+                break
+        else:
+            lo, below = theta, (theta, lam - theta * dist, g)
+            if theta == theta_max:
+                break
+        fits.append((math.exp(theta), slope, curv))
+        model = _slope_model(fits, ahead, behind)
+        step = None if model is None else _exp_root(model[1], model[2], dist - model[0])
+        stalled = abs(g) > 0.5 * min(latest, last[g > 0.0])
+        latest = last[g > 0.0] = abs(g)
+        width = BRACKET_TOL * (1.0 + hi)
+        cut = None
+        if below is not None and above is not None:
+            (t1, f1, g1), (t2, f2, g2) = below, above
+            new = cut = min(max((f1 - f2 - g1 * t1 + g2 * t2) / (g2 - g1), lo), hi)
+            if hi - lo <= width:
+                break
+        beyond = cut is not None and step is not None and (step - cut) * g < 0.0
+        if step is not None and not (stalled or beyond) and (step - theta) ** 2 <= THETA_ERR * (
+                1.0 if previous is None else abs(theta - previous)):
+            new = step
+            break
+        if (step is not None and not beyond and not (stalled and cut is not None)
+                and lo + width < step < hi - width):
+            new = step
+        elif cut is None:
+            # towards the end of the bracket not yet evaluated
+            new = hi if above is None and (step is None or step >= hi) else (
+                lo if below is None and step is not None and step <= lo else 0.5 * (lo + hi))
+        if new == theta:
+            break
+        previous = theta
+    if new != theta and slope is not None:
+        # the last step, taken with no evaluation
+        lam += slope * (new - theta)
+        theta = new
+        m = _tilted(memo, t, sign, theta)[0]
+    m.flat[:: memo.n + 1] -= lam
+    return theta, lam, m
 
 
 def _leak_bound(coin: Coin, v: np.ndarray, i0: int, radius: int, t: float) -> float:
     """leak_bound for coordinates v from density_for, i0 in range and t >= 0 finite."""
     if t == 0:
         return 0.0
-    stay, right, left = (t * p for p in coin.symbol)
-    t_rate = t * coin.rate_scale
-    edges = [(right, left, radius + 1 - i0), (left, right, radius + 1 + i0)]
-    tilts = [_edge_tilt(stay, ahead, behind, dist, _theta_max(dist, t_rate))
-             for ahead, behind, dist in edges]
-    # both moments from one stacked exponential; rows 0..d-1 sum to Tr
-    shifted = mat_exp(np.array([m for _, _, m in tilts]))
-    moments = shifted[:, : coin.dim].sum(axis=1) @ v
+    memo = _leak_memo(coin)
+    dists = (radius + 1 - i0, radius + 1 + i0)
+    key = (t, *dists)
+    window = memo.windows.pop(key, None)
+    if window is None:
+        t_rate = t * coin.rate_scale
+        tilts = [_edge_tilt(memo, t, sign, dist, _theta_max(dist, t_rate))
+                 for sign, dist in zip((1, -1), dists)]
+        # both edges from one stacked exponential; rows 0..d-1 sum to Tr
+        rows = mat_exp(np.array([m for _, _, m in tilts]))[:, : coin.dim].sum(axis=1)
+        window = ([(theta, mu) for theta, mu, _ in tilts], rows)
+        if len(memo.windows) == LEAK_MEMO_WINDOWS:
+            del memo.windows[next(iter(memo.windows))]  # the window used longest ago
+    memo.windows[key] = window
+    tilts, rows = window
     total = 0.0
-    for (theta, mu, _), moment, (_, _, dist) in zip(tilts, moments, edges):
+    for (theta, mu), moment, dist in zip(tilts, rows @ v, dists):
         if not np.isfinite(moment) or moment < np.finfo(float).tiny:
             total += 1.0
         else:
@@ -333,20 +544,22 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     rho0), M(theta) = t (S + e^theta R + e^-theta L), with D the distance from
     i0 to the edge plus one, capped at 1. M(theta) is real, read from
     ``Coin.symbol`` with no rebuild per call. theta minimises
-    lambda(theta) - theta D,
-    lambda the spectral abscissa, by bounded Brent over ``_theta_max`` with
-    one LAPACK dgeev (no eigenvectors) per step. That range grows as
-    t Coin.rate_scale -> 0, so the bound vanishes with t (about e t from an edge
-    start of the scalar walk) instead of stalling at (2 + D)^{-2D}. The
+    lambda(theta) - theta D, lambda the Perron root, over ``_theta_max``
+    (``_edge_tilt``): a search on the slope of this convex function, one
+    LAPACK dgeev with eigenvectors per evaluation. That range grows as
+    t Coin.rate_scale -> 0, so the bound vanishes with t (about e t from an
+    edge start of the scalar walk) instead of stalling at (2 + D)^{-2D}. The
     moments of both edges, each shifted by its lambda so that it cannot
     overflow, come from one stacked exponential; a moment that is not a
     positive normal float (it underflows when the abscissa belongs to a
-    level rho barely reaches) gives that edge the trivial bound 1. A call
-    takes 1.0-1.4 ms at d <= 3 (2-vCPU Xeon, one BLAS thread). Against theta
-    minimising the exact moment the bound is within a factor 1.7 on random
-    coins and states (median 1.00001). When the levels decouple, theta suits
-    the level that dominates the edge, and the bound loosens by up to the
-    inverse of rho's weight on that level.
+    level rho barely reaches) gives that edge the trivial bound 1. The coin
+    keeps the last LEAK_MEMO_WINDOWS windows (t, radius, i0): a new one takes
+    0.25-0.56 ms at d <= 3 and a repeated one 7 us, with the same result to
+    the bit (2-vCPU Xeon, one BLAS thread). Against theta minimising the
+    exact moment the bound is within a factor 1.7 on random coins and states
+    (median 1.00001). When the levels decouple, theta suits the level that
+    dominates the edge, and the bound loosens by up to the inverse of rho's
+    weight on that level.
     """
     _check_time(t)
     if abs(_integer(i0, "i0")) > _integer(radius, "radius"):
@@ -395,24 +608,35 @@ def transition_probability(gen: BlockGenerator, rho0, i0: int, j: int, t: float)
 
 def conditioned_state(gen: BlockGenerator, rho0, i0: int, k: int, beta: float) -> np.ndarray:
     """Internal state at site k given the walker is observed there at time beta."""
-    return _condition_block(_site_block(gen, rho0, i0, _integer(k, "k"), beta), k)
+    k = _integer(k, "k")
+    return _condition_blocks(_site_block(gen, rho0, i0, k, beta)[None], [k])[0]
 
 
-def _condition_block(block: np.ndarray, site: int) -> np.ndarray:
-    p = float(np.trace(block).real)
-    if p <= SITE_PROB_FLOOR:
+def _condition_blocks(blocks: np.ndarray, sites) -> np.ndarray:
+    """Each block of a (n, d, d) stack divided by its trace, in one stacked ``eigh``.
+
+    Eigenvalues down to -1e-8 are clipped to 0 before the state is
+    renormalised; a block whose trace is at most SITE_PROB_FLOOR, or whose
+    conditioned state has a lower eigenvalue, raises, naming the first such
+    entry of ``sites``.
+    """
+    p = np.einsum("ijj->i", blocks).real
+    light = np.flatnonzero(p <= SITE_PROB_FLOOR)
+    if light.size:
         raise ValueError(
-            f"site {site} carries probability {p:.3e}; conditioning on a "
-            f"negligible-probability site is ill-defined"
+            f"site {sites[light[0]]} carries probability {p[light[0]]:.3e}; conditioning "
+            f"on a negligible-probability site is ill-defined"
         )
-    w, v = np.linalg.eigh(block / p)
-    if w.min() < -1e-8:
+    w, v = np.linalg.eigh(blocks / p[:, None, None])
+    low = w.min(axis=1)
+    bad = np.flatnonzero(low < -1e-8)
+    if bad.size:
         raise ArithmeticError(
-            f"conditioned state at site {site} has eigenvalue {w.min():.3e}"
+            f"conditioned state at site {sites[bad[0]]} has eigenvalue {low[bad[0]]:.3e}"
         )
     w = np.clip(w, 0.0, None)
-    sigma = (v * w) @ v.conj().T
-    return sigma / np.trace(sigma).real
+    sigma = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return sigma / np.einsum("ijj->i", sigma).real[:, None, None]
 
 
 def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
@@ -445,8 +669,7 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     at_beta = _blocks(gen, v, i0, beta)
     probs = np.einsum("ijj->i", at_beta).real
     occupied = np.flatnonzero(probs > SITE_PROB_FLOOR)
-    launches = hvec(np.array([_condition_block(at_beta[q], int(q) - gen.radius)
-                              for q in occupied]))
+    launches = hvec(_condition_blocks(at_beta[occupied], occupied - gen.radius))
     trace_rows = mat_exp(gen.symbols, alpha)[:, : gen.coin.dim].sum(axis=1)
     hat = trace_rows @ launches.T
     at_j = np.fft.hfft(hat, n=gen.n_sites, axis=0)[(j + gen.radius - occupied) % gen.n_sites,

@@ -74,22 +74,36 @@ def vec_symbol(coin: Coin):
 def complex_chernoff_tail(stay, ahead, behind, v, dist: int, theta_max: float) -> float:
     """The Chernoff tail of one edge on the complex d^2 x d^2 tilted symbol.
 
-    Bounded Brent over 0..theta_max with ``np.linalg.eigvals`` at every step,
-    then one exponential of M(theta) shifted by its abscissa, all in the
-    column-stacking vec basis: the form ``lattice.leak_bound`` had before it
-    moved to the real form.
+    theta is where the slope of lambda(theta) - theta dist changes sign on
+    0..theta_max, found by ``scipy.optimize.brentq`` to full precision, with
+    lambda' = w M'(theta) v from ``np.linalg.eig``: v the eigenvector of the
+    abscissa and w its row of the inverse eigenvector matrix. Then one
+    exponential of M(theta) shifted by its abscissa, all in the
+    column-stacking vec basis: an independent reference for the real form's
+    exact theta search. (A search on the values of f cannot place theta
+    closer than about 1e-8, where f is flat to second order.) The sign test
+    at the lower end is taken 1e-9 theta_max inside it, clear of the
+    degenerate root at theta = 0 of coins with several stationary states.
     """
     def tilted(theta):
         return stay + np.exp(theta) * ahead + np.exp(-theta) * behind
 
-    def abscissa(m):
-        return float(np.linalg.eigvals(m).real.max())
+    def slope(theta):
+        w, vr = np.linalg.eig(tilted(theta))
+        k = int(np.argmax(w.real))
+        left = np.linalg.inv(vr)[k]
+        tilt = np.exp(theta) * ahead - np.exp(-theta) * behind
+        return float((left @ tilt @ vr[:, k]).real) - dist
 
-    theta = scipy.optimize.minimize_scalar(
-        lambda th: abscissa(tilted(th)) - th * dist,
-        bounds=(0.0, theta_max), method="bounded").x
+    lower = 1e-9 * theta_max
+    if slope(theta_max) <= 0.0:
+        theta = theta_max
+    elif slope(lower) >= 0.0:
+        theta = 0.0
+    else:
+        theta = scipy.optimize.brentq(slope, lower, theta_max, xtol=1e-15)
     m = tilted(theta)
-    mu = abscissa(m)
+    mu = float(np.linalg.eigvals(m).real.max())
     d = int(round(np.sqrt(v.size)))
     moment = float((mat_exp(m - mu * np.eye(len(m)))[:: d + 1].sum(axis=0) @ v).real)
     if not np.isfinite(moment) or moment < np.finfo(float).tiny:

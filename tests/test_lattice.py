@@ -3,8 +3,10 @@ propagator against the dense ring generator and the classical Bessel oracle,
 conditioning, the composition identity, return integrals, skeleton sums, scale
 covariance, the leak bound and radius selection."""
 
+import gc
 import io
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +471,24 @@ class TestConditionedState:
         with pytest.raises(ValueError):
             conditioned_state(gen, np.eye(1), 0, 29, 0.01)
 
+    def test_a_stack_conditions_each_block_as_alone(self):
+        # One stacked eigh over the occupied sites gives each site's state bit
+        # for bit, and a failure names the first offending site.
+        rng = np.random.default_rng(13)
+        for d in (2, 3):
+            gen = BlockGenerator(random_coin(rng, d), 8)
+            blocks = lattice_mod._blocks(gen, hvec(random_density(rng, d)), 0, 0.4)
+            sites = np.arange(-8, 9)
+            stacked = lattice_mod._condition_blocks(blocks, sites)
+            for block, site, got in zip(blocks, sites, stacked):
+                assert np.array_equal(lattice_mod._condition_blocks(block[None], [site])[0], got)
+        light = np.array([np.eye(2) / 2.0, np.zeros((2, 2)), np.diag([1e-9, 0.0])])
+        with pytest.raises(ValueError, match="^site 5 carries probability 0.000e"):
+            lattice_mod._condition_blocks(light, [4, 5, 6])
+        bent = np.array([np.eye(2) / 2.0, np.diag([1.0, -0.1]), np.diag([1.0, -0.2])])
+        with pytest.raises(ArithmeticError, match="at site -1 has eigenvalue -1.111e-01"):
+            lattice_mod._condition_blocks(bent, [-2, -1, 0])
+
 
 class TestChapmanKolmogorov:
     def test_zero_time_identities(self):
@@ -718,12 +738,91 @@ class TestLeakBound:
             for r, p, q in zip(real, parts, coin.symbol):
                 assert np.abs(r.imag).max() <= 1e-15 * np.linalg.norm(p, 2)
                 assert q.dtype == np.float64 and np.array_equal(q, r.real)
+            memo = lattice_mod._leak_memo(coin)
             for theta in np.linspace(-5.0, 5.0, 21):
                 weights = (1.0, np.exp(theta), np.exp(-theta))
                 m = sum(w * p for w, p in zip(weights, parts))
                 scale = sum(w * np.linalg.norm(p, 2) for w, p in zip(weights, parts))
-                got = lattice_mod._abscissa(sum(w * q for w, q in zip(weights, coin.symbol)))
+                tilted, w_r, w_l = lattice_mod._tilted(memo, 1.0, 1, theta)
+                got = lattice_mod._perron(memo, tilted, 1, w_r, w_l, 1, False)[0]
                 assert abs(got - np.linalg.eigvals(m).real.max()) <= 1e-12 * scale
+
+    def test_a_crossing_at_the_minimiser_holds_still(self, monkeypatch):
+        # three_level_c0's left edge at t = 10 from I/3 on radius 8: two real
+        # eigenvalues of the tilted symbol cross at the minimiser, where
+        # lambda(theta) - theta D has a kink. The search lands on the crossing
+        # itself, so neither the range it runs over nor the rounding moves
+        # the bound.
+        rho = np.eye(3) / 3.0
+        bounds, thetas = [], []
+        for top in (4.917, 4.796):
+            monkeypatch.setattr(lattice_mod, "_theta_max", lambda dist, t_rate, top=top: top)
+            coin = load_coin(COINS / "three_level_c0.json")
+            bounds.append(leak_bound(coin, rho, 0, 8, 10.0))
+            memo = lattice_mod._leak_memo(coin)
+            thetas.append(lattice_mod._edge_tilt(memo, 10.0, -1, 9, top)[0])
+        assert abs(bounds[0] - bounds[1]) <= 1e-12 * bounds[1]
+        assert thetas[0] == pytest.approx(1.17125062854, abs=1e-10)
+        assert abs(thetas[0] - thetas[1]) <= 1e-12
+        top_two = np.sort(np.linalg.eigvals(lattice_mod._tilted(memo, 10.0, -1, thetas[0])[0]).real)
+        assert top_two[-1] - top_two[-2] <= 1e-9 * top_two[-1]
+
+    def test_a_warm_window_gives_the_cold_bound(self):
+        # Each case on a fresh coin is cold; on one coin every repeat is read
+        # from its memo, bit for bit the same, and so is evolve's leak.
+        rng = np.random.default_rng(11)
+        coin = random_coin(rng, 3)
+        rho = random_density(rng, 3)
+        cases = [(radius, i0, t) for radius in (8, 16) for i0 in (0, -3) for t in (0.5, 4.0)]
+        cold = [leak_bound(validate_coin(coin.left, coin.right, coin.ham), rho, i0, radius, t)
+                for radius, i0, t in cases]
+        first = [leak_bound(coin, rho, i0, radius, t) for radius, i0, t in cases]
+        warm = [leak_bound(coin, rho, i0, radius, t) for radius, i0, t in cases]
+        assert first == cold and warm == cold
+        assert [evolve(BlockGenerator(coin, radius), rho, i0, t).leaked_mass
+                for radius, i0, t in cases] == cold
+
+    def test_the_memo_keeps_eight_windows_and_goes_with_its_coin(self):
+        coin = random_coin(np.random.default_rng(12), 2)
+        for radius in range(8, 20):
+            leak_bound(coin, np.eye(2) / 2.0, 0, radius, 1.0)
+        leak_bound(coin, np.eye(2) / 2.0, 0, 12, 1.0)  # a hit moves to the back
+        windows = list(lattice_mod._LEAK_MEMOS[coin].windows)
+        assert len(windows) == lattice_mod.LEAK_MEMO_WINDOWS == 8
+        assert [right - 1 for _, right, _ in windows] == [*range(13, 20), 12]
+        alive = weakref.ref(coin)
+        gc.collect()
+        count = len(lattice_mod._LEAK_MEMOS)
+        del coin
+        gc.collect()
+        assert alive() is None and len(lattice_mod._LEAK_MEMOS) == count - 1
+
+    def test_three_evaluations_per_search_at_most(self, monkeypatch):
+        # Over the shipped coins and the grid of test_within_twice_the_exact_theta_bound
+        # the theta searches average at most 3 LAPACK dgeev calls each.
+        calls = {"dgeev": 0, "searches": 0}
+        dgeev, edge_tilt = lattice_mod.dgeev, lattice_mod._edge_tilt
+
+        def counted_dgeev(*args, **kwargs):
+            calls["dgeev"] += 1
+            return dgeev(*args, **kwargs)
+
+        def counted_search(*args):
+            calls["searches"] += 1
+            return edge_tilt(*args)
+
+        monkeypatch.setattr(lattice_mod, "dgeev", counted_dgeev)
+        monkeypatch.setattr(lattice_mod, "_edge_tilt", counted_search)
+        paths = sorted(COINS.glob("*.json"))
+        for path in paths:
+            coin = load_coin(path)
+            rho = np.eye(coin.dim) / coin.dim
+            for t in (0.1, 1.0, 10.0, 100.0):
+                for radius in (8, 16, 32, 64, 128, 256):
+                    for i0 in (0, 3):
+                        leak_bound(coin, rho, i0, radius, t)
+        assert calls["searches"] == 2 * 48 * len(paths)
+        assert calls["dgeev"] <= 3 * calls["searches"]
 
     @pytest.mark.parametrize("t", [1e-4, 1e-8])
     def test_vanishes_with_time_from_an_edge_start(self, t):

@@ -397,25 +397,25 @@ def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float,
     return lam, slope, second if math.isfinite(second) else None
 
 
-def _slope_model(fits, ahead: float, behind: float):
-    """(k, a, b) of the model slope k + a x - b / x, x = e^theta, from the fits so far.
+def _model_root(fits, ahead: float, behind: float, dist: int):
+    """Root theta of the model slope k + a e^theta - b e^-theta = dist, or None.
 
-    ``fits`` holds (x, lambda', lambda'' or None) per evaluation. At the first
-    point a and b match lambda' and lambda'' = a x + b / x, with k = 0; with no
-    lambda'' there, a = ahead and b = behind (the spectral radii's model) and
-    k matches lambda'. Later, a and b go through the slopes of the last two
-    points, with k = 0. Exact for scalar coins; None when two points coincide.
+    ``fits`` holds (e^theta, lambda', lambda'' or None) per evaluation. At the
+    first point a and b match lambda' and lambda'' = a e^theta + b e^-theta,
+    with k = 0; with no lambda'' there, a = ahead and b = behind (the model of
+    the spectral radii) and k matches lambda'. Later, a and b go through the
+    slopes of the last two points, with k = 0. Exact for scalar coins.
     """
     (x1, s1, c1) = fits[-1]
     if len(fits) == 1:
         if c1 is None:
-            return s1 - ahead * x1 + behind / x1, ahead, behind
-        return 0.0, (s1 + c1) / (2.0 * x1), (c1 - s1) * x1 / 2.0
+            return _exp_root(ahead, behind, dist - s1 + ahead * x1 - behind / x1)
+        return _exp_root((s1 + c1) / (2.0 * x1), (c1 - s1) * x1 / 2.0, dist)
     (x0, s0, _) = fits[-2]
     if x0 == x1:
         return None
     a = (s1 * x1 - s0 * x0) / (x1 * x1 - x0 * x0)
-    return 0.0, a, a * x0 * x0 - s0 * x0
+    return _exp_root(a, a * x0 * x0 - s0 * x0, dist)
 
 
 def _edge_tilt(memo: _LeakMemo, t: float, sign: int, dist: int, theta_max: float):
@@ -425,7 +425,7 @@ def _edge_tilt(memo: _LeakMemo, t: float, sign: int, dist: int, theta_max: float
     t (S + e^-theta R + e^theta L) for the left (sign -1), and lambda its
     Perron root (``_perron``), convex in theta (Evans & Hoegh-Krohn, 1978).
     The search starts at the root of t (rho(R) e^theta - rho(L) e^-theta) =
-    dist and steps to the root of the model slope (``_slope_model``) inside
+    dist and steps to the root of the model slope (``_model_root``) inside
     the bracket lo..hi, 0..theta_max at first, that the signs of f' narrow.
     Where two eigenvalues cross, lambda has a kink; once both ends of the
     bracket are known, a step goes to the cut of their tangents instead when
@@ -436,6 +436,7 @@ def _edge_tilt(memo: _LeakMemo, t: float, sign: int, dist: int, theta_max: float
     with no evaluation (THETA_ERR), and mu, extrapolated along lambda', only
     shifts the exponential: the bound holds at every theta.
     """
+    # spectral radii of the jumps towards and away from the edge, times t
     ahead, behind = (t * x for x in memo.radii[:: sign])
     start = _exp_root(ahead, behind, dist)
     theta = theta_max if start is None else min(max(start, 0.0), theta_max)
@@ -474,8 +475,7 @@ def _edge_tilt(memo: _LeakMemo, t: float, sign: int, dist: int, theta_max: float
             if theta == theta_max:
                 break
         fits.append((math.exp(theta), slope, curv))
-        model = _slope_model(fits, ahead, behind)
-        step = None if model is None else _exp_root(model[1], model[2], dist - model[0])
+        step = _model_root(fits, ahead, behind, dist)
         stalled = abs(g) > 0.5 * min(latest, last[g > 0.0])
         latest = last[g > 0.0] = abs(g)
         width = BRACKET_TOL * (1.0 + hi)

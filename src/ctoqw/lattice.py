@@ -27,11 +27,14 @@ symbol L(theta) at k = -i theta, ``leak_bound`` takes the Chernoff bound
 e^{-theta D} Tr(e^{t L(theta)} rho0) at each window edge. The bound holds
 for every theta >= 0; theta minimises t lambda(theta) - theta D, with lambda
 the Perron root of L(theta) = S + e^theta R + e^-theta L (the large-deviation
-rate of the walk), which is convex in theta. The search follows its slope
-from the left and right Perron vectors, one LAPACK dgeev per evaluation
-(2.4 per search on the lattice benchmark's inputs), and lands on the
-crossing where two eigenvalues trade places at a kink. The moments of both edges come from one
-stacked exponential, and each coin keeps its last windows, so a repeated
+rate of the walk), which is convex in theta. Each point of the search, one
+LAPACK dgeev and one dgesv, moves an end of the bracket by the sign of
+lambda' - D and steps to the root of a e^theta - b e^-theta = D fitted to
+lambda' and lambda'' there (exact for scalar coins); a step past the cut
+of the two end tangents goes to the cut, which lands on the kink where two
+eigenvalues cross. A search takes 2.5 evaluations on the lattice
+benchmark's inputs. The moments of both edges come from one stacked
+exponential, and each coin keeps its last windows, so a repeated
 (t, radius, i0) costs one product. The search range grows as
 t Coin.rate_scale -> 0, so the bound vanishes with t. It bounds the mass
 outside the window at time t, hence the wrap-around error of every window
@@ -71,14 +74,15 @@ STEP_MERGE_EPS = 16
 SITE_PROB_FLOOR = 1e-8
 # Windows (t, right distance, left distance) that leak_bound keeps per coin.
 LEAK_MEMO_WINDOWS = 8
-# The theta search of one edge (_edge_tilt). A step s from theta ends it with
-# no further evaluation when s^2 <= THETA_ERR times the step before it (1 at
-# the first point): s^2 over that step estimates the error left after s. A
-# bracket narrower than BRACKET_TOL (1 + its upper end) is closed, and a model
-# step that close to one of its ends counts as outside. dgeev's eigenvectors
-# have unit norm: a Perron root with |l.r| <= DEGENERATE_OVERLAP gives no
-# slope, and eigenvalues within DEGENERATE_GAP of the spectrum's width of it
-# share the abscissa. At most MAX_TILT_STEPS evaluations.
+# The theta search of one edge (_edge_tilt). A model step s from theta ends
+# it with no further evaluation when s^2 <= THETA_ERR times the step before it
+# (1 at the first point), even just outside the bracket: s^2 over that step
+# estimates the error left after s. A bracket narrower than BRACKET_TOL (1 +
+# its upper end) is closed, and a model step that close to one of its ends
+# counts as outside, as does one past the cut of the end tangents. dgeev's
+# eigenvectors have unit norm: a Perron root with |l.r| <= DEGENERATE_OVERLAP
+# gives no slope, and eigenvalues within DEGENERATE_GAP of the spectrum's
+# width of it share the abscissa. At most MAX_TILT_STEPS evaluations.
 THETA_ERR = 1e-10
 BRACKET_TOL = 1e-12
 DEGENERATE_OVERLAP = 1e-8
@@ -336,7 +340,8 @@ def _exp_root(a: float, b: float, dist: float):
     disc = dist * dist + 4.0 * a * b
     if not (a > 0.0 and disc >= 0.0):
         return None
-    return math.log((dist + math.sqrt(disc)) / (2.0 * a))
+    top = dist + math.sqrt(disc)
+    return math.log(top / (2.0 * a)) if top > 0.0 else None
 
 
 def _tilted(memo: _LeakMemo, t: float, sign: int, theta: float):
@@ -345,21 +350,21 @@ def _tilted(memo: _LeakMemo, t: float, sign: int, theta: float):
     return (np.array((t, w_r, w_l)) @ memo.flat).reshape(memo.n, memo.n), w_r, w_l
 
 
-def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float,
-            dist: int, curvature: bool):
+def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float, dist: int):
     """(lambda, lambda', lambda'') in theta of M = t S + wR R + wL L (``_tilted``).
 
     lambda is the spectral abscissa, the Perron root: one LAPACK dgeev with
     both eigenvectors. lambda' = l.M'r / l.r from its left and right vectors,
     with M' = sign (wR R - wL L): one product of (I, R, L) with r, one with
-    l. With ``curvature``, lambda'' = (l.M''r + 2 l.M'x) / l.r, M'' = wR R + wL L,
-    where x solves (M - lambda + r l') x = (lambda' - M') r, which forces
+    l. lambda'' = (l.M''r + 2 l.M'x) / l.r, M'' = wR R + wL L, where x solves
+    (M - lambda + r l') x = (lambda' - M') r by one LAPACK dgesv, which forces
     l.x = 0. Where other eigenvalues share the abscissa, the branches through
     it have the slopes of the eigenvalues of (W'V)^-1 W'M'V over their right
     and left vectors V, W; lambda' is then the subgradient nearest to dist,
     dist itself where branches with slopes on both sides of it cross.
     lambda' is None where the vectors do not determine it (l.r or W'V
-    vanishes), lambda'' None where it is not asked for or not defined.
+    vanishes), lambda'' None where it is not defined (a shared abscissa, a
+    singular solve).
     """
     wr, _, vl, vr, info = dgeev(m, compute_vl=1, compute_vr=1)
     if info != 0:
@@ -384,8 +389,6 @@ def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float,
     if abs(lr) <= DEGENERATE_OVERLAP:
         return lam, None, None
     slope = sign * (w_r * lj_r - w_l * lj_l) / lr
-    if not curvature:
-        return lam, slope, None
     a = m + r[:, None] * l
     a.flat[:: memo.n + 1] -= lam
     x, info = dgesv(a, np.array((slope, -sign * w_r, sign * w_l)) @ rj,
@@ -397,113 +400,67 @@ def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float,
     return lam, slope, second if math.isfinite(second) else None
 
 
-def _model_root(fits, ahead: float, behind: float, dist: int):
-    """Root theta of the model slope k + a e^theta - b e^-theta = dist, or None.
-
-    ``fits`` holds (e^theta, lambda', lambda'' or None) per evaluation. At the
-    first point a and b match lambda' and lambda'' = a e^theta + b e^-theta,
-    with k = 0; with no lambda'' there, a = ahead and b = behind (the model of
-    the spectral radii) and k matches lambda'. Later, a and b go through the
-    slopes of the last two points, with k = 0. Exact for scalar coins.
-    """
-    (x1, s1, c1) = fits[-1]
-    if len(fits) == 1:
-        if c1 is None:
-            return _exp_root(ahead, behind, dist - s1 + ahead * x1 - behind / x1)
-        return _exp_root((s1 + c1) / (2.0 * x1), (c1 - s1) * x1 / 2.0, dist)
-    (x0, s0, _) = fits[-2]
-    if x0 == x1:
-        return None
-    a = (s1 * x1 - s0 * x0) / (x1 * x1 - x0 * x0)
-    return _exp_root(a, a * x0 * x0 - s0 * x0, dist)
-
-
 def _edge_tilt(memo: _LeakMemo, t: float, sign: int, dist: int, theta_max: float):
     """(theta, mu, M(theta) - mu) with theta minimising f = lambda(theta) - theta dist.
 
-    M(theta) = t (S + e^theta R + e^-theta L) for the right edge (sign 1) and
-    t (S + e^-theta R + e^theta L) for the left (sign -1), and lambda its
-    Perron root (``_perron``), convex in theta (Evans & Hoegh-Krohn, 1978).
-    The search starts at the root of t (rho(R) e^theta - rho(L) e^-theta) =
-    dist and steps to the root of the model slope (``_model_root``) inside
-    the bracket lo..hi, 0..theta_max at first, that the signs of f' narrow.
-    Where two eigenvalues cross, lambda has a kink; once both ends of the
-    bracket are known, a step goes to the cut of their tangents instead when
-    |f'| did not halve since the last point or the last on its side, or when
-    the model step lies past the cut, where the other branch is on top. A
-    point on the crossing itself gives no slope: the search probes as close
-    on the far side and ends at the next such point. The last step is taken
-    with no evaluation (THETA_ERR), and mu, extrapolated along lambda', only
-    shifts the exponential: the bound holds at every theta.
+    M(theta) = t (S + e^theta R + e^-theta L) at the right edge (sign 1), R and
+    L swapped at the left, and lambda its Perron root (``_perron``), convex in
+    theta (Evans & Hoegh-Krohn, 1978). From the root of t (rho(R) e^theta -
+    rho(L) e^-theta) = dist, each point steps to the root of a e^theta -
+    b e^-theta = dist fitted to lambda' and lambda'' there (without lambda'',
+    the spectral radii's model shifted to lambda'), kept in the bracket that
+    the signs of f' narrow; a step outside it or past the cut of its end
+    tangents goes to that cut or to the end on its side, and a point with no
+    slope between two tangents is the eigenvalue crossing. mu, moved along
+    lambda' by the last step, only shifts the exponential.
     """
     # spectral radii of the jumps towards and away from the edge, times t
     ahead, behind = (t * x for x in memo.radii[:: sign])
     start = _exp_root(ahead, behind, dist)
-    theta = theta_max if start is None else min(max(start, 0.0), theta_max)
-    lo, hi = 0.0, theta_max
-    below = above = None  # tangents (theta, f, f') at lo and hi, once evaluated
-    fits: list = []
-    previous = None
-    last = {True: math.inf, False: math.inf}  # |f'| last seen above and below
-    latest = math.inf
-    probed = False
-    new = theta
+    new = theta_max if start is None else min(max(start, 0.0), theta_max)
+    lo, hi, below, above = 0.0, theta_max, None, None  # tangents (theta, f, f') at lo, hi
+    moved = 1.0  # the step that led to theta, 1 at the first point
     for _ in range(MAX_TILT_STEPS):
         theta = new
         m, w_r, w_l = _tilted(memo, t, sign, theta)
-        lam, slope, curv = _perron(memo, m, sign, w_r, w_l, dist, curvature=not fits)
-        if slope is None:
-            if below is None or above is None:
-                # halfway to the farther end of the bracket
-                new = 0.5 * (theta + (hi if 2.0 * theta < lo + hi else lo))
-                continue
-            if probed:
+        lam, slope, curv = _perron(memo, m, sign, w_r, w_l, dist)
+        step = cut = None
+        if slope is not None:
+            g = slope - dist
+            if g == 0.0 or (theta == 0.0 and g > 0.0) or (theta == theta_max and g < 0.0):
                 break
-            # on the crossing: a tangent as close to it on the far side
-            probed = True
-            new = 2.0 * theta - (hi if hi - theta < theta - lo else lo)
-            continue
-        g = slope - dist
-        if g == 0.0:
-            break
-        if g > 0.0:
-            hi, above = theta, (theta, lam - theta * dist, g)
-            if theta == 0.0:
-                break
-        else:
-            lo, below = theta, (theta, lam - theta * dist, g)
-            if theta == theta_max:
-                break
-        fits.append((math.exp(theta), slope, curv))
-        step = _model_root(fits, ahead, behind, dist)
-        stalled = abs(g) > 0.5 * min(latest, last[g > 0.0])
-        latest = last[g > 0.0] = abs(g)
-        width = BRACKET_TOL * (1.0 + hi)
-        cut = None
+            if g > 0.0:
+                hi, above = theta, (theta, lam - theta * dist, g)
+            else:
+                lo, below = theta, (theta, lam - theta * dist, g)
+            x = math.exp(theta)
+            step = (_exp_root(ahead, behind, dist - slope + ahead * x - behind / x) if curv is None
+                    else _exp_root((slope + curv) / (2.0 * x), (curv - slope) * x / 2.0, dist))
         if below is not None and above is not None:
             (t1, f1, g1), (t2, f2, g2) = below, above
-            new = cut = min(max((f1 - f2 - g1 * t1 + g2 * t2) / (g2 - g1), lo), hi)
-            if hi - lo <= width:
-                break
-        beyond = cut is not None and step is not None and (step - cut) * g < 0.0
-        if step is not None and not (stalled or beyond) and (step - theta) ** 2 <= THETA_ERR * (
-                1.0 if previous is None else abs(theta - previous)):
+            cut = min(max((f1 - f2 - g1 * t1 + g2 * t2) / (g2 - g1), lo), hi)
+            if slope is None:
+                break  # on the crossing
+            if step is not None and (step - cut) * g < 0.0:
+                step = None  # past the cut, where the other branch is on top
+        if step is not None and (step - theta) ** 2 <= THETA_ERR * moved:
             new = step
             break
-        if (step is not None and not beyond and not (stalled and cut is not None)
-                and lo + width < step < hi - width):
+        width = BRACKET_TOL * (1.0 + hi)
+        if step is not None and lo + width < step < hi - width:
             new = step
-        elif cut is None:
-            # towards the end of the bracket not yet evaluated
-            new = hi if above is None and (step is None or step >= hi) else (
-                lo if below is None and step is not None and step <= lo else 0.5 * (lo + hi))
-        if new == theta:
+        elif cut is not None:
+            new = cut
+        elif step is not None:
+            new = hi if step > theta else lo
+        else:  # halfway towards the end of the bracket not yet evaluated
+            far = above is None and (below is not None or 2.0 * theta < lo + hi)
+            new = 0.5 * (theta + (hi if far else lo))
+        if new == theta or hi - lo <= width:
             break
-        previous = theta
-    if new != theta and slope is not None:
-        # the last step, taken with no evaluation
-        lam += slope * (new - theta)
-        theta = new
+        moved = abs(new - theta)
+    if new != theta and slope is not None:  # the last step, taken with no evaluation
+        lam, theta = lam + slope * (new - theta), new
         m = _tilted(memo, t, sign, theta)[0]
     m.flat[:: memo.n + 1] -= lam
     return theta, lam, m
@@ -545,8 +502,9 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     i0 to the edge plus one, capped at 1. M(theta) is real, read from
     ``Coin.symbol`` with no rebuild per call. theta minimises
     lambda(theta) - theta D, lambda the Perron root, over ``_theta_max``
-    (``_edge_tilt``): a search on the slope of this convex function, one
-    LAPACK dgeev with eigenvectors per evaluation. That range grows as
+    (``_edge_tilt``): model steps on the slope and curvature of this convex
+    function, kept in a bracket and cut at eigenvalue crossings, one LAPACK
+    dgeev with eigenvectors and one dgesv per evaluation. That range grows as
     t Coin.rate_scale -> 0, so the bound vanishes with t (about e t from an
     edge start of the scalar walk) instead of stalling at (2 + D)^{-2D}. The
     moments of both edges, each shifted by its lambda so that it cannot

@@ -14,6 +14,7 @@ from ctoqw import (
     estimate_drift,
     hvec,
     internal_lindblad_matrix,
+    mat_exp,
     stationary_states,
 )
 from ctoqw.coins import three_level_coin
@@ -24,19 +25,20 @@ m = drift(coin, sa.rho_inv)
 print(f"three-level coin, c=0: m = {m:+.9f} (= -6/53)\n")
 
 # E[X_T] = int_0^T tr(Q rho_s) ds with Q = A*A - C*C and rho_s the internal
-# state at time s; diagonalizing the internal generator makes the integral a
-# sum of (e^{w T} - 1)/w terms. In Hermitian coordinates (hvec) the generator
-# is a real matrix and tr(Q rho) is the dot product hvec(Q) . hvec(rho).
+# state at time s. In Hermitian coordinates (hvec) the internal generator L_0
+# is a real matrix and tr(Q rho) is the dot product hvec(Q) . hvec(rho); the
+# last column of exp([[T L_0, T hvec(rho0)], [0, 0]]) (Van Loan) is
+# int_0^T e^{s L_0} hvec(rho0) ds, with no assumption that L_0 diagonalizes.
 q = coin.right.conj().T @ coin.right - coin.left.conj().T @ coin.left
 sup = internal_lindblad_matrix(coin)
-w, v = np.linalg.eig(sup)
-qv = hvec(q) @ v
+n = len(sup)
 
 
 def exact_mean(rho0, t):
-    g = np.linalg.solve(v, hvec(rho0))
-    tau = np.where(np.abs(w) > 1e-12, (np.exp(w * t) - 1.0) / np.where(w == 0, 1, w), t)
-    return float((qv * g * tau).sum().real)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = t * sup
+    aug[:n, n] = t * hvec(rho0)
+    return float(hvec(q) @ mat_exp(aug)[:n, n])
 
 
 mixed = np.eye(3, dtype=complex) / 3.0

@@ -19,7 +19,6 @@ from .lattice import (
     choose_radius,
     conditioned_state,
     evolve,
-    initial_block_state,
     leak_bound,
     probability_series,
     return_integral,
@@ -78,7 +77,6 @@ __all__ = [
     "choose_radius",
     "conditioned_state",
     "evolve",
-    "initial_block_state",
     "leak_bound",
     "probability_series",
     "return_integral",

@@ -19,7 +19,9 @@ conjugate of the one at k, and hvec(rho0) is real, so hat(N - q) =
 conj(hat(q)) coordinate by coordinate. Blocks and profiles are then real
 inverse DFTs (``np.fft.hfft``), and one site j is the projection
 p_j = Re sum_q w_q Tr hat(q) with w_q = c_q e^{-2 pi i q (j - i0) / N} / N,
-c_0 = 1 and c_q = 2 for q >= 1, which needs no transform at all.
+c_0 = 1 and c_q = 2 for q >= 1, which needs no transform at all. A
+single-time read checks its sites, propagates once, and at t = 0 puts the
+start block at i0 and exact zeros on every other site.
 
 The ring differs from the infinite line only by mass that wraps around it.
 Since Tr(e^{t L(theta)} rho0) = sum_i e^{theta (i - i0)} p_i(t) for the
@@ -176,11 +178,6 @@ def _start(gen: BlockGenerator, rho0, i0: int) -> np.ndarray:
     return density_for(gen.coin, rho0)
 
 
-def initial_block_state(gen: BlockGenerator, rho0, i0: int) -> BlockState:
-    return BlockState(radius=gen.radius, blocks=_blocks(gen, _start(gen, rho0, i0), i0, 0.0),
-                      leaked_mass=0.0)
-
-
 def _check_time(t: float) -> None:
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
@@ -206,38 +203,28 @@ def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
     return np.where(q == 0, 1.0, 2.0) * np.exp(-2j * np.pi * turns / gen.n_sites) / gen.n_sites
 
 
-def _half_stack(gen: BlockGenerator, v: np.ndarray, t: float):
-    """hat(q) = e^{t L_k} v for q = 0..radius from the start coordinates v (None at t = 0)."""
-    _check_time(t)
-    if t == 0:
-        return None
-    return mat_exp(gen.symbols, t) @ v
-
-
 def _blocks(gen: BlockGenerator, v: np.ndarray, i0: int, t: float) -> np.ndarray:
     """Ring blocks at time t >= 0 from the start coordinates v at site i0.
 
-    At t = 0 the one start block is the matrix of v. Later, hat(N - q) =
-    conj(hat(q)) coordinate by coordinate, so one real inverse DFT of the
-    half stack gives every block's real coordinates.
+    At t = 0 the start block sits at i0 and every other block is zero. Later,
+    hat(N - q) = conj(hat(q)) coordinate by coordinate, so one real inverse
+    DFT of the half stack e^{t L_k} v gives every block's real coordinates.
     """
-    hat = _half_stack(gen, v, t)
-    if hat is None:
+    _check_time(t)
+    if t == 0:
         blocks = np.zeros((gen.n_sites, gen.coin.dim, gen.coin.dim), dtype=complex)
         blocks[i0 + gen.radius] = hunvec(v)
         return blocks
-    per_offset = np.fft.hfft(hat, n=gen.n_sites, axis=0)
+    per_offset = np.fft.hfft(mat_exp(gen.symbols, t) @ v, n=gen.n_sites, axis=0)
     return hunvec(np.roll(per_offset, gen.radius + i0, axis=0) / gen.n_sites)
 
 
-def _site_block(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> np.ndarray:
-    """Block rho_t(j), projected from the half stack with the weights of site j."""
-    _check_site(gen, j, "j")
-    v = _start(gen, rho0, i0)
-    hat = _half_stack(gen, v, t)
-    if hat is None:
-        return _blocks(gen, v, i0, t)[j + gen.radius]
-    return hunvec((_site_weights(gen, j - i0)[0] @ hat).real)
+def _site_block(gen: BlockGenerator, v: np.ndarray, i0: int, j: int, t: float) -> np.ndarray:
+    """Block rho_t(j), from the half stack e^{t L_k} v and the weights of site j."""
+    _check_time(t)
+    if t == 0:
+        return hunvec(v) if j == i0 else np.zeros((gen.coin.dim,) * 2, dtype=complex)
+    return hunvec((_site_weights(gen, j - i0)[0] @ (mat_exp(gen.symbols, t) @ v)).real)
 
 
 def _trace_rows(gen: BlockGenerator, v: np.ndarray, steps):
@@ -528,9 +515,8 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
 def evolve(gen: BlockGenerator, rho0, i0: int, t: float) -> BlockState:
     """State at time t >= 0 from rho0 concentrated at site i0."""
     v = _start(gen, rho0, i0)
-    blocks = _blocks(gen, v, i0, t)
-    leak = _leak_bound(gen.coin, v, i0, gen.radius, t)
-    return BlockState(radius=gen.radius, blocks=blocks, leaked_mass=leak)
+    return BlockState(radius=gen.radius, blocks=_blocks(gen, v, i0, t),
+                      leaked_mass=_leak_bound(gen.coin, v, i0, gen.radius, t))
 
 
 def probability_series(gen: BlockGenerator, rho0, i0: int, sites, times) -> np.ndarray:
@@ -561,13 +547,14 @@ def trace_profile_series(gen: BlockGenerator, rho0, i0: int, times) -> np.ndarra
 
 def transition_probability(gen: BlockGenerator, rho0, i0: int, j: int, t: float) -> float:
     """p_{j i0; rho}(t) = Tr(rho_t(j))."""
-    return float(np.trace(_site_block(gen, rho0, i0, j, t)).real)
+    j = _check_site(gen, j, "j")
+    return float(np.trace(_site_block(gen, _start(gen, rho0, i0), i0, j, t)).real)
 
 
 def conditioned_state(gen: BlockGenerator, rho0, i0: int, k: int, beta: float) -> np.ndarray:
     """Internal state at site k given the walker is observed there at time beta."""
-    k = _integer(k, "k")
-    return _condition_blocks(_site_block(gen, rho0, i0, k, beta)[None], [k])[0]
+    k = _check_site(gen, k, "k")
+    return _condition_blocks(_site_block(gen, _start(gen, rho0, i0), i0, k, beta)[None], [k])[0]
 
 
 def _condition_blocks(blocks: np.ndarray, sites) -> np.ndarray:
@@ -601,37 +588,33 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
                                 alpha: float, beta: float) -> float:
     """|p(alpha+beta) - sum_k p(alpha | from k) p(beta, k)| at site j.
 
-    The left side is one propagation to alpha+beta. The right side re-launches
-    the walk from every site k that carries mass at time beta, started in the
-    conditioned internal state there. The launches share only the
-    propagator e^{alpha L_k}, exponentiated once for momenta 0..radius: each
-    launch is one row of a matrix that meets the propagator's trace rows in
-    one product, and one real inverse DFT over momenta (the launches are
-    Hermitian) gives every launch's occupation of j. Their agreement
-    with the left side is the identity under test. Raises if the leak bound
-    at alpha+beta reaches LEAK_TOL.
+    The left side is one propagation to alpha+beta, read at site j. The
+    right side re-launches the walk from every site k that carries mass at
+    time beta, started in the conditioned internal state there. The launches
+    share only the propagator e^{alpha L_k}, exponentiated once for momenta
+    0..radius: its trace rows meet the launches in one product, and the
+    weights of the offsets j - k read each launch's occupation of j from
+    those half traces. Their agreement with the left side is the identity
+    under test. Raises if the leak bound at alpha+beta reaches LEAK_TOL.
     """
     if not (np.isfinite([alpha, beta]).all() and min(alpha, beta) >= 0):
         raise ValueError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
-    j = _integer(j, "j")
+    j = _check_site(gen, j, "j")
     v = _start(gen, rho0, i0)
-    direct = BlockState(gen.radius, _blocks(gen, v, i0, alpha + beta),
-                        _leak_bound(gen.coin, v, i0, gen.radius, alpha + beta))
-    if direct.leaked_mass >= LEAK_TOL:
+    leak = _leak_bound(gen.coin, v, i0, gen.radius, alpha + beta)
+    if leak >= LEAK_TOL:
         raise RuntimeError(
-            f"truncation leak bound {direct.leaked_mass:.3e} at time alpha+beta; "
-            f"enlarge the radius"
+            f"truncation leak bound {leak:.3e} at time alpha+beta; enlarge the radius"
         )
-    lhs = float(np.trace(direct.block(j)).real)
+    lhs = float(np.trace(_site_block(gen, v, i0, j, alpha + beta)).real)
 
     at_beta = _blocks(gen, v, i0, beta)
     probs = np.einsum("ijj->i", at_beta).real
     occupied = np.flatnonzero(probs > SITE_PROB_FLOOR)
     launches = hvec(_condition_blocks(at_beta[occupied], occupied - gen.radius))
     trace_rows = mat_exp(gen.symbols, alpha)[:, : gen.coin.dim].sum(axis=1)
-    hat = trace_rows @ launches.T
-    at_j = np.fft.hfft(hat, n=gen.n_sites, axis=0)[(j + gen.radius - occupied) % gen.n_sites,
-                                                   np.arange(len(occupied))] / gen.n_sites
+    weights = _site_weights(gen, j + gen.radius - occupied)
+    at_j = np.einsum("kq,qk->k", weights, trace_rows @ launches.T).real
     return abs(lhs - float(at_j @ probs[occupied]))
 
 

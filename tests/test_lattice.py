@@ -19,7 +19,6 @@ import scipy.special
 from ctoqw import (
     Coin,
     BlockGenerator,
-    initial_block_state,
     evolve,
     leak_bound,
     probability_series,
@@ -133,7 +132,7 @@ class TestBlockGenerator:
         coin = random_coin(rng, 2)
         gen = BlockGenerator(coin, 3)
         rho = random_density(rng, 2)
-        blocks = initial_block_state(gen, rho, 0).blocks
+        blocks = evolve(gen, rho, 0, 0.0).blocks
         deriv = gen.apply(blocks)
         up = np.trace(coin.right @ rho @ coin.right.conj().T)
         down = np.trace(coin.left @ rho @ coin.left.conj().T)
@@ -166,7 +165,7 @@ class TestBlockGenerator:
 
 def dense_blocks(gen, rho, i0, t):
     """Ring blocks at time t from scipy's expm of the dense ring generator."""
-    start = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
+    start = hvec(evolve(gen, rho, i0, 0.0).blocks).ravel()
     y = scipy.linalg.expm(t * gen.dense_matrix()) @ start
     return hunvec(y.reshape(gen.n_sites, -1))
 
@@ -223,7 +222,7 @@ class TestHalfSpectrum:
         gen, rho, i0 = case
         delta, n_steps = 0.2, 6
         step = scipy.linalg.expm(delta * gen.dense_matrix())
-        y = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
+        y = hvec(evolve(gen, rho, i0, 0.0).blocks).ravel()
         terms = []
         for _ in range(n_steps + 1):
             terms.append(dense_traces(hunvec(y.reshape(gen.n_sites, -1))))
@@ -250,7 +249,7 @@ class TestHalfSpectrum:
         gen, rho, i0 = case
         horizon = self.T
         n = gen.vec_dim
-        start = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
+        start = hvec(evolve(gen, rho, i0, 0.0).blocks).ravel()
 
         def ref(t):
             aug = np.zeros((n + 1, n + 1), dtype=complex)
@@ -300,7 +299,7 @@ class TestTraceRowSteps:
         assert len(calls) == 1
         monkeypatch.undo()
         a = gen.dense_matrix()
-        start = hvec(initial_block_state(gen, rho, 0).blocks).ravel()
+        start = hvec(evolve(gen, rho, 0, 0.0).blocks).ravel()
         for t, row in zip(times[::20], series[::20]):
             ref = dense_traces(hunvec((scipy.linalg.expm(t * a) @ start).reshape(gen.n_sites, -1)))
             assert np.abs(row - ref).max() <= 1e-12
@@ -330,7 +329,7 @@ class TestEvolve:
         rho = random_density(rng, d)
         for i0, t in ((0, 0.7), (-3, 1.9)):
             st = evolve(gen, rho, i0, t)
-            start = hvec(initial_block_state(gen, rho, i0).blocks).ravel()
+            start = hvec(evolve(gen, rho, i0, 0.0).blocks).ravel()
             expect = mat_exp(gen.dense_matrix(), t) @ start
             got = hvec(st.blocks).ravel()
             assert np.abs(got - expect).max() <= 1e-12
@@ -583,7 +582,7 @@ class TestSkeleton:
         rho = np.diag([0.5, 0.5])
         partials = skeleton_partials(gen, rho, 0, 1, 0.5, 8)
         step = mat_exp(gen.dense_matrix(), 0.5)
-        y = hvec(initial_block_state(gen, rho, 0).blocks).ravel()
+        y = hvec(evolve(gen, rho, 0, 0.0).blocks).ravel()
         lo = (1 + gen.radius) * 4
         terms = []
         for _ in range(9):
@@ -618,6 +617,19 @@ class TestScaleCovariance:
         a = skeleton_partials(gen, rho, 0, 1, 0.5, 10)
         b = skeleton_partials(gen_fast, rho, 0, 1, 0.5 / s2, 10)
         assert np.max(np.abs(a - b)) <= 1e-12
+        # the single-time reads and the profile, time zero included
+        times = np.array([0.0, 0.5, 2.0, 5.0])
+        profiles = trace_profile_series(gen, rho, 0, times)
+        assert np.abs(trace_profile_series(gen_fast, rho, 0, times / s2) - profiles).max() <= 1e-13
+        st, st_fast = evolve(gen, rho, 0, 5.0), evolve(gen_fast, rho, 0, 5.0 / s2)
+        assert np.abs(st_fast.blocks - st.blocks).max() <= 1e-13
+        assert abs(st_fast.leaked_mass - st.leaked_mass) <= 1e-13
+        for j in (0, 1, -3):
+            p = transition_probability(gen, rho, 0, j, 5.0)
+            assert abs(transition_probability(gen_fast, rho, 0, j, 5.0 / s2) - p) <= 1e-13
+            res = chapman_kolmogorov_residual(gen, rho, 0, j, 2.0, 3.0)
+            res_fast = chapman_kolmogorov_residual(gen_fast, rho, 0, j, 2.0 / s2, 3.0 / s2)
+            assert abs(res_fast - res) <= 1e-13
 
 
 class TestSymmetryCovariance:
@@ -933,8 +945,12 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="finite"):
             self.CALLS[entry](gen, value)
 
-    @pytest.mark.parametrize("call", [transition_probability, conditioned_state],
-                             ids=["transition_probability", "conditioned_state"])
+    @pytest.mark.parametrize(
+        "call",
+        [transition_probability, conditioned_state,
+         # short enough that the leak bound at alpha+beta passes on this ring
+         lambda g, r, i0, j, t: chapman_kolmogorov_residual(g, r, i0, j, 0.01, 0.01)],
+        ids=["transition_probability", "conditioned_state", "chapman_kolmogorov_residual"])
     def test_off_ring_site_is_a_value_error(self, call):
         # the same error as probability_series and skeleton_partials, so the
         # CLI reports it as a validation failure
@@ -946,7 +962,7 @@ class TestArgumentChecks:
     # (entry, argument, call with that argument set to x).
     SITE_CALLS = [
         ("evolve", "i0", lambda g, r, x: evolve(g, r, x, 1.0)),
-        ("initial_block_state", "i0", lambda g, r, x: initial_block_state(g, r, x)),
+        ("evolve_t0", "i0", lambda g, r, x: evolve(g, r, x, 0.0)),
         ("probability_series", "i0", lambda g, r, x: probability_series(g, r, x, [0], [1.0])),
         ("probability_series", "sites", lambda g, r, x: probability_series(g, r, 0, [x], [1.0])),
         ("trace_profile_series", "i0", lambda g, r, x: trace_profile_series(g, r, x, [1.0])),

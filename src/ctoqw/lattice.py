@@ -139,6 +139,8 @@ class BlockGenerator:
         stay, right, left = coin.symbol
         phase = np.exp(2j * np.pi * np.arange(radius + 1) / self.n_sites)[:, None, None]
         self.symbols = stay + phase * right + phase.conj() * left
+        # e^{-2 pi i m / N} for m = 0..N-1: every site weight's phase, by turns.
+        self._roots = np.exp(-2j * np.pi * np.arange(self.n_sites) / self.n_sites)
 
     @property
     def vec_dim(self) -> int:
@@ -198,9 +200,9 @@ def _site_weights(gen: BlockGenerator, offsets) -> np.ndarray:
     block coordinates instead, it gives hvec(rho(j)) as the real part.
     """
     q = np.arange(gen.radius + 1)
-    # q m reduced mod N in integers, so every phase is below 2 pi
+    # q m reduced mod N in integers indexes the N roots of unity
     turns = np.outer(np.atleast_1d(offsets), q) % gen.n_sites
-    return np.where(q == 0, 1.0, 2.0) * np.exp(-2j * np.pi * turns / gen.n_sites) / gen.n_sites
+    return np.where(q == 0, 1.0, 2.0) * gen._roots[turns] / gen.n_sites
 
 
 def _blocks(gen: BlockGenerator, v: np.ndarray, i0: int, t: float) -> np.ndarray:
@@ -215,7 +217,12 @@ def _blocks(gen: BlockGenerator, v: np.ndarray, i0: int, t: float) -> np.ndarray
         blocks = np.zeros((gen.n_sites, gen.coin.dim, gen.coin.dim), dtype=complex)
         blocks[i0 + gen.radius] = hunvec(v)
         return blocks
-    per_offset = np.fft.hfft(mat_exp(gen.symbols, t) @ v, n=gen.n_sites, axis=0)
+    return _ring(gen, mat_exp(gen.symbols, t) @ v, i0)
+
+
+def _ring(gen: BlockGenerator, hat: np.ndarray, i0: int) -> np.ndarray:
+    """Ring blocks from the half stack hat(q), q = 0..radius, of a walk started at i0."""
+    per_offset = np.fft.hfft(hat, n=gen.n_sites, axis=0)
     return hunvec(np.roll(per_offset, gen.radius + i0, axis=0) / gen.n_sites)
 
 
@@ -594,8 +601,11 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
     share only the propagator e^{alpha L_k}, exponentiated once for momenta
     0..radius: its trace rows meet the launches in one product, and the
     weights of the offsets j - k read each launch's occupation of j from
-    those half traces. Their agreement with the left side is the identity
-    under test. Raises if the leak bound at alpha+beta reaches LEAK_TOL.
+    those half traces. When alpha == beta that propagator also carries the
+    walk to beta, so the right side takes one exponential; the left side
+    keeps its own at alpha+beta, so the semigroup law stays under test. Their
+    agreement with the left side is the identity under test. Raises if the
+    leak bound at alpha+beta reaches LEAK_TOL.
     """
     if not (np.isfinite([alpha, beta]).all() and min(alpha, beta) >= 0):
         raise ValueError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
@@ -608,11 +618,12 @@ def chapman_kolmogorov_residual(gen: BlockGenerator, rho0, i0: int, j: int,
         )
     lhs = float(np.trace(_site_block(gen, v, i0, j, alpha + beta)).real)
 
-    at_beta = _blocks(gen, v, i0, beta)
+    flow = mat_exp(gen.symbols, alpha)
+    at_beta = _ring(gen, flow @ v, i0) if beta == alpha > 0 else _blocks(gen, v, i0, beta)
     probs = np.einsum("ijj->i", at_beta).real
     occupied = np.flatnonzero(probs > SITE_PROB_FLOOR)
     launches = hvec(_condition_blocks(at_beta[occupied], occupied - gen.radius))
-    trace_rows = mat_exp(gen.symbols, alpha)[:, : gen.coin.dim].sum(axis=1)
+    trace_rows = flow[:, : gen.coin.dim].sum(axis=1)
     weights = _site_weights(gen, j + gen.radius - occupied)
     at_j = np.einsum("kq,qk->k", weights, trace_rows @ launches.T).real
     return abs(lhs - float(at_j @ probs[occupied]))

@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zheevd
 
 from .linalg import hermitian_basis, hvec, superop_matrix
 
@@ -186,15 +187,21 @@ def check_density(rho) -> np.ndarray:
 
 def _checked_density(m: np.ndarray) -> np.ndarray:
     """:func:`check_density` on a matrix :func:`_square` has already checked."""
+    adjoint = m.conj().T
     scale = max(1.0, float(np.abs(m).max()))
-    defect = float(np.abs(m - m.conj().T).max())
+    defect = float(np.abs(m - adjoint).max())
     if defect > DENSITY_HERM_TOL * scale:
         raise ValueError(f"density is not Hermitian: defect {defect:.3e}")
-    m = (m + m.conj().T) / 2.0
-    tr = float(np.trace(m).real)
+    m = (m + adjoint) / 2.0
+    tr = float(m.trace().real)
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density trace {tr!r} differs from 1 beyond {DENSITY_TRACE_TOL:.1e}")
-    lo = float(np.linalg.eigvalsh(m).min())
+    # LAPACK zheevd directly (eigenvalues only, ascending), the routine
+    # eigvalsh wraps: at d <= 4 eigvalsh's per-call overhead was most of its cost.
+    eigenvalues, _, info = zheevd(m, compute_v=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK zheevd failed with info {info}")
+    lo = float(eigenvalues[0])
     if lo < DENSITY_EIG_FLOOR:
         raise ValueError(f"density has eigenvalue {lo:.3e} below floor {DENSITY_EIG_FLOOR:.1e}")
     return m

@@ -29,10 +29,12 @@ P is still above u at the end of the first window, the powers e^{2^j K h S}
 until P drops to u, then halve; then the grid places it in a step of that
 window. Inside the step P is a
 polynomial in x that Halley steps with bisection invert (Newton's step where
-Halley's denominator is not positive), starting where the chord between the
-two bracketing grid survivals meets u and stopping once a step corrects the
-time by at most REL_TIME_TOL relative or the bracket is within REL_TIME_TOL;
-the state at the jump comes from the same Taylor terms, and both jump
+Halley's denominator is not positive). They start from the cubic Hermite
+inverse of log P over the step, built from P and dP/dx at both of its ends
+(exact when log P is linear in time, as for a scalar coin; the midpoint where
+P is not positive or a slope not negative there), and stop once a step
+corrects the time by at most REL_TIME_TOL relative or the bracket is within
+REL_TIME_TOL; the state at the jump comes from the same Taylor terms, and both jump
 weights and both post-jump states from one product with the stacked rows
 [Tr R; Tr L; R; L]. survival_probability reads P(t) off the same grid:
 whole windows by the chain, whole steps by the grid, and the rest of a step
@@ -53,8 +55,8 @@ of the window; rows past their first window take the window chain, one
 product per level), the in-step polynomials and their first two time
 derivatives come from one coefficient product, Halley runs vectorised over
 all rows with the serial stopping rule per row (a finished row stays in the
-batch, frozen; on the three-level coin nearly every round takes three
-passes), and one product with [Tr R; Tr L; R; L] gives both jump weights
+batch, frozen; on the three-level coin a round takes at most two passes, on a
+scalar coin one), and one product with [Tr R; Tr L; R; L] gives both jump weights
 and both post-jump states; estimate_drift is its reduction and reports the
 rounds and passes. Each path
 reads its own stream in the serial order (jump time, then direction).
@@ -162,9 +164,10 @@ class JumpSampler:
         self._grid_trace = self._steps[:, :d, :].sum(axis=1)
         self._near_trace = self._grid_trace[list(range(1, _NEAR_STEPS + 1)) + [K]]
         self._taylor_trace = self._taylor[:, :d, :].sum(axis=1)
-        # The Taylor trace rows above the terms' rows: one product gives a
-        # step's survival coefficients and its Taylor terms.
-        self._taylor_rows = np.concatenate([self._taylor_trace,
+        # The Taylor trace rows, then the row of survival's slope in x at the
+        # step's end (sum_j j c_j), above the terms' rows: one product gives a
+        # step's survival coefficients, that slope and its Taylor terms.
+        self._taylor_rows = np.concatenate([self._taylor_trace, _DEGREES[None] @ self._taylor_trace,
                                             self._taylor.reshape(-1, len(stay))])
         # [Tr R; Tr L; R; L]: one product gives both jump weights and both
         # post-jump states.
@@ -260,10 +263,8 @@ class JumpSampler:
         if far.size:
             start[far] += offset
         base = np.einsum("rij,rj->ri", self._steps[k], v)
-        # poly[i]: the i-th time derivative's coefficients, one column per row;
-        # survival at the step's ends is poly[0]'s sum at x = 0 and at x = 1.
+        # poly[i]: the i-th time derivative's coefficients, one column per row.
         poly = (self._poly_trace @ base.T).reshape(3, _TAYLOR_TERMS, n_rows)
-        s_lo, s_hi = poly[0, 0], poly[0].sum(axis=0)
         hi = start + h
         capped = (live & (hi > cap)).nonzero()[0]
         if capped.size:
@@ -276,13 +277,18 @@ class JumpSampler:
         rows = np.arange(n_rows)
         if not live.all():
             rows = live.nonzero()[0]
-            start, hi, u, base = start[rows], hi[rows], u[rows], base[rows]
-            s_lo, s_hi, poly = s_lo[rows], s_hi[rows], poly[:, :, rows]
-        # The root finder's start, as in next_jump: the chord between the
-        # survivals at the step's ends meets u there, else the midpoint.
-        gap = s_lo - s_hi
-        x = start + h * (s_lo - u) / np.where(gap > 0.0, gap, np.nan)
-        x = np.where((start < x) & (x < hi), x, 0.5 * (start + hi))
+            start, hi, u, base, poly = start[rows], hi[rows], u[rows], base[rows], poly[:, :, rows]
+        # The root finder's start, as in next_jump: the Hermite inverse of
+        # log-survival over the step, from survival and its slope at the
+        # step's ends (poly[0] and poly[1] at x = 0 and x = 1), else the
+        # midpoint. Rows that fail the guard may divide by zero or take the
+        # log of a non-positive number; np.where discards them.
+        (s_lo, ds_lo), (s_hi, ds_hi) = poly[:2, 0], poly[:2].sum(axis=1)
+        ok = (s_hi > 0.0) & (s_lo > s_hi) & (ds_lo < 0.0) & (ds_hi < 0.0) & (u > 0.0)
+        with np.errstate(all="ignore"):
+            x = start + h * _log_hermite(np.log(s_lo), np.log(s_hi), h * ds_lo / s_lo,
+                                         h * ds_hi / s_hi, np.log(u))
+        x = np.where(ok & (start < x) & (x < hi), x, 0.5 * (start + hi))
         dt, passes = _invert_survival(poly, start, hi, u, h, x)
 
         # sigma = (sum_j x^j (hS)^j / j!) base, the Taylor sum of next_jump.
@@ -320,10 +326,12 @@ class JumpSampler:
 
         # Within the step, survival is the polynomial in x = (t - start) / h
         # with coefficients Tr of the terms (hS)^j base / j!, exact up to
-        # e/19!; coef lists them highest degree first for Horner's rule.
+        # e/19!; coef lists them highest degree first for Horner's rule, and
+        # ds_lo, ds_hi are its slopes in x at the step's ends.
         terms = self._taylor_rows @ (self._steps[k] @ base)
         coef = terms[:_TAYLOR_TERMS].tolist()[::-1]
-        terms = terms[_TAYLOR_TERMS:].reshape(_TAYLOR_TERMS, -1)
+        ds_lo, ds_hi = coef[-2], float(terms[_TAYLOR_TERMS])
+        terms = terms[_TAYLOR_TERMS + 1:].reshape(_TAYLOR_TERMS, -1)
 
         def surv(t):
             # Survival and its first two time derivatives at t.
@@ -341,9 +349,13 @@ class JumpSampler:
                 return None
             hi = t_cap
 
-        # Halley starts where the chord between the grid survivals at the
-        # step's ends meets u, or at the midpoint when that falls outside.
-        x = start + h * (s_lo - u) / (s_lo - s_hi) if s_lo > s_hi else math.nan
+        # Halley starts at the Hermite inverse of log-survival over the step,
+        # or at the midpoint where survival is not positive, a slope not
+        # negative, or the start falls outside.
+        x = math.nan
+        if s_hi > 0.0 and s_lo > s_hi and ds_lo < 0.0 and ds_hi < 0.0 and u > 0.0:
+            x = start + h * _log_hermite(math.log(s_lo), math.log(s_hi), ds_lo / s_lo,
+                                         ds_hi / s_hi, math.log(u))
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         for _ in range(200):
@@ -390,6 +402,22 @@ class JumpSampler:
         x = rest / h
         k = min(int(x), K - 1)
         return float((x - k) ** _DEGREES @ (self._taylor_trace @ (self._steps[k] @ v)))
+
+
+def _log_hermite(y0, y1, dy0, dy1, y):
+    """The step fraction x where the cubic Hermite inverse of log-survival reaches y.
+
+    Log-survival runs from y0 at x = 0 to y1 < y0 at x = 1 with slopes dy0,
+    dy1 in x; as a function of tau = (y - y0) / (y1 - y0) the inverse x has
+    end slopes m_i = (y1 - y0) / dy_i, so x = tau (1 - tau)^2 m0 + tau^2
+    (3 - 2 tau) + tau^2 (tau - 1) m1, which is exactly tau when log-survival
+    is linear in x (m0 = m1 = 1). Products, not powers, so a Python float
+    overflows to inf, not to OverflowError; floats or arrays.
+    """
+    span = y1 - y0
+    tau = (y - y0) / span
+    rest = 1.0 - tau
+    return tau * (rest * rest * span / dy0 + tau * (3.0 - 2.0 * tau) - tau * rest * span / dy1)
 
 
 def _root_step(x, f, ds, dds):

@@ -109,6 +109,15 @@ def per_launch_residual(gen, rho, i0, j, alpha, beta):
 
 
 class TestBlockGenerator:
+    def test_site_weights_read_the_roots_of_unity(self):
+        # the table of the N roots gives each phase e^{-2 pi i q m / N} bit
+        # for bit, offsets beyond the ring and negative ones included
+        gen = BlockGenerator(three_level_coin(0.0), 7)
+        offsets, q = np.arange(-40, 41), np.arange(8)
+        turns = np.outer(offsets, q) % 15
+        direct = np.where(q == 0, 1.0, 2.0) * np.exp(-2j * np.pi * turns / 15) / 15
+        assert np.array_equal(lattice_mod._site_weights(gen, offsets), direct)
+
     def test_scalar_dense_matrix_is_birth_death(self):
         # the window closes into a ring: the corner entries are the wrap terms
         gen = BlockGenerator(scalar_coin(1.0, 1.0), 2)
@@ -513,6 +522,26 @@ class TestChapmanKolmogorov:
         for _ in range(3):
             alpha, beta = rng.uniform(0.05, 1.0, size=2)
             assert chapman_kolmogorov_residual(gen, rho, 0, 1, alpha, beta) <= 1e-7
+
+    def test_equal_times_share_one_exponential(self, monkeypatch):
+        # at alpha == beta the propagator to alpha also carries the walk to
+        # beta; the left side keeps its own exponential at alpha + beta
+        gen = BlockGenerator(three_level_coin(0.0), 24)
+        times = []
+
+        def counting(m, t=1.0):
+            if m is gen.symbols:
+                times.append(t)
+            return mat_exp(m, t)
+
+        monkeypatch.setattr(lattice_mod, "mat_exp", counting)
+        rho = np.eye(3) / 3.0
+        equal = chapman_kolmogorov_residual(gen, rho, 0, 1, 0.7, 0.7)
+        assert sorted(times) == [0.7, 1.4]
+        times.clear()
+        split = chapman_kolmogorov_residual(gen, rho, 0, 1, 0.5, 0.9)
+        assert sorted(times) == [0.5, 0.9, 1.4]
+        assert equal <= 1e-12 and split <= 1e-12
 
     @pytest.mark.parametrize("coin", [three_level_coin(0.0), shared_eigenbasis_coin(1.0, 2.0)]
                              + [random_coin(np.random.default_rng(60 + k), 2 + k % 2)

@@ -377,6 +377,9 @@ class TestEstimateDrift:
 # lands back on level 0, so from I/2 half the paths end at the horizon cap
 # without a jump.
 TRAP = validate_coin(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2)))
+# C = diag(1, 0), A = 0, H = sigma_x: level 1 does not jump, but the
+# Hamiltonian turns it into level 0, so survival from level 1 starts flat.
+LEAK = validate_coin(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))
 # C = diag(2, 0.2), A = diag(1, 0.1), H = 0: jump rates 5 and 0.05, so the
 # step is h = 1/5 and a window K h = 12.8, while a jump from the slow level
 # takes 20 on average; many jumps land beyond the first window.
@@ -697,9 +700,10 @@ class TestRootFinder:
         assert math.isnan(trajectory._root_step(1.0, 1.0, 0.0, 5.0))
         assert math.isnan(trajectory._root_step(1.0, 1.0, 1e-3, 5.0))
 
-    def test_drift_rounds_take_at_most_four_passes(self, monkeypatch):
-        # the benchmark's drift input: every lockstep round's slowest row
-        # stops within four passes, and the estimate counts rounds and passes
+    def test_drift_rounds_take_at_most_two_passes(self, monkeypatch):
+        # the benchmark's drift input: from the Hermite start every lockstep
+        # round's slowest row stops within two passes, and the estimate
+        # counts rounds and passes
         per_round = []
         invert = trajectory._invert_survival
 
@@ -710,9 +714,80 @@ class TestRootFinder:
 
         monkeypatch.setattr(trajectory, "_invert_survival", recording)
         est = estimate_drift(three_level_coin(0.0), three_level_stationary(0.0), 500.0, 200, 3)
-        assert max(per_round) <= 4
+        assert max(per_round) <= 2
         assert est.rounds == len(per_round) and est.solver_passes == sum(per_round)
         assert set(drift_to_dict(est)) == {"mean", "stderr", "n_paths", "horizon", "seed"}
+
+    @pytest.mark.parametrize("a,c", [(2.0, 1.0), (1.0, 1.0), (0.3, 1.7)])
+    def test_scalar_rounds_take_one_pass(self, a, c):
+        # survival on a scalar coin is e^{-(a^2 + c^2) t}: its log is linear,
+        # so the Hermite start is the jump time up to rounding and every
+        # lockstep round stops after its first pass
+        est = estimate_drift(scalar_coin(a, c), [[1.0]], 200.0, 100, 5)
+        assert est.rounds > 400 and est.solver_passes == est.rounds
+
+    def test_serial_draws_take_two_steps_per_jump(self, monkeypatch):
+        # the serial draw on the three-level coin from the Hermite start:
+        # 2807 Halley steps over these 1411 jumps
+        calls = []
+        step = trajectory._root_step
+
+        def counting(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(trajectory, "_root_step", counting)
+        coin, rho = three_level_coin(0.0), three_level_stationary(0.0)
+        jumps = sum(simulate_path(coin, 0, rho, 100.0, path_rng(3, k)).jump_times.size
+                    for k in range(20))
+        assert jumps > 1000 and 1.98 <= len(calls) / jumps <= 2.0
+
+    @pytest.mark.parametrize("label", ["flat", "negative"])
+    def test_start_falls_back_to_midpoint(self, label, monkeypatch):
+        # flat: from LEAK's level 1 survival starts with slope exactly 0;
+        # negative: TRAP's row diag(1.2, -0.2), not a state, has survival
+        # 1.2 e^{-t} - 0.2, which ends its second step at -0.038. Every u
+        # below puts the jump in a step that fails the Hermite guard, so both
+        # drivers start at the midpoint, warn of nothing, agree, and solve
+        # survival = u
+        if label == "flat":
+            coin, rho, u = LEAK, np.diag([0.0, 1.0]), np.linspace(0.975, 0.999, 25)
+            g0 = no_jump_generator(coin)
+
+            def survival(t):
+                e = mat_exp(g0, t)
+                return np.trace(e @ rho @ e.conj().T).real
+        else:
+            coin, rho, u = TRAP, np.diag([1.2, -0.2]), np.linspace(0.01, 0.23, 25)
+
+            def survival(t):
+                return 1.2 * math.exp(-t) - 0.2
+        sampler = JumpSampler(coin)
+        starts, hermite = [], []
+        invert, log_hermite = trajectory._invert_survival, trajectory._log_hermite
+
+        def recording(poly, start, hi, u, h, x):
+            starts.append((start, hi, x))
+            return invert(poly, start, hi, u, h, x)
+
+        def counting(*args):
+            hermite.append(args)
+            return log_hermite(*args)
+
+        monkeypatch.setattr(trajectory, "_invert_survival", recording)
+        monkeypatch.setattr(trajectory, "_log_hermite", counting)
+        v = np.tile(hvec(rho), (len(u), 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, dt, _, _ = sampler._next_jumps(v, u, np.full(len(u), math.inf))
+            hermite.clear()
+            serial = [sampler.next_jump(v[k], FixedRng([u[k], 0.5]))[0] for k in range(len(u))]
+        assert rows.tolist() == list(range(len(u)))
+        start, hi, x = starts[0]
+        assert np.array_equal(x, 0.5 * (start + hi))
+        assert hermite == []
+        assert np.all(np.abs(dt - serial) <= trajectory.REL_TIME_TOL * dt)
+        assert max(abs(survival(t) - w) for t, w in zip(dt, u)) < 1e-10
 
 
 class TestTaylorStep:

@@ -41,7 +41,7 @@ for t in np.linspace(0.0, 5.0, 11):
     worst = max(worst, abs(p - exact))
     print(f"{t:5.1f} {p:14.9f} {exact:14.9f} {abs(p - exact):10.2e}")
 print(f"max error {worst:.2e}")
-print(f"int_0^5 p00 dt (Van Loan closed form): {return_integral(gen, one, 0, 5.0):.12f}\n")
+print(f"int_0^5 p00 dt: {return_integral(gen, one, 0, 5.0):.12f}\n")
 
 # a deliberately small ring: the bound reports the wrap-around it allows
 for r in (4, 8, 16):

@@ -14,9 +14,9 @@ from ctoqw import (
     estimate_drift,
     hvec,
     internal_lindblad_matrix,
-    mat_exp,
     stationary_states,
 )
+from ctoqw.linalg import mat_exp_integral
 from ctoqw.coins import three_level_coin
 
 coin = three_level_coin(0.0)
@@ -26,19 +26,16 @@ print(f"three-level coin, c=0: m = {m:+.9f} (= -6/53)\n")
 
 # E[X_T] = int_0^T tr(Q rho_s) ds with Q = A*A - C*C and rho_s the internal
 # state at time s. In Hermitian coordinates (hvec) the internal generator L_0
-# is a real matrix and tr(Q rho) is the dot product hvec(Q) . hvec(rho); the
-# last column of exp([[T L_0, T hvec(rho0)], [0, 0]]) (Van Loan) is
-# int_0^T e^{s L_0} hvec(rho0) ds, with no assumption that L_0 diagonalizes.
+# is a real matrix and tr(Q rho) is the dot product hvec(Q) . hvec(rho);
+# mat_exp_integral gives int_0^T e^{s L_0} hvec(rho0) ds by doubling the pair
+# (e^{tau L_0}, int_0^tau e^{s L_0} hvec(rho0) ds) from a short tau, with no
+# assumption that L_0 diagonalizes.
 q = coin.right.conj().T @ coin.right - coin.left.conj().T @ coin.left
 sup = internal_lindblad_matrix(coin)
-n = len(sup)
 
 
 def exact_mean(rho0, t):
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = t * sup
-    aug[:n, n] = t * hvec(rho0)
-    return float(hvec(q) @ mat_exp(aug)[:n, n])
+    return float(hvec(q) @ mat_exp_integral(sup, hvec(rho0), t)[1])
 
 
 mixed = np.eye(3, dtype=complex) / 3.0

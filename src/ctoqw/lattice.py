@@ -11,8 +11,9 @@ under the d^2 x d^2 Fourier symbol (Carbone & Pautrat, J. Stat. Phys. 160, 2015)
 The window -radius..radius is closed into a ring of N = 2 radius + 1 sites,
 where the momenta k = 2 pi q / N are exact: the blocks at time t are the
 inverse DFT of e^{t L_k} hvec(rho0), with S, R, L of the symbol real
-(``Coin.symbol``). Time grids use powers of e^{dt L_k} and the return
-integral a Van Loan exponential; nothing is integrated numerically.
+(``Coin.symbol``). Time grids use powers of e^{dt L_k}, and the return
+integral doubles the pair (e^{tau L_k}, int_0^tau e^{t L_k} v dt) from a
+short tau (``linalg.mat_exp_integral``); nothing is integrated numerically.
 
 Only the momenta q = 0..radius are exponentiated. The symbol at -k is the
 conjugate of the one at k, and hvec(rho0) is real, so hat(N - q) =
@@ -55,7 +56,7 @@ import numpy as np
 import scipy  # noqa: F401  (stays bound)
 from scipy.linalg.lapack import dgeev, dgesv
 
-from .linalg import hunvec, hvec, mat_exp
+from .linalg import hunvec, hvec, mat_exp, mat_exp_integral
 from .model import Coin, _integer, density_for, no_jump_generator
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
@@ -633,13 +634,13 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
                     with_half: bool = False):
     """int_0^T p_{i0 i0; rho}(t) dt in closed form.
 
-    For each momentum, exp([[T L_k, T hvec(rho0)], [0, 0]]) (Van Loan) carries
-    int_0^T e^{t L_k} hvec(rho0) dt in its last column; the return integral is
-    the mean of their traces over the ring's momenta, (tr_0 + 2 sum_{q >= 1}
-    Re tr_q) / N from momenta 0..radius. With ``with_half`` it returns the pair
-    (value at T, value at T/2) from the one exponential E at T/2: the full
-    column is that of E^2, e^{T/2 L_k} c + c for E's last column c. Raises if
-    the leak bound at T (or at T/2 with ``with_half``) reaches LEAK_TOL.
+    For each momentum, ``mat_exp_integral`` doubles the pair (e^{tau L_k},
+    int_0^tau e^{t L_k} hvec(rho0) dt) up to tau = T; the return integral is
+    the mean of the integrals' traces over the ring's momenta, (tr_0 + 2
+    sum_{q >= 1} Re tr_q) / N from momenta 0..radius. With ``with_half`` it
+    returns (value at T, value at T/2) from the pair (E, c) at T/2, the full
+    integral being E c + c. The leak bound is checked at T only (and at T/2
+    with ``with_half``), not at every t <= T; one that reaches LEAK_TOL raises.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -650,21 +651,11 @@ def return_integral(gen: BlockGenerator, rho0, i0: int, horizon: float, *,
             raise RuntimeError(
                 f"truncation leak bound {leak:.3e} at time {t:g}; enlarge the radius"
             )
-    d2 = gen.coin.dim ** 2
-    aug = np.zeros((gen.radius + 1, d2 + 1, d2 + 1), dtype=complex)
-    aug[:, :d2, :d2] = gen.symbols
-    aug[:, :d2, d2] = v
-    e = mat_exp(aug, horizon / 2.0 if with_half else horizon)
-    column = e[:, :d2, d2]
-    at_start = _site_weights(gen, 0)[0]
-
-    def value(c):
-        return float((at_start @ c[:, : gen.coin.dim].sum(axis=1)).real)
-
-    if not with_half:
-        return value(column)
-    full = np.einsum("kab,kb->ka", e[:, :d2, :d2], column) + column
-    return value(full), value(column)
+    e, c = mat_exp_integral(gen.symbols, v, horizon / 2.0 if with_half else horizon)
+    if with_half:
+        c = np.stack((np.einsum("kab,kb->ka", e, c) + c, c))
+    values = (c[..., : gen.coin.dim].sum(axis=-1) @ _site_weights(gen, 0)[0]).real
+    return tuple(values.tolist()) if with_half else float(values)
 
 
 def skeleton_partials(gen: BlockGenerator, rho0, i0: int, j: int, delta: float,

@@ -24,6 +24,7 @@ __all__ = [
     "hunvec",
     "hvec",
     "mat_exp",
+    "mat_exp_integral",
     "null_space",
     "superop_matrix",
     "vec",
@@ -99,6 +100,29 @@ def mat_exp(m, t: float = 1.0) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
+
+
+def mat_exp_integral(m, v, t: float = 1.0):
+    """The pair (e^{t m}, int_0^t e^{s m} v ds) for a square m, or a stack of
+    them with v of shape (..., n), doubled from tau = t / 2^s, |tau m|_1 < 1.
+
+    At tau, e^{tau m} is one :func:`mat_exp`, and the integral tau phi_1(tau m) v,
+    phi_1(x) = (e^x - 1)/x, is 19 Taylor terms on the vector (remainder at most
+    tau |v| e/20!). Then s times c <- E c + c, E <- E^2: the pair Van Loan's
+    exponential of [[t m, t v], [0, 0]] holds, without its larger matrix.
+    """
+    a, v = _as_square(m, stacked=True), np.asarray(v)
+    if v.shape[-1:] != a.shape[-1:] or not (np.isfinite(v).all() and np.isfinite(t)):
+        raise ValueError(f"need a finite vector of length {a.shape[-1]} and a finite t")
+    s = max(0, math.frexp(float(np.abs(a).sum(axis=-2).max()) * abs(t))[1])
+    tau = t / 2.0**s
+    e, y = mat_exp(a * tau), v
+    for j in range(19, 1, -1):
+        y = v + (a @ y[..., None])[..., 0] * (tau / j)
+    c = y * tau
+    for _ in range(s):
+        c, e = (e @ c[..., None])[..., 0] + c, e @ e
+    return e, c
 
 
 def null_space(m, rel_tol: float = 1e-10, scale: float | None = None) -> list[np.ndarray]:

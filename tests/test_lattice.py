@@ -42,6 +42,7 @@ from ctoqw import (
     validate_coin,
 )
 import ctoqw.lattice as lattice_mod
+import ctoqw.linalg as linalg_mod
 from ctoqw.linalg import hermitian_basis
 from ctoqw.coins import (
     diagonal_jumps_coin,
@@ -591,6 +592,40 @@ class TestReturnIntegral:
         gen = BlockGenerator(scalar_coin(1.0, 1.0), 4)
         with pytest.raises(RuntimeError):
             return_integral(gen, np.eye(1), 0, 50.0)
+
+    def test_benchmark_scalar_ring_matches_bessel_quadrature(self):
+        # the lattice benchmark's scalar case: radius 2048, T = 100
+        gen = BlockGenerator(scalar_coin(1.0, 1.0), 2048)
+        ref = scipy.integrate.quad(bessel_p00, 0.0, 100.0, limit=400,
+                                   epsabs=1e-12, epsrel=1e-12)[0]
+        assert abs(return_integral(gen, np.eye(1), 0, 100.0) - ref) <= 1e-9 * ref
+
+    def test_half_value_is_the_value_at_half_the_horizon(self):
+        rng = np.random.default_rng(70)
+        for coin in (three_level_coin(0.0), random_coin(rng, 2), scalar_coin(2.0, 1.0)):
+            rho = random_density(rng, coin.dim)
+            gen = BlockGenerator(coin, choose_radius(coin, 0, 20.0, rho))
+            half = return_integral(gen, rho, 0, 20.0, with_half=True)[1]
+            assert abs(half - return_integral(gen, rho, 0, 10.0)) <= 1e-13 * abs(half)
+
+    def test_exponentiates_the_symbols_only(self, monkeypatch):
+        # one stack of d^2 x d^2 symbols per call, never the (d^2 + 1)-square
+        # augmented one; the leak bound's exponentials are stacks of two
+        shapes = []
+
+        def counted(m, t=1.0):
+            shapes.append(np.shape(m))
+            return mat_exp(m, t)
+
+        monkeypatch.setattr(lattice_mod, "mat_exp", counted)
+        monkeypatch.setattr(linalg_mod, "mat_exp", counted)
+        gen = BlockGenerator(three_level_coin(0.0), 16)
+        rho = np.eye(3) / 3.0
+        for with_half in (False, True):
+            shapes.clear()
+            return_integral(gen, rho, 0, 2.0, with_half=with_half)
+            assert all(shape[-2:] == (9, 9) for shape in shapes)
+            assert shapes.count((gen.radius + 1, 9, 9)) == 1
 
 
 class TestSkeleton:

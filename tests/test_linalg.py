@@ -1,17 +1,17 @@
-"""Numerical kernel tests: matrix exponential (single and stacked), null spaces,
-superoperator assembly, the column-stacking vec convention and the Hermitian
-coordinates hvec/hunvec."""
+"""Numerical kernel tests: matrix exponential (single and stacked) and its
+integral, null spaces, superoperator assembly, the column-stacking vec
+convention and the Hermitian coordinates hvec/hunvec."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from ctoqw import hunvec, hvec, mat_exp, null_space, superop_matrix, vec, unvec
-from ctoqw.linalg import hermitian_basis
+from ctoqw import BlockGenerator, hunvec, hvec, mat_exp, null_space, superop_matrix, vec, unvec
+from ctoqw.linalg import hermitian_basis, mat_exp_integral
 from ctoqw import internal_lindblad_matrix
 from ctoqw.coins import scalar_coin
 
-from helpers import random_matrix, random_hermitian
+from helpers import random_coin, random_density, random_matrix, random_hermitian
 
 
 class TestMatExp:
@@ -92,6 +92,59 @@ class TestMatExp:
     def test_zero_stack_is_identity_stack(self):
         out = mat_exp(np.zeros((3, 2, 2)))
         assert np.array_equal(out, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+def van_loan(m, v, t):
+    """(e^{tm}, int_0^t e^{sm} v ds) from scipy's exponential of [[t m, t v], [0, 0]]."""
+    n = len(v)
+    aug = np.zeros((n + 1, n + 1), dtype=np.result_type(m, v))
+    aug[:n, :n], aug[:n, n] = t * m, t * v
+    e = scipy.linalg.expm(aug)
+    return e[:n, :n], e[:n, n]
+
+
+class TestMatExpIntegral:
+    @pytest.mark.parametrize("norm", [0.0, 0.3, 1.0, 50.0, 5000.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_augmented_exponential(self, d, norm):
+        # Real stacks are walk symbols at k = 0, complex ones at the momenta
+        # of a ring; scaled so that the largest |t m|_1 in the stack is norm.
+        # Both exponentials carry round-off of order |t m|_1 eps, as the
+        # exponential's relative condition number grows like |t m|: at 5000
+        # they differ by 1.4e-12 to 1.7e-12, within the tolerance 1e-15 |t m|_1.
+        rng = np.random.default_rng([d, int(norm)])
+        coins = [random_coin(rng, d) for _ in range(3)]
+        v = hvec(random_density(rng, d))
+        tol = max(1e-13, 1e-15 * norm)
+
+        def close(x, ref):
+            return np.abs(x - ref).max() <= tol * max(np.abs(ref).max(), np.finfo(float).tiny)
+
+        for stack in (np.array([sum(c.symbol) for c in coins]),
+                      BlockGenerator(coins[0], 3).symbols):
+            t = norm / np.abs(stack).sum(axis=-2).max()
+            e, c = mat_exp_integral(stack, v, t)
+            assert e.shape == stack.shape and c.shape == stack.shape[:-1]
+            for k, m in enumerate(stack):
+                ref_e, ref_c = van_loan(m, v, t)
+                assert close(e[k], ref_e) and close(c[k], ref_c)
+
+    def test_jordan_block(self):
+        # int_0^t e^{s G0} e_2 ds with e^{s G0} e_2 = e^{-s} (s, 1)
+        g0 = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        for t in (0.5, 20.0, 200.0):
+            e, c = mat_exp_integral(g0, np.array([0.0, 1.0]), t)
+            want = [1.0 - np.exp(-t) * (1.0 + t), 1.0 - np.exp(-t)]
+            assert np.abs(c - want).max() <= 1e-14
+            assert np.abs(e - np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])).max() <= 1e-14
+
+    def test_rejects_nonfinite_input_and_shape_mismatch(self):
+        m, v = np.eye(2), np.ones(2)
+        for args in ((np.array([[np.nan, 0.0], [0.0, 1.0]]), v, 1.0),
+                     (m, np.array([np.inf, 0.0]), 1.0), (m, v, np.nan), (m, v, np.inf),
+                     (m, np.ones(3), 1.0), (np.ones((2, 3)), v, 1.0)):
+            with pytest.raises(ValueError):
+                mat_exp_integral(*args)
 
 
 class TestNullSpace:

@@ -681,12 +681,15 @@ def choose_radius(coin: Coin, i0: int, t: float, rho0=None) -> int:
     Doubles from max(RADIUS_START, 2|i0|) up to MAX_RADIUS and evaluates
     ``leak_bound`` for each candidate; nothing is evolved, and rho0 is
     checked once. The bound is taken for rho0, or for the maximally mixed
-    state when rho0 is omitted.
+    state when rho0 is omitted. A start site beyond MAX_RADIUS / 2 is a
+    ValueError; running out of radii is a RuntimeError.
     """
     _check_time(t)
     i0 = _integer(i0, "i0")
-    v = density_for(coin, np.eye(coin.dim) / coin.dim if rho0 is None else rho0)
     radius = max(RADIUS_START, 2 * abs(i0))
+    if radius > MAX_RADIUS:
+        raise ValueError(f"start site {i0} needs a radius of {radius}, above {MAX_RADIUS}")
+    v = density_for(coin, np.eye(coin.dim) / coin.dim if rho0 is None else rho0)
     while radius <= MAX_RADIUS:
         if _leak_bound(coin, v, i0, radius, t) < LEAK_TOL:
             return radius

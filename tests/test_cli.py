@@ -18,7 +18,13 @@ from ctoqw import (
     validate_coin,
 )
 from ctoqw.cli import main
-from ctoqw.coins import three_level_stationary
+from ctoqw.coins import (
+    diagonal_jumps_coin,
+    shared_basis_vectors,
+    shared_eigenbasis_coin,
+    three_level_coin,
+    three_level_stationary,
+)
 
 COINS = Path(__file__).resolve().parents[1] / "coins"
 
@@ -222,6 +228,16 @@ class TestIntegralCommand:
         assert doc["value_half_horizon"] == pytest.approx(
             return_integral(gen, rho, 0, 25.0), rel=1e-12)
 
+    def test_leak_breach_is_a_numerical_failure(self, capsys):
+        # return_integral refuses a radius whose leak bound reaches LEAK_TOL
+        # (5.6e-2 at T = 10 on radius 8), so nothing is written
+        code = main(["integral", str(COINS / "three_level_c0.json"),
+                     "--horizon", "10", "--trunc", "8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+
 
 class TestSimulateCommand:
     def test_seeded_estimate(self, capsys):
@@ -269,6 +285,49 @@ class TestVerifyCommand:
         lines = target.read_text().splitlines()
         assert len([ln for ln in lines if ln.startswith("PASS")]) == 16
         assert lines[-1] == "All fixture checks passed"
+
+
+def _projector(k):
+    u = shared_basis_vectors()[:, k]
+    return np.outer(u, u.conj())
+
+
+class TestVerifyFailures:
+    # (coin, expectations, the FAIL line's reason) for each check of _check_case
+    CASES = {
+        "verdict": (diagonal_jumps_coin(3.0), {"verdict": "Recurrent"},
+                    "verdict Transient, expected Recurrent"),
+        "m": (diagonal_jumps_coin(3.0), {"verdict": "Transient", "m": (0.4, 1e-9)},
+              "m off by 1.000e-01 (tol 1e-09)"),
+        "rho_inv": (three_level_coin(0.0),
+                    {"verdict": "Transient", "rho_inv": (np.zeros((3, 3)), 1e-9)},
+                    "rho_inv off by"),
+        "rho_inv-missing": (shared_eigenbasis_coin(1.0, 2.0),
+                            {"verdict": "Recurrent", "rho_inv": (np.eye(2) / 2, 1e-9)},
+                            "no rho_inv"),
+        "transient_state": (shared_eigenbasis_coin(1.7, 2.0),
+                            {"verdict": "PartiallyRecurrent",
+                             "transient_state": (_projector(1), 1e-8)},
+                            "transient_state off by"),
+        "transient_state-missing": (diagonal_jumps_coin(3.0),
+                                    {"verdict": "Transient",
+                                     "transient_state": (_projector(0), 1e-8)},
+                                    "no transient_state"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fail_line(self, capsys, monkeypatch, case):
+        coin, expect, reason = self.CASES[case]
+        passing = ("diagonal-jumps a=3", diagonal_jumps_coin(3.0),
+                   {"verdict": "Transient", "m": (0.5, 1e-9)})
+        monkeypatch.setattr("ctoqw.coins.verify_cases",
+                            lambda: [passing, (case, coin, expect)])
+        code = main(["verify"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0] == "PASS  diagonal-jumps a=3"
+        assert lines[1].startswith(f"FAIL  {case}: {reason}")
+        assert lines[2] == "Some fixture checks FAILED"
 
 
 class TestErrorHandling:
@@ -320,6 +379,22 @@ class TestErrorHandling:
         assert code == 1
         assert "finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evolve", "--t", "1"], "evolve needs --site"),
+        (["evolve", "--t", "1", "--site", "0", "--n", "1"], "--n must be at least 2"),
+        (["skeleton", "--n", "3"], "skeleton needs --delta"),
+        (["skeleton", "--delta", "1", "--n", "-1"], "skeleton needs --n >= 0"),
+        (["integral", "--horizon", "0"], "integral needs --horizon > 0"),
+        (["simulate"], "simulate needs --horizon"),
+    ], ids=["evolve-no-site", "evolve-n-1", "skeleton-no-delta", "skeleton-n-negative",
+            "integral-horizon-0", "simulate-no-horizon"])
+    def test_missing_or_bad_argument_exits_1(self, capsys, argv, message):
+        code = main([argv[0], str(COINS / "scalar_symmetric.json")] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("command", [
         ["evolve", "--t", "1", "--site", "0"],

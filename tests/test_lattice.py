@@ -1074,6 +1074,35 @@ class TestArgumentChecks:
             skeleton_partials(gen, np.eye(1), 0, 0, 1.0, 2.5)
         assert len(skeleton_partials(gen, np.eye(1), 0, 0, 1.0, np.int64(2))) == 3
 
+    # Refusals no other test reaches, as (call, exception, message).
+    REFUSALS = {
+        "skeleton-negative-n": (
+            lambda: skeleton_partials(BlockGenerator(scalar_coin(1.0, 1.0), 4),
+                                      np.eye(1), 0, 0, 1.0, -1),
+            ValueError, "n_steps must be nonnegative"),
+        "block-generator-radius-0": (
+            lambda: BlockGenerator(scalar_coin(1.0, 1.0), 0),
+            ValueError, "radius must be at least 1"),
+        # no bound is evaluated: no ring up to MAX_RADIUS holds the start site
+        "choose-radius-start-site": (
+            lambda: choose_radius(scalar_coin(1.0, 1.0), lattice_mod.MAX_RADIUS // 2 + 1, 1.0),
+            ValueError, f"start site {lattice_mod.MAX_RADIUS // 2 + 1} needs a radius"),
+        "choose-radius-exhausted": (
+            lambda: choose_radius(scalar_coin(1.0, 1.0), 0, 1e8),
+            RuntimeError, f"no radius up to {lattice_mod.MAX_RADIUS}"),
+        # leak bound 5.6e-2 at alpha+beta = 10 on radius 8
+        "ck-leak": (
+            lambda: chapman_kolmogorov_residual(BlockGenerator(three_level_coin(0.0), 8),
+                                                np.eye(3) / 3.0, 0, 0, 5.0, 5.0),
+            RuntimeError, "truncation leak bound"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusals(self, case):
+        call, error, message = self.REFUSALS[case]
+        with pytest.raises(error, match=message):
+            call()
+
 
 class TestCsvExport:
     def test_series_format(self):

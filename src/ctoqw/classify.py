@@ -2,8 +2,7 @@
 
 Both tractable regimes are read from the drift spectrum
 (:func:`ctoqw.stationary.drift_spectrum`), the slopes at k = 0 of the
-branches of the walk's symbol L_k through 0. It and the stationary analysis
-read the kernels of L_0 from one SVD per coin (``Coin.lindblad_svd``):
+branches of the walk's symbol L_k through 0:
 
 * a unique stationary internal state exists: the one slope is the net
   velocity m, and the walk is recurrent exactly when it vanishes;
@@ -22,6 +21,11 @@ inputs land on it only up to round-off. A slope counts as zero when its size
 is at most 1e-9 (|C|_F^2 + |A|_F^2), computed on the coin as given. Rescaling
 (C, A, H) -> (sC, sA, s^2 H) multiplies both sides by s^2, so the test is
 scale-invariant, and m and the slopes are reported as computed.
+
+The spectrum and the stationary analysis read the kernels of L_0 from one
+SVD per coin (``Coin.lindblad_svd``), split once per coin. The small solves
+on them call LAPACK directly: at d <= 4, numpy.linalg's per-call overhead
+is most of their cost.
 """
 
 from __future__ import annotations

@@ -207,7 +207,7 @@ def _check_case(coin: Coin, expect: dict) -> str | None:
         if got is None:
             return f"no {key}"
         err = float(np.abs(got - target).max())
-        if err > tol:
+        if not err <= tol:  # a NaN error fails too
             return f"{key} off by {err:.3e} (tol {tol:g})"
     return None
 

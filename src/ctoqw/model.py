@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zheevd
 
-from .linalg import hermitian_basis, hvec, superop_matrix
+from .linalg import hermitian_basis, hvec
 
 __all__ = [
     "Coin",
@@ -51,6 +51,8 @@ HAM_WARN_TOL = 1e-6
 DENSITY_HERM_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-10
 DENSITY_TRACE_TOL = 1e-10
+# Singular values of L_0 below KERNEL_RTOL * Coin.rate_scale count as kernel directions.
+KERNEL_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +84,20 @@ class Coin:
         read-only; its small singular values pair the right and left kernels of L_0."""
         stay, right, left = self.symbol
         return _read_only(tuple(np.linalg.svd(stay + left + right)))
+
+    @functools.cached_property
+    def lindblad_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Right and left kernels (V, W) of L_0 as columns, split once from
+        :attr:`lindblad_svd` and read-only: the singular vectors whose singular
+        value is below KERNEL_RTOL * rate_scale."""
+        u, s, vt = self.lindblad_svd
+        small = s < KERNEL_RTOL * self.rate_scale
+        if not small.any():
+            raise ArithmeticError(
+                "empty stationary kernel: a finite-dimensional Lindblad semigroup "
+                "always has a stationary state, so this is a numerical failure"
+            )
+        return _read_only((vt[small].T, u[:, small]))
 
     @functools.cached_property
     def rate_scale(self) -> float:
@@ -158,14 +174,19 @@ def symbol_parts(coin: Coin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     L hvec(X) = hvec(C X C*); S + R + L is the internal Lindblad generator.
     Each is B* M B, M on vec and B the Hermitian basis, less its round-off
     imaginary part; Fortran-ordered, as LAPACK takes it without a copy.
+    The Kronecker factors of the four vec terms, I (x) G0 + conj(G0) (x) I,
+    conj(A) (x) A and conj(C) (x) C, are multiplied in one broadcast and the
+    three M are projected by one stacked product.
     """
-    g0 = no_jump_generator(coin)
-    eye = np.eye(coin.dim)
-    a, c = coin.right, coin.left
-    basis = hermitian_basis(coin.dim)
-    return tuple(np.asfortranarray((basis.conj().T @ superop_matrix(pairs) @ basis).real)
-                 for pairs in ([(g0, eye), (eye, g0.conj().T)],
-                               [(a, a.conj().T)], [(c, c.conj().T)]))
+    d, g0 = coin.dim, no_jump_generator(coin)
+    eye = np.eye(d, dtype=complex)
+    outer = np.array((eye, coin.right.conj(), coin.left.conj(), g0.conj()))
+    inner = np.array((g0, coin.right, coin.left, eye))
+    kron = (outer[:, :, None, :, None] * inner[:, None, :, None, :]).reshape(4, d * d, d * d)
+    vec_parts = kron[:3] + 0.0  # the sums start at +0.0, as superop_matrix's do
+    vec_parts[0] += kron[3]
+    basis = hermitian_basis(d)
+    return tuple(np.asfortranarray(p) for p in (basis.conj().T @ vec_parts @ basis).real)
 
 
 def density_from_pure(v) -> np.ndarray:

@@ -21,29 +21,39 @@ equal to the eigenvalues of the compression (W^T V)^{-1} W^T (R - L) V: the
 drift spectrum. A unique stationary state gives the single slope m.
 
 V and W come from one SVD of L per coin (``Coin.lindblad_svd``), so they
-share one dimension. :func:`stationary_states` reports V as
+share one dimension, and are split from it once per coin
+(``Coin.lindblad_kernels``). :func:`stationary_states` reports V as
 ``stationary_basis``, Hermitian matrices orthonormal in their real
 coordinates. They need not be states; the state of each branch comes from
 :func:`drift_spectrum`. :func:`drift` checks a caller's state.
 
-The coin is read only through ``Coin.symbol``, its SVD, ``Coin.rate_scale``
-and its dimension; states enter as coordinates through ``density_for``.
+The matrices solved on the kernels have order at most d^2, where
+numpy.linalg's wrappers cost several times the LAPACK routine they call.
+So :func:`drift_spectrum` calls dgesv and dgeev, and the PSD check of
+:func:`stationary_states` zheevd, directly, with the arguments numpy
+passes, dgeev's workspace included (``_geev_lwork``). Up to order 5, which
+covers every coin with d <= 2, the outputs keep numpy's bits; above it the
+LU of scipy's LAPACK build can differ from numpy's in the last bits.
+
+The coin is read only through ``Coin.symbol``, its kernels,
+``Coin.rate_scale`` and its dimension; states enter as coordinates through
+``density_for``.
 :func:`internal_lindblad` applies L to a matrix directly, as a reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeev, dgeev_lwork, dgesv, zheevd
 
 # null_space and superop_matrix are unused here but stay bound: bench/tracer.py wraps them.
 from .linalg import hunvec, null_space, superop_matrix  # noqa: F401
 from .model import Coin, density_for
 
-# Singular values of L below KERNEL_RTOL * Coin.rate_scale count as kernel directions.
-KERNEL_RTOL = 1e-10
 # A candidate stationary state may not dip below this eigenvalue.
 PSD_FLOOR = -1e-10
 # Kernel elements with |trace| below this cannot be normalized to a state.
@@ -92,19 +102,6 @@ def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
     return stay + left + right
 
 
-def _kernels(coin: Coin) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left kernels (V, W) of L as columns: the singular vectors of
-    ``Coin.lindblad_svd`` whose singular value is below KERNEL_RTOL * rate_scale."""
-    u, s, vt = coin.lindblad_svd
-    small = s < KERNEL_RTOL * coin.rate_scale
-    if not small.any():
-        raise ArithmeticError(
-            "empty stationary kernel: a finite-dimensional Lindblad semigroup "
-            "always has a stationary state, so this is a numerical failure"
-        )
-    return vt[small].T, u[:, small]
-
-
 def stationary_states(coin: Coin) -> StationaryAnalysis:
     """Kernel of L, and the stationary density when it is unique.
 
@@ -113,7 +110,7 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
     element b normalized by its trace is the stationary density. A near-zero
     trace is flagged as numerical degeneracy instead of dividing.
     """
-    kernel, _ = _kernels(coin)
+    kernel, _ = coin.lindblad_kernels
     basis = [hunvec(v) for v in kernel.T]
     kdim = len(basis)
     if kdim != 1:
@@ -125,7 +122,11 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
         note = "one-dimensional kernel with near-zero trace; cannot normalize"
     else:
         rho = basis[0] / tr
-        lo = float(np.linalg.eigvalsh(rho).min())
+        # zheevd on the lower triangle, as eigvalsh calls it (eigenvalues ascending)
+        eigenvalues, _, info = zheevd(rho, compute_v=0, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK zheevd failed with info {info}")
+        lo = float(eigenvalues[0])
         if lo >= PSD_FLOOR:
             return StationaryAnalysis(kernel_dim=1, stationary_basis=basis,
                                       unique_stationary=True, rho_inv=rho)
@@ -154,9 +155,10 @@ def drift_spectrum(coin: Coin) -> tuple[np.ndarray, list]:
     """Slopes of the branches of L_k through 0, and the state of each branch.
 
     The slopes are the eigenvalues of (W^T V)^{-1} W^T (R - L) V in ascending
-    order, V and W the kernels of L (:func:`_kernels`); a unique stationary
-    state gives the one slope m. An imaginary part above ``DRIFT_IMAG_RTOL``
-    times ``Coin.rate_scale`` raises ``ArithmeticError``. A branch state is V
+    order, V and W the kernels of L (``Coin.lindblad_kernels``); a unique
+    stationary state gives the one slope m. An imaginary part above
+    ``DRIFT_IMAG_RTOL`` times ``Coin.rate_scale`` raises ``ArithmeticError``,
+    and a failed or non-finite solve ``np.linalg.LinAlgError``. A branch state is V
     times the real part of the slope's eigenvector, divided by its own trace,
     or None when that trace is below ``TRACE_FLOOR`` relative to its norm
     (possible only inside a repeated slope, where the eigenvectors are not
@@ -164,19 +166,43 @@ def drift_spectrum(coin: Coin) -> tuple[np.ndarray, list]:
     """
     _, right, left = coin.symbol
     scale = coin.rate_scale
-    v, w = _kernels(coin)
-    slopes, vecs = np.linalg.eig(np.linalg.solve(w.T @ v, w.T @ (right - left) @ v))
-    worst = float(np.abs(slopes.imag).max())
+    v, w = coin.lindblad_kernels
+    x, info = dgesv(w.T @ v, w.T @ (right - left) @ v, overwrite_a=1, overwrite_b=1)[2:]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgesv failed with info {info}")
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("drift compression has non-finite entries")
+    slopes, wi, _, vr, info = dgeev(x, compute_vl=0, lwork=_geev_lwork(len(x)), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgeev failed with info {info}")
+    worst = float(np.abs(wi).max())
     if worst > DRIFT_IMAG_RTOL * scale:
         raise ArithmeticError(f"drift slope has imaginary part {worst:.3e} "
                               f"at rate scale {scale:.3e}")
-    order = np.argsort(slopes.real)
+    # numpy's eig gives a conjugate pair (j, j+1) the eigenvectors vr_j +- i vr_{j+1};
+    # the states read their real parts, so both columns read vr_j.
+    order = np.argsort(slopes)
+    cols = order - (wi[order] < 0)
     states = []
-    for col in (v @ vecs[:, order].real).T:
+    for col in (v @ vr[:, cols]).T:
         tr = float(col[:coin.dim].sum())
         small = abs(tr) <= TRACE_FLOOR * float(np.linalg.norm(col))
         states.append(None if small else hunvec(col / tr))
-    return slopes.real[order], states
+    return slopes[order], states
+
+
+@functools.cache
+def _geev_lwork(n: int) -> int:
+    """The workspace numpy's eig gives dgeev at order n, from LAPACK's query.
+
+    dgeev's eigenvector back-transform (dtrevc3) is blocked only in a large
+    enough workspace, and blocked and unblocked differ in the last bits;
+    scipy's default (4n) is too small for blocking.
+    """
+    work, info = dgeev_lwork(n, compute_vl=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgeev workspace query failed with info {info}")
+    return int(work)
 
 
 def solve_drift_operator(coin: Coin, m: float) -> tuple[np.ndarray, float]:

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import dataclasses
 import json
+import math
 import shutil
 import subprocess
 from pathlib import Path
@@ -328,6 +330,30 @@ class TestVerifyFailures:
         assert lines[0] == "PASS  diagonal-jumps a=3"
         assert lines[1].startswith(f"FAIL  {case}: {reason}")
         assert lines[2] == "Some fixture checks FAILED"
+
+
+class TestVerifyNaN:
+    # A NaN result fails its check: NaN > tol is false, so the check reads err <= tol.
+    PATCH = {
+        "m": ("classify", lambda res: dataclasses.replace(res, m=math.nan)),
+        "rho_inv": ("stationary_states",
+                    lambda sa: dataclasses.replace(sa, rho_inv=np.full((2, 2), np.nan))),
+        "transient_state": ("classify", lambda res: dataclasses.replace(
+            res, transient_state=np.full((2, 2), np.nan))),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PATCH))
+    def test_nan_fails(self, capsys, monkeypatch, key):
+        name, spoil = self.PATCH[key]
+        exact = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda coin: spoil(exact(coin)))
+        expect = {"verdict": "Recurrent", key: (0.0, 1.0)}
+        monkeypatch.setattr("ctoqw.coins.verify_cases",
+                            lambda: [(key, diagonal_jumps_coin(2.0 * math.sqrt(2.0)), expect)])
+        code = main(["verify"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines == [f"FAIL  {key}: {key} off by nan (tol 1)", "Some fixture checks FAILED"]
 
 
 class TestErrorHandling:

@@ -166,15 +166,19 @@ class TestSymbol:
             assert shapes == [(coin.dim ** 2, coin.dim ** 2)]
 
     def test_lindblad_svd_read_only(self):
+        # the SVD and its split into the kernels are cached and read-only
         coin = three_level_coin(0.0)
         u, s, vt = coin.lindblad_svd
+        kernel, left_kernel = coin.lindblad_kernels
         assert coin.lindblad_svd is coin.lindblad_svd
-        for part in (u, s, vt):
+        assert coin.lindblad_kernels is coin.lindblad_kernels
+        for part in (u, s, vt, kernel, left_kernel):
             assert not part.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = 0.0
         stay, right, left = coin.symbol
         assert np.allclose((u * s) @ vt, stay + left + right, atol=1e-13)
+        assert np.array_equal(kernel, vt[-1:].T) and np.array_equal(left_kernel, u[:, -1:])
 
     def test_coins_compare_and_hash_by_identity(self):
         # array fields would make the generated __eq__ ambiguous and the

@@ -31,7 +31,7 @@ from ctoqw.coins import (
     three_level_stationary,
 )
 
-from ctoqw import model
+from ctoqw import model, stationary
 
 from helpers import random_coin, random_hermitian, random_shared_basis_coin, random_unitary
 
@@ -366,6 +366,54 @@ class TestDriftSpectrum:
         with pytest.raises(ArithmeticError, match="imaginary part"):
             drift_spectrum(moved)
 
+    @staticmethod
+    def _moved(coin, x, monkeypatch):
+        # X moved from L to R: L_0 = S + R + L and its kernels stay, R - L gains 2X
+        stay, right, left = coin.symbol
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "symbol_parts", lambda c: (stay, right + x, left - x))
+            moved = validate_coin(coin.left, coin.right, coin.ham)
+            assert np.array_equal(moved.symbol[1], right + x)  # built while patched
+        return moved
+
+    @staticmethod
+    def _numpy_spectrum(coin):
+        # np.linalg.solve and np.linalg.eig, each state from the real part of its eigenvector
+        kernel, left_kernel = coin.lindblad_kernels
+        compression = left_kernel.T @ (coin.symbol[1] - coin.symbol[2]) @ kernel
+        values, vecs = np.linalg.eig(np.linalg.solve(left_kernel.T @ kernel, compression))
+        order = np.argsort(values.real)
+        cols = (kernel @ vecs[:, order].real).T
+        return values[order], [hunvec(col / col[:coin.dim].sum()) for col in cols]
+
+    def test_matches_numpy_eig(self, monkeypatch):
+        # A symmetric X on the kernel of a four-level shared-basis coin gives real,
+        # generic eigenvectors; dgeev gets numpy's workspace, so they keep numpy's bits.
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            coin = random_shared_basis_coin(rng, 4)
+            v = hvec(np.array(stationary_states(coin).stationary_basis)).T
+            g = rng.standard_normal((v.shape[1], v.shape[1]))
+            moved = self._moved(coin, 0.1 * coin.rate_scale * v @ (g + g.T) @ np.linalg.pinv(v),
+                                monkeypatch)
+            slopes, states = drift_spectrum(moved)
+            values, expected = self._numpy_spectrum(moved)
+            assert values.dtype == float and slopes.tobytes() == values.tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(states, expected, strict=True))
+
+    def test_conjugate_pair_matches_numpy_eig(self, monkeypatch):
+        # The rotation of the complex-slope test at 1e-14 of the rate scale: the
+        # two zero slopes of the both-equal coin become a conjugate pair whose
+        # imaginary part is inside the tolerance.
+        coin = shared_eigenbasis_coin(1.0, 2.0)
+        v = hvec(np.array(stationary_states(coin).stationary_basis)).T
+        rotation = v @ np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.linalg.pinv(v)
+        moved = self._moved(coin, 1e-14 * coin.rate_scale * rotation, monkeypatch)
+        slopes, states = drift_spectrum(moved)
+        values, expected = self._numpy_spectrum(moved)
+        assert 0.0 < np.abs(values.imag).max() <= stationary.DRIFT_IMAG_RTOL * moved.rate_scale
+        assert slopes.tobytes() == values.real.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(states, expected, strict=True))
 
 class TestDriftOperator:
     def test_scalar_trivial(self):

@@ -24,8 +24,7 @@ scale-invariant, and m and the slopes are reported as computed.
 
 The spectrum and the stationary analysis read the kernels of L_0 from one
 SVD per coin (``Coin.lindblad_svd``), split once per coin. The small solves
-on them call LAPACK directly: at d <= 4, numpy.linalg's per-call overhead
-is most of their cost.
+on them call numpy's LAPACK gufuncs without numpy.linalg's overhead (``linalg``).
 """
 
 from __future__ import annotations

@@ -31,18 +31,18 @@ e^{-theta D} Tr(e^{t L(theta)} rho0) at each window edge. The bound holds
 for every theta >= 0; theta minimises t lambda(theta) - theta D, with lambda
 the Perron root of L(theta) = S + e^theta R + e^-theta L (the large-deviation
 rate of the walk), which is convex in theta. Each point of the search, one
-LAPACK dgeev and one dgesv, moves an end of the bracket by the sign of
-lambda' - D and steps to the root of a e^theta - b e^-theta = D fitted to
-lambda' and lambda'' there (exact for scalar coins); a step past the cut
-of the two end tangents goes to the cut, which lands on the kink where two
-eigenvalues cross. A search takes 2.5 evaluations on the lattice
-benchmark's inputs. The moments of both edges come from one stacked
-exponential, and each coin keeps its last windows, so a repeated
-(t, radius, i0) costs one product. The search range grows as
-t Coin.rate_scale -> 0, so the bound vanishes with t. It bounds the mass
-outside the window at time t, hence the wrap-around error of every window
-value then; ``BlockState.leaked_mass`` reports it, and the long-horizon
-routines raise when it reaches LEAK_TOL.
+stacked eig of (M, M^T) and one solve (LAPACK through numpy's gufuncs,
+``linalg``), moves an end of the bracket by the sign of lambda' - D and
+steps to the root of a e^theta - b e^-theta = D fitted to lambda' and
+lambda'' there (exact for scalar coins); a step past the cut of the two end
+tangents goes to the cut, which lands on the kink where two eigenvalues
+cross. A search takes 2.5 evaluations on the lattice benchmark's inputs.
+The moments of both edges come from one stacked exponential, and each coin
+keeps its last windows, so a repeated (t, radius, i0) costs one product.
+The search range grows as t Coin.rate_scale -> 0, so the bound vanishes
+with t. It bounds the mass outside the window at time t, hence the
+wrap-around error of every window value then; ``BlockState.leaked_mass``
+reports it, and the long-horizon routines raise when it reaches LEAK_TOL.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-# Only bound here: bench/tracer.py wraps lattice.scipy.integrate.solve_ivp.
+# Only bound here, for bench/tracer.py (lattice.scipy.integrate.solve_ivp); a
+# bare import loads no scipy submodule.
 import scipy  # noqa: F401  (stays bound)
-from scipy.linalg.lapack import dgeev, dgesv
 
-from .linalg import hunvec, hvec, mat_exp, mat_exp_integral
+from .linalg import eig, hunvec, hvec, lapack, mat_exp, mat_exp_integral, solve
 from .model import Coin, _integer, density_for, no_jump_generator
 
 # Leak bound accepted by choose_radius and the long-horizon routines.
@@ -82,7 +82,7 @@ LEAK_MEMO_WINDOWS = 8
 # (1 at the first point), even just outside the bracket: s^2 over that step
 # estimates the error left after s. A bracket narrower than BRACKET_TOL (1 +
 # its upper end) is closed, and a model step that close to one of its ends
-# counts as outside, as does one past the cut of the end tangents. dgeev's
+# counts as outside, as does one past the cut of the end tangents. eig's
 # eigenvectors have unit norm: a Perron root with |l.r| <= DEGENERATE_OVERLAP
 # gives no slope, and eigenvalues within DEGENERATE_GAP of the spectrum's
 # width of it share the abscissa. At most MAX_TILT_STEPS evaluations.
@@ -345,40 +345,43 @@ def _tilted(memo: _LeakMemo, t: float, sign: int, theta: float):
     return (np.array((t, w_r, w_l)) @ memo.flat).reshape(memo.n, memo.n), w_r, w_l
 
 
+@lapack
 def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float, dist: int):
     """(lambda, lambda', lambda'') in theta of M = t S + wR R + wL L (``_tilted``).
 
-    lambda is the spectral abscissa, the Perron root: one LAPACK dgeev with
-    both eigenvectors. lambda' = l.M'r / l.r from its left and right vectors,
+    lambda is the spectral abscissa, the Perron root: one stacked eig of (M,
+    M^T) gives its right and left vectors. lambda' = l.M'r / l.r from them,
     with M' = sign (wR R - wL L): one product of (I, R, L) with r, one with
     l. lambda'' = (l.M''r + 2 l.M'x) / l.r, M'' = wR R + wL L, where x solves
-    (M - lambda + r l') x = (lambda' - M') r by one LAPACK dgesv, which forces
+    (M - lambda + r l') x = (lambda' - M') r by one ``solve``, which forces
     l.x = 0. Where other eigenvalues share the abscissa, the branches through
     it have the slopes of the eigenvalues of (W'V)^-1 W'M'V over their right
     and left vectors V, W; lambda' is then the subgradient nearest to dist,
     dist itself where branches with slopes on both sides of it cross.
     lambda' is None where the vectors do not determine it (l.r or W'V
-    vanishes), lambda'' None where it is not defined (a shared abscissa, a
-    singular solve).
+    vanishes, the two sides' top clusters differ in size), lambda'' None
+    where it is not defined (a shared abscissa, a singular solve).
     """
-    wr, _, vl, vr, info = dgeev(m, compute_vl=1, compute_vr=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgeev failed with info {info}")
-    k = int(wr.argmax())
-    spectrum = sorted(wr.tolist())
-    lam = spectrum[-1]
-    near = DEGENERATE_GAP * (lam - spectrum[0])
-    if len(spectrum) > 1 and lam - spectrum[-2] <= near:
-        top = wr >= lam - near
-        v, w = vr[:, top], vl[:, top]
+    values, vectors = eig(np.stack((m, m.T)))
+    wr = values.real
+    lam = float(wr[0].max())
+    top = wr >= wr.max(axis=1, keepdims=True) - DEGENERATE_GAP * (lam - float(wr[0].min()))
+    size, left_size = top.sum(axis=1).tolist()
+    if size != left_size:
+        return lam, None, None
+    if size > 1:
+        # a conjugate pair's columns give the real and the imaginary part of its vector
+        packed = np.where(values.imag[:, None, :] < 0.0, vectors.imag, vectors.real)
+        v, w = packed[0][:, top[0]], packed[1][:, top[1]]
         jv = memo.jumps @ v
         try:
-            mixed = np.linalg.solve(w.T @ v, w.T @ (w_r * jv[0] - w_l * jv[1]))
+            mixed = solve(w.T @ v, w.T @ (w_r * jv[0] - w_l * jv[1]))
         except np.linalg.LinAlgError:
             return lam, None, None
         slopes = sign * np.linalg.eigvals(mixed).real
         return lam, min(max(float(dist), float(slopes.min())), float(slopes.max())), None
-    l, r = vl[:, k], vr[:, k]
+    # the Perron vectors of M (right) and M^T (left)
+    r, l = vectors[(0, 1), :, wr.argmax(axis=1)].real
     rj = memo.trio @ r
     lr, lj_r, lj_l = (rj @ l).tolist()
     if abs(lr) <= DEGENERATE_OVERLAP:
@@ -386,9 +389,9 @@ def _perron(memo: _LeakMemo, m: np.ndarray, sign: int, w_r: float, w_l: float, d
     slope = sign * (w_r * lj_r - w_l * lj_l) / lr
     a = m + r[:, None] * l
     a.flat[:: memo.n + 1] -= lam
-    x, info = dgesv(a, np.array((slope, -sign * w_r, sign * w_l)) @ rj,
-                    overwrite_a=1, overwrite_b=1)[2:]
-    if info != 0:
+    try:
+        x = solve(a, np.array((slope, -sign * w_r, sign * w_l)) @ rj)
+    except np.linalg.LinAlgError:
         return lam, slope, None
     lx_r, lx_l = ((memo.jumps @ x) @ l).tolist()
     second = (w_r * lj_r + w_l * lj_l + 2.0 * sign * (w_r * lx_r - w_l * lx_l)) / lr
@@ -498,8 +501,8 @@ def leak_bound(coin: Coin, rho0, i0: int, radius: int, t: float) -> float:
     ``Coin.symbol`` with no rebuild per call. theta minimises
     lambda(theta) - theta D, lambda the Perron root, over ``_theta_max``
     (``_edge_tilt``): model steps on the slope and curvature of this convex
-    function, kept in a bracket and cut at eigenvalue crossings, one LAPACK
-    dgeev with eigenvectors and one dgesv per evaluation. That range grows as
+    function, kept in a bracket and cut at eigenvalue crossings, one stacked
+    eig of (M, M^T) and one solve per evaluation. That range grows as
     t Coin.rate_scale -> 0, so the bound vanishes with t (about e t from an
     edge start of the scalar walk) instead of stalling at (2 + D)^{-2D}. The
     moments of both edges, each shifted by its lambda so that it cannot

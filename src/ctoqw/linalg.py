@@ -10,6 +10,9 @@ Conventions used everywhere:
 * ``vec`` is COLUMN-stacking, so ``vec(L @ rho @ R) = kron(R.T, L) @ vec(rho)``;
   :func:`superop_matrix` builds superoperators on it.
 * Matrices are ``numpy.ndarray``, real or complex; no wrapper classes.
+* LAPACK is reached through numpy's own gufuncs (:func:`eig`, :func:`solve`,
+  ``eigvalsh``), with np.linalg's bits but not its per-call overhead, several
+  times the routine at order d^2 <= 16; their callers are decorated ``@lapack``.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "hermitian_basis",
@@ -60,6 +64,31 @@ def _as_square(m, stacked: bool = False) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def _lapack_failed(err: str, flag: int):
+    raise np.linalg.LinAlgError(f"LAPACK failed ({err})")
+
+
+# Decorates each function that calls eig, solve or eigvalsh: in it, a LAPACK
+# failure (a NaN result the gufunc flags invalid) raises LinAlgError, as in np.linalg.
+lapack = np.errstate(call=_lapack_failed, invalid="call")
+# Ascending eigenvalues of a Hermitian matrix from its lower triangle, as np.linalg.eigvalsh.
+eigvalsh = _umath_linalg.eigvalsh_lo
+
+
+def eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eig's gufunc: complex eigenvalues and unit right eigenvectors
+    of a square matrix or a stack. A non-finite entry raises LinAlgError, as in
+    np.linalg.eig; the gufunc would return NaN or wrong values unflagged."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("eig of a matrix with non-finite entries")
+    return _umath_linalg.eig(a)
+
+
+def solve(a, b) -> np.ndarray:
+    """np.linalg.solve's gufunc: x with a x = b, for a vector or a matrix b."""
+    return (_umath_linalg.solve1 if np.ndim(b) == 1 else _umath_linalg.solve)(a, b)
 
 
 def mat_exp(m, t: float = 1.0) -> np.ndarray:

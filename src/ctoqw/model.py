@@ -24,9 +24,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zheevd
 
-from .linalg import hermitian_basis, hvec
+from .linalg import eigvalsh, hermitian_basis, hvec, lapack
 
 __all__ = [
     "Coin",
@@ -206,6 +205,7 @@ def check_density(rho) -> np.ndarray:
     return _checked_density(_square(rho, "rho", None))
 
 
+@lapack
 def _checked_density(m: np.ndarray) -> np.ndarray:
     """:func:`check_density` on a matrix :func:`_square` has already checked."""
     adjoint = m.conj().T
@@ -217,12 +217,7 @@ def _checked_density(m: np.ndarray) -> np.ndarray:
     tr = float(m.trace().real)
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"density trace {tr!r} differs from 1 beyond {DENSITY_TRACE_TOL:.1e}")
-    # LAPACK zheevd directly (eigenvalues only, ascending), the routine
-    # eigvalsh wraps: at d <= 4 eigvalsh's per-call overhead was most of its cost.
-    eigenvalues, _, info = zheevd(m, compute_v=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK zheevd failed with info {info}")
-    lo = float(eigenvalues[0])
+    lo = float(eigvalsh(m)[0])
     if lo < DENSITY_EIG_FLOOR:
         raise ValueError(f"density has eigenvalue {lo:.3e} below floor {DENSITY_EIG_FLOOR:.1e}")
     return m

@@ -27,13 +27,10 @@ share one dimension, and are split from it once per coin
 coordinates. They need not be states; the state of each branch comes from
 :func:`drift_spectrum`. :func:`drift` checks a caller's state.
 
-The matrices solved on the kernels have order at most d^2, where
-numpy.linalg's wrappers cost several times the LAPACK routine they call.
-So :func:`drift_spectrum` calls dgesv and dgeev, and the PSD check of
-:func:`stationary_states` zheevd, directly, with the arguments numpy
-passes, dgeev's workspace included (``_geev_lwork``). Up to order 5, which
-covers every coin with d <= 2, the outputs keep numpy's bits; above it the
-LU of scipy's LAPACK build can differ from numpy's in the last bits.
+The solves on the kernels (order at most d^2) reach LAPACK through numpy's
+own gufuncs (``linalg``), with np.linalg's bits. Only
+:func:`common_eigenstructure`, which no verdict calls but bench/tracer.py
+wraps, imports scipy (its Schur form), so scipy stays a dependency.
 
 The coin is read only through ``Coin.symbol``, its kernels,
 ``Coin.rate_scale`` and its dimension; states enter as coordinates through
@@ -43,15 +40,13 @@ The coin is read only through ``Coin.symbol``, its kernels,
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeev, dgeev_lwork, dgesv, zheevd
 
+from .linalg import eig, eigvalsh, hunvec, lapack, solve
 # null_space and superop_matrix are unused here but stay bound: bench/tracer.py wraps them.
-from .linalg import hunvec, null_space, superop_matrix  # noqa: F401
+from .linalg import null_space, superop_matrix  # noqa: F401
 from .model import Coin, density_for
 
 # A candidate stationary state may not dip below this eigenvalue.
@@ -102,6 +97,7 @@ def internal_lindblad_matrix(coin: Coin) -> np.ndarray:
     return stay + left + right
 
 
+@lapack
 def stationary_states(coin: Coin) -> StationaryAnalysis:
     """Kernel of L, and the stationary density when it is unique.
 
@@ -122,11 +118,7 @@ def stationary_states(coin: Coin) -> StationaryAnalysis:
         note = "one-dimensional kernel with near-zero trace; cannot normalize"
     else:
         rho = basis[0] / tr
-        # zheevd on the lower triangle, as eigvalsh calls it (eigenvalues ascending)
-        eigenvalues, _, info = zheevd(rho, compute_v=0, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"LAPACK zheevd failed with info {info}")
-        lo = float(eigenvalues[0])
+        lo = float(eigvalsh(rho)[0])
         if lo >= PSD_FLOOR:
             return StationaryAnalysis(kernel_dim=1, stationary_basis=basis,
                                       unique_stationary=True, rho_inv=rho)
@@ -151,6 +143,7 @@ def drift(coin: Coin, rho_inv) -> float:
     return float((right[:coin.dim] - left[:coin.dim]).sum(axis=0) @ v)
 
 
+@lapack
 def drift_spectrum(coin: Coin) -> tuple[np.ndarray, list]:
     """Slopes of the branches of L_k through 0, and the state of each branch.
 
@@ -167,42 +160,19 @@ def drift_spectrum(coin: Coin) -> tuple[np.ndarray, list]:
     _, right, left = coin.symbol
     scale = coin.rate_scale
     v, w = coin.lindblad_kernels
-    x, info = dgesv(w.T @ v, w.T @ (right - left) @ v, overwrite_a=1, overwrite_b=1)[2:]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgesv failed with info {info}")
-    if not np.isfinite(x).all():
-        raise np.linalg.LinAlgError("drift compression has non-finite entries")
-    slopes, wi, _, vr, info = dgeev(x, compute_vl=0, lwork=_geev_lwork(len(x)), overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgeev failed with info {info}")
-    worst = float(np.abs(wi).max())
+    values, vectors = eig(solve(w.T @ v, w.T @ (right - left) @ v))
+    worst = float(np.abs(values.imag).max())
     if worst > DRIFT_IMAG_RTOL * scale:
         raise ArithmeticError(f"drift slope has imaginary part {worst:.3e} "
                               f"at rate scale {scale:.3e}")
-    # numpy's eig gives a conjugate pair (j, j+1) the eigenvectors vr_j +- i vr_{j+1};
-    # the states read their real parts, so both columns read vr_j.
+    slopes = values.real
     order = np.argsort(slopes)
-    cols = order - (wi[order] < 0)
     states = []
-    for col in (v @ vr[:, cols]).T:
+    for col in (v @ vectors.real[:, order]).T:
         tr = float(col[:coin.dim].sum())
         small = abs(tr) <= TRACE_FLOOR * float(np.linalg.norm(col))
         states.append(None if small else hunvec(col / tr))
     return slopes[order], states
-
-
-@functools.cache
-def _geev_lwork(n: int) -> int:
-    """The workspace numpy's eig gives dgeev at order n, from LAPACK's query.
-
-    dgeev's eigenvector back-transform (dtrevc3) is blocked only in a large
-    enough workspace, and blocked and unblocked differ in the last bits;
-    scipy's default (4n) is too small for blocking.
-    """
-    work, info = dgeev_lwork(n, compute_vl=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgeev workspace query failed with info {info}")
-    return int(work)
 
 
 def solve_drift_operator(coin: Coin, m: float) -> tuple[np.ndarray, float]:
@@ -249,6 +219,8 @@ def common_eigenstructure(c, a) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     nc, na = np.linalg.norm(cm), np.linalg.norm(am)
     if float(np.linalg.norm(cm @ am - am @ cm)) > COMMUTE_RTOL * max(nc * na, 1e-300):
         return None
+
+    import scipy.linalg  # only here: `import ctoqw` loads no scipy.linalg
 
     scale = max(nc, na, 1e-300)
     last = None

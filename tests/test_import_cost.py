@@ -1,5 +1,6 @@
-"""What ``import ctoqw`` loads: scipy.optimize costs about a third of a second
-to import, and no module of the package needs it."""
+"""What ``import ctoqw`` loads: scipy.optimize and scipy.linalg cost about a
+third and a fifth of a second to import, and no module of the package needs
+them at import (LAPACK is reached through numpy's own gufuncs)."""
 
 import os
 import subprocess
@@ -7,11 +8,12 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FORBIDDEN = ("scipy.optimize", "scipy.linalg")
 
 
-def test_import_loads_no_scipy_optimize():
+def test_import_loads_no_scipy_optimize_or_linalg():
     code = ("import sys, ctoqw; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({FORBIDDEN!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

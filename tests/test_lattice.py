@@ -875,19 +875,19 @@ class TestLeakBound:
 
     def test_two_point_one_evaluations_per_search_at_most(self, monkeypatch):
         # Over the shipped coins and the grid of test_within_twice_the_exact_theta_bound
-        # the theta searches average at most 2.1 LAPACK dgeev calls each.
-        calls = {"dgeev": 0, "searches": 0}
-        dgeev, edge_tilt = lattice_mod.dgeev, lattice_mod._edge_tilt
+        # the theta searches average at most 2.1 eigen-solves each.
+        calls = {"eig": 0, "searches": 0}
+        eig, edge_tilt = lattice_mod.eig, lattice_mod._edge_tilt
 
-        def counted_dgeev(*args, **kwargs):
-            calls["dgeev"] += 1
-            return dgeev(*args, **kwargs)
+        def counted_eig(*args, **kwargs):
+            calls["eig"] += 1
+            return eig(*args, **kwargs)
 
         def counted_search(*args):
             calls["searches"] += 1
             return edge_tilt(*args)
 
-        monkeypatch.setattr(lattice_mod, "dgeev", counted_dgeev)
+        monkeypatch.setattr(lattice_mod, "eig", counted_eig)
         monkeypatch.setattr(lattice_mod, "_edge_tilt", counted_search)
         paths = sorted(COINS.glob("*.json"))
         for path in paths:
@@ -898,7 +898,7 @@ class TestLeakBound:
                     for i0 in (0, 3):
                         leak_bound(coin, rho, i0, radius, t)
         assert calls["searches"] == 2 * 48 * len(paths)
-        assert calls["dgeev"] <= 2.1 * calls["searches"]
+        assert calls["eig"] <= 2.1 * calls["searches"]
 
     @pytest.mark.parametrize("a, b, dist", [(1.0, 0.0, -1.0), (1.0, 0.0, 0.0),
                                             (1.0, -1.0, -3.0), (0.0, 1.0, 1.0),

@@ -1,17 +1,82 @@
-"""Numerical kernel tests: matrix exponential (single and stacked) and its
-integral, null spaces, superoperator assembly, the column-stacking vec
-convention and the Hermitian coordinates hvec/hunvec."""
+"""Numerical kernel tests: the LAPACK adapter, matrix exponential (single and
+stacked) and its integral, null spaces, superoperator assembly, the
+column-stacking vec convention and the Hermitian coordinates hvec/hunvec."""
+
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from ctoqw import BlockGenerator, hunvec, hvec, mat_exp, null_space, superop_matrix, vec, unvec
-from ctoqw.linalg import hermitian_basis, mat_exp_integral
+from ctoqw import linalg as linalg_mod
+from ctoqw.linalg import hermitian_basis, lapack, mat_exp_integral
 from ctoqw import internal_lindblad_matrix
 from ctoqw.coins import scalar_coin
 
 from helpers import random_coin, random_density, random_matrix, random_hermitian
+
+
+@lapack
+def _adapter(name, *args):
+    return getattr(linalg_mod, name)(*args)
+
+
+def _same_bits(ours, numpy_result):
+    ours = np.asarray(ours)
+    return ours.tobytes() == np.asarray(numpy_result, dtype=ours.dtype).tobytes()
+
+
+class TestLapackAdapter:
+    def test_numpy_gufuncs_are_where_the_adapter_reads_them(self):
+        # numpy.linalg._umath_linalg is private: fail loudly if numpy moves it
+        for name in ("eig", "solve", "solve1", "eigvalsh_lo"):
+            assert isinstance(getattr(_umath_linalg, name), np.ufunc), name
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_bits_of_np_linalg(self, kind):
+        rng = np.random.default_rng(31)
+        for n in range(1, 17):
+            a = rng.standard_normal((n, n))
+            b = rng.standard_normal((n, 3))
+            if kind is complex:
+                a = a + 1j * rng.standard_normal((n, n))
+                b = b + 1j * rng.standard_normal((n, 3))
+            values, vectors = _adapter("eig", a)
+            expected = np.linalg.eig(a)
+            assert _same_bits(values, expected.eigenvalues), n
+            assert _same_bits(vectors, expected.eigenvectors), n
+            assert _same_bits(_adapter("solve", a, b), np.linalg.solve(a, b)), n
+            assert _same_bits(_adapter("solve", a, b[:, 0]), np.linalg.solve(a, b[:, 0])), n
+            h = a + a.conj().T
+            assert _same_bits(_adapter("eigvalsh", h), np.linalg.eigvalsh(h)), n
+
+    def test_stacked_eig_is_eig_of_each(self):
+        rng = np.random.default_rng(32)
+        stack = rng.standard_normal((2, 5, 5))
+        values, vectors = _adapter("eig", stack)
+        for k in range(2):
+            expected = np.linalg.eig(stack[k])
+            assert _same_bits(values[k], expected.eigenvalues)
+            assert _same_bits(vectors[k], expected.eigenvectors)
+
+    def test_singular_solve_raises_without_warning(self):
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError):
+                _adapter("solve", a, np.ones(2))
+            with pytest.raises(np.linalg.LinAlgError):
+                _adapter("solve", a, np.eye(2))
+        assert caught == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_eig_of_a_non_finite_matrix_raises(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _adapter("eig", a)
 
 
 class TestMatExp:

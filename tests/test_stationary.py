@@ -388,7 +388,7 @@ class TestDriftSpectrum:
 
     def test_matches_numpy_eig(self, monkeypatch):
         # A symmetric X on the kernel of a four-level shared-basis coin gives real,
-        # generic eigenvectors; dgeev gets numpy's workspace, so they keep numpy's bits.
+        # generic eigenvectors; numpy's own eig gufunc gives them numpy's bits.
         rng = np.random.default_rng(62)
         for _ in range(20):
             coin = random_shared_basis_coin(rng, 4)
